@@ -167,7 +167,8 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _labeled_examples(path: str, skip_bad: bool) -> Iterator[QAExample]:
+def _labeled_examples(path: str, skip_bad: bool) -> Iterator[tuple[int, QAExample]]:
+    """Stream (line_no, example) pairs of records that carry a human label."""
     for line_no, example in io.iter_examples(path, skip_bad=skip_bad, on_skip=_report_skip):
         if example.human_label is None:
             err = DatasetError("record has no human label", path=path, line_no=line_no)
@@ -175,7 +176,7 @@ def _labeled_examples(path: str, skip_bad: bool) -> Iterator[QAExample]:
                 raise err
             _report_skip(err)
             continue
-        yield example
+        yield line_no, example
 
 
 def _judged_records(path: str, skip_bad: bool) -> Iterator[tuple[QAExample, dict[str, bool]]]:
@@ -202,7 +203,7 @@ def _judged_records(path: str, skip_bad: bool) -> Iterator[tuple[QAExample, dict
 def cmd_train(args) -> int:
     config = TrainConfig(seed=args.seed)
     if args.corpus:
-        corpus = io.read_examples(args.corpus, skip_bad=args.skip_bad)
+        corpus = io.read_examples(args.corpus, skip_bad=args.skip_bad, on_skip=_report_skip)
         source = args.corpus
     else:
         corpus = io.load_seed_corpus()
@@ -263,7 +264,7 @@ def cmd_eval(args) -> int:
         names = _parse_metrics(args.metric or "em,f1,pedants")
         multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
         counts = {name: ConfusionCounts() for name in names}
-        labeled = _labeled_examples(args.dataset, config.skip_bad)
+        labeled = (ex for _, ex in _labeled_examples(args.dataset, config.skip_bad))
         # two lock-stepped passes over one stream: labels here, verdicts in the pool
         labels_iter, judge_iter = itertools.tee(labeled)
         for example, verdicts in zip(
@@ -307,9 +308,9 @@ def cmd_rank(args) -> int:
         multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
-        for example in _labeled_examples(args.dataset, config.skip_bad):
+        for line_no, example in _labeled_examples(args.dataset, config.skip_bad):
             if example.model_id is None:
-                raise DatasetError("record has no model_id", path=args.dataset)
+                raise DatasetError("record has no model_id", path=args.dataset, line_no=line_no)
             verdicts = multi(example)
             human.setdefault(example.model_id, []).append(int(example.human_label))
             for name in names:
@@ -346,7 +347,7 @@ def cmd_sweep(args) -> int:
     policy = POLICY_PRESETS[config.norm]
     scored = [
         (best_reference(ex.candidate, ex.references, policy)[1].f1, bool(ex.human_label))
-        for ex in _labeled_examples(args.dataset, config.skip_bad)
+        for _, ex in _labeled_examples(args.dataset, config.skip_bad)
     ]
     rows = threshold_sweep(scored, config.thresholds)
     table = [

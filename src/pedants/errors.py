@@ -61,5 +61,5 @@ class DatasetError(PedantsError):
         self.line_no = line_no
         prefix = ""
         if path is not None:
-            prefix = f"{path}:" if line_no is None else f"{path}:{line_no}: "
+            prefix = f"{path}: " if line_no is None else f"{path}:{line_no}: "
         super().__init__(f"{prefix}{message}")

@@ -94,8 +94,12 @@ def iter_examples(
         yield line_no, example
 
 
-def read_examples(path: str | Path, skip_bad: bool = False) -> list[QAExample]:
-    return [ex for _, ex in iter_examples(path, skip_bad=skip_bad)]
+def read_examples(
+    path: str | Path,
+    skip_bad: bool = False,
+    on_skip: Callable[[DatasetError], None] | None = None,
+) -> list[QAExample]:
+    return [ex for _, ex in iter_examples(path, skip_bad=skip_bad, on_skip=on_skip)]
 
 
 class DatasetFile:

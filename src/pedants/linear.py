@@ -83,21 +83,31 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearModel":
+        """Load a trained model, rejecting misshapen or non-finite parameters."""
         classes = int(data["classes"])
         dim = int(data["dim"])
-        weights = np.array(data["weights"], dtype=np.float64).reshape(classes, dim)
+        weights = np.array(data["weights"], dtype=np.float64)
+        bias = np.array(data["bias"], dtype=np.float64)
+        if weights.shape != (classes * dim,):
+            raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")
+        if bias.shape != (classes,):
+            raise ValueError(f"model has {bias.size} biases, expected {classes}")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("model weights and biases must be finite")
         return cls(
             classes=classes,
-            weights=weights,
-            bias=np.array(data["bias"], dtype=np.float64),
+            weights=weights.reshape(classes, dim),
+            bias=bias,
             config=TrainConfig.from_dict(data["config"]),
         )
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    clipped = np.clip(scores, -LOGIT_CLAMP, LOGIT_CLAMP)
-    exp = np.exp(clipped - clipped.max())
-    return exp / exp.sum()
+    # the ufuncs themselves: the same arithmetic as np.clip, .max() and
+    # .sum(), without their Python-level wrappers
+    clipped = np.minimum(np.maximum(scores, -LOGIT_CLAMP), LOGIT_CLAMP)
+    exp = np.exp(clipped - np.maximum.reduce(clipped))
+    return exp / np.add.reduce(exp)
 
 
 def _as_arrays(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
@@ -186,9 +196,16 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
         raise DimensionMismatch(
             f"vector dimension {x.dimension} != model dimension {model.feature_dim}"
         )
-    idx, vals = _as_arrays(x)
-    scores = model.weights[:, idx] @ vals + model.bias
-    return _softmax(scores)
+    return _proba(model, *_as_arrays(x))
+
+
+def _proba(model: LinearModel, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Class probabilities of a sparse input given as index/value arrays.
+
+    Trusts the arrays: indices are in range and values finite, as the
+    vectorizers of a loaded bundle guarantee.
+    """
+    return _softmax(model.weights[:, indices] @ values + model.bias)
 
 
 def predict(model: LinearModel, x: SparseVector) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyReferences
-from .textnorm import EM_POLICY, NormPolicy, normalize, tokenize
+from .textnorm import EM_POLICY, NormPolicy, TokenBag, normalize, tokenize
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,34 @@ def exact_match(candidate: str, references: Sequence[str], policy: NormPolicy = 
     return any(cand == normalize(ref, policy) for ref in references)
 
 
+def _bag_prf(cand: TokenBag, ref: TokenBag) -> PrfScores:
+    """Bag-overlap precision/recall/F1 of two tokenized, normalized strings."""
+    if not cand.tokens and not ref.tokens:
+        return PrfScores(1.0, 1.0, 1.0)
+    if not cand.tokens or not ref.tokens:
+        return PrfScores(0.0, 0.0, 0.0)
+    # the multiset intersection size, walking the smaller bag
+    small, large = cand.counts, ref.counts
+    if len(small) > len(large):
+        small, large = large, small
+    overlap = 0
+    for tok, n in small.items():
+        m = large.get(tok, 0)
+        overlap += n if n < m else m
+    return PrfScores.from_pr(overlap / len(cand.tokens), overlap / len(ref.tokens))
+
+
+def _best_bag(cand: TokenBag, refs: Sequence[TokenBag]) -> tuple[int, PrfScores]:
+    """Index and scores of the F1-maximizing reference bag; ties keep the first."""
+    best_idx = 0
+    best = _bag_prf(cand, refs[0])
+    for i, ref in enumerate(refs[1:], start=1):
+        scores = _bag_prf(cand, ref)
+        if scores.f1 > best.f1:
+            best_idx, best = i, scores
+    return best_idx, best
+
+
 def token_prf(candidate: str, reference: str, policy: NormPolicy = EM_POLICY) -> PrfScores:
     """Bag-of-tokens precision/recall/F1 of candidate against one reference.
 
@@ -55,29 +83,22 @@ def token_prf(candidate: str, reference: str, policy: NormPolicy = EM_POLICY) ->
     reference's. Two empty strings agree vacuously (all ones); exactly one
     empty string scores zero.
     """
-    cand = tokenize(normalize(candidate, policy))
-    ref = tokenize(normalize(reference, policy))
-    if not cand.tokens and not ref.tokens:
-        return PrfScores(1.0, 1.0, 1.0)
-    if not cand.tokens or not ref.tokens:
-        return PrfScores(0.0, 0.0, 0.0)
-    overlap = sum((cand.counts & ref.counts).values())
-    return PrfScores.from_pr(overlap / len(cand.tokens), overlap / len(ref.tokens))
+    return _bag_prf(tokenize(normalize(candidate, policy)), tokenize(normalize(reference, policy)))
 
 
 def best_reference(
     candidate: str, references: Sequence[str], policy: NormPolicy = EM_POLICY
 ) -> tuple[int, PrfScores]:
-    """Index and scores of the reference maximizing F1; ties keep the first."""
+    """Index and scores of the reference maximizing F1; ties keep the first.
+
+    The candidate and each reference are normalized once.
+    """
     if not references:
         raise EmptyReferences("best_reference needs at least one reference")
-    best_idx = 0
-    best = token_prf(candidate, references[0], policy)
-    for i, ref in enumerate(references[1:], start=1):
-        scores = token_prf(candidate, ref, policy)
-        if scores.f1 > best.f1:
-            best_idx, best = i, scores
-    return best_idx, best
+    return _best_bag(
+        tokenize(normalize(candidate, policy)),
+        [tokenize(normalize(ref, policy)) for ref in references],
+    )
 
 
 def best_over_references(

@@ -5,6 +5,11 @@ correctness-rule probability vectors, which are concatenated with token
 precision/recall/F1 and a tf-idf encoding of (question, reference,
 candidate) to feed a binary logistic-regression judge. A trained bundle is
 immutable and safe to share across concurrent judging workers.
+
+Judging and training share one feature path: each example is prepared once
+(every string normalized once, the best reference chosen), and the
+encoders and scorers pass index/value arrays. The public per-stage
+functions (assemble_features, encode_*, predict_proba) wrap the same code.
 """
 
 from __future__ import annotations
@@ -14,15 +19,15 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linear, vectorizer
 from .errors import EmptyReferences, MissingAnnotations
 from .linear import LinearModel, TrainConfig
-from .metrics import PrfScores, best_reference
-from .textnorm import PEDANTS_POLICY, normalize
+from .metrics import PrfScores, _best_bag
+from .textnorm import PEDANTS_POLICY, normalize, tokenize
 from .vectorizer import SparseVector, TfidfModel
 
 BUNDLE_FORMAT_VERSION = "1"
@@ -161,21 +166,31 @@ class FeatureVector:
         return DENSE_DIM + self.text.dimension
 
     def to_sparse(self) -> SparseVector:
-        entries: list[tuple[int, float]] = []
-        for i, p in enumerate(self.type_probs):
-            if p != 0.0:
-                entries.append((i, float(p)))
-        for i, p in enumerate(self.rule_probs):
-            if p != 0.0:
-                entries.append((N_TYPES + i, float(p)))
-        ts = self.token_scores
-        for i, s in enumerate((ts.f1, ts.precision, ts.recall)):
-            if s != 0.0:
-                entries.append((N_TYPES + N_RULES + i, float(s)))
-        for i, v in zip(self.text.indices, self.text.values):
-            entries.append((DENSE_DIM + i, v))
-        indices, values = zip(*entries) if entries else ((), ())
-        return SparseVector(self.dimension, tuple(indices), tuple(values))
+        indices, values = _judge_input(
+            self.type_probs,
+            self.rule_probs,
+            self.token_scores,
+            np.asarray(self.text.indices, dtype=np.intp),
+            np.asarray(self.text.values, dtype=np.float64),
+        )
+        return vectorizer._sparse(self.dimension, indices, values)
+
+
+def _judge_input(
+    type_probs: np.ndarray,
+    rule_probs: np.ndarray,
+    scores: PrfScores,
+    text_indices: np.ndarray,
+    text_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The judge's sparse input as index/value arrays: the nonzero entries of
+    the dense prefix, then the tf-idf block shifted past it."""
+    dense = np.concatenate((type_probs, rule_probs, (scores.f1, scores.precision, scores.recall)))
+    nonzero = np.flatnonzero(dense)
+    return (
+        np.concatenate((nonzero, text_indices + DENSE_DIM)),
+        np.concatenate((dense[nonzero], text_values)),
+    )
 
 
 @dataclass(frozen=True)
@@ -279,18 +294,75 @@ class PedantsModel:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+class _Prepared(NamedTuple):
+    """One example with each string normalized once (PEDANTS_POLICY), and
+    the texts its encoders read."""
+
+    question: str
+    ref_index: int
+    scores: PrfScores  # token scores against the best-F1 reference
+    pair: str  # "[CLS] q [SEP] ref"
+    triple: str  # "[CLS] q [SEP] ref [SEP] candidate"
+
+
+def _prepare(example: QAExample) -> _Prepared:
+    question = normalize(example.question, PEDANTS_POLICY)
+    candidate = normalize(example.candidate, PEDANTS_POLICY)
+    references = [normalize(ref, PEDANTS_POLICY) for ref in example.references]
+    ref_idx, scores = _best_bag(tokenize(candidate), [tokenize(ref) for ref in references])
+    ref = references[ref_idx]
+    return _Prepared(
+        question,
+        ref_idx,
+        scores,
+        vectorizer._pair_text(question, ref),
+        vectorizer._triple_text(question, ref, candidate),
+    )
+
+
+class _Extractors(NamedTuple):
+    """The fitted parts of a bundle that feed the judge; a PedantsModel
+    carries the same attributes."""
+
+    type_vectorizer: TfidfModel
+    type_model: LinearModel
+    rule_vectorizer: TfidfModel
+    rule_model: LinearModel
+    judge_vectorizer: TfidfModel
+
+
+def _extract(
+    prepared: _Prepared, parts: _Extractors | PedantsModel
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Type probs, rule probs, and the judge's tf-idf block as index/value
+    arrays. The triple is split once for the rule and judge vectorizers."""
+    triple = prepared.triple.split()
+    type_probs = linear._proba(
+        parts.type_model, *vectorizer._tfidf(prepared.pair.split(), parts.type_vectorizer)
+    )
+    rule_probs = linear._proba(parts.rule_model, *vectorizer._tfidf(triple, parts.rule_vectorizer))
+    return type_probs, rule_probs, vectorizer._tfidf(triple, parts.judge_vectorizer)
+
+
+def _fit_extractor(
+    texts: list[str], labels: list[int], n_classes: int, config: TrainConfig
+) -> tuple[TfidfModel, LinearModel]:
+    tfidf = vectorizer.fit(texts)
+    data = [(vectorizer.transform(text, tfidf), y) for text, y in zip(texts, labels)]
+    return tfidf, linear.train(data, config, n_classes=n_classes)
+
+
 def train_type_extractor(
     examples: Sequence[tuple[str, str, QuestionType]], config: TrainConfig = TrainConfig()
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a) pair texts and train the 7-class
     question-type classifier."""
-    texts = [vectorizer.build_pair_text(q, a) for q, a, _ in examples]
-    tfidf = vectorizer.fit(texts)
-    data = [
-        (vectorizer.transform(text, tfidf), qtype.code)
-        for text, (_, _, qtype) in zip(texts, examples)
-    ]
-    return tfidf, linear.train(data, config, n_classes=N_TYPES)
+    return _fit_extractor(
+        [vectorizer.build_pair_text(q, a) for q, a, _ in examples],
+        [qtype.code for _, _, qtype in examples],
+        N_TYPES,
+        config,
+    )
 
 
 def train_rule_extractor(
@@ -298,35 +370,25 @@ def train_rule_extractor(
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a, candidate) triple texts and train
     the 7-class correctness-rule classifier."""
-    texts = [vectorizer.build_triple_text(q, a, cand) for q, a, cand, _ in examples]
-    tfidf = vectorizer.fit(texts)
-    data = [
-        (vectorizer.transform(text, tfidf), rule.code)
-        for text, (_, _, _, rule) in zip(texts, examples)
-    ]
-    return tfidf, linear.train(data, config, n_classes=N_RULES)
-
-
-def _assemble(example: QAExample, model: PedantsModel) -> tuple[FeatureVector, int]:
-    ref_idx, scores = best_reference(example.candidate, example.references, PEDANTS_POLICY)
-    ref = example.references[ref_idx]
-    type_probs = linear.predict_proba(
-        model.type_model, vectorizer.encode_pair(example.question, ref, model.type_vectorizer)
+    return _fit_extractor(
+        [vectorizer.build_triple_text(q, a, cand) for q, a, cand, _ in examples],
+        [rule.code for _, _, _, rule in examples],
+        N_RULES,
+        config,
     )
-    rule_probs = linear.predict_proba(
-        model.rule_model,
-        vectorizer.encode_triple(example.question, ref, example.candidate, model.rule_vectorizer),
-    )
-    text = vectorizer.encode_triple(
-        example.question, ref, example.candidate, model.judge_vectorizer
-    )
-    return FeatureVector(type_probs, rule_probs, scores, text), ref_idx
 
 
 def assemble_features(example: QAExample, model: PedantsModel) -> FeatureVector:
     """Feature vector for one example: token scores against the best-F1
     reference, extractor probability blocks, and the triple encoding."""
-    return _assemble(example, model)[0]
+    prepared = _prepare(example)
+    type_probs, rule_probs, text = _extract(prepared, model)
+    return FeatureVector(
+        type_probs,
+        rule_probs,
+        prepared.scores,
+        vectorizer._sparse(model.judge_vectorizer.dimension, *text),
+    )
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], config: TrainConfig) -> dict:
@@ -353,37 +415,24 @@ def train_pedants(
     if missing:
         raise MissingAnnotations(missing)
 
-    best_refs = [
-        ex.references[best_reference(ex.candidate, ex.references, PEDANTS_POLICY)[0]]
-        for ex in train_set
-    ]
-    type_vec, type_model = train_type_extractor(
-        [(ex.question, ref, ex.qtype) for ex, ref in zip(train_set, best_refs)], config
+    prepared = [_prepare(ex) for ex in train_set]
+    type_vec, type_model = _fit_extractor(
+        [p.pair for p in prepared], [ex.qtype.code for ex in train_set], N_TYPES, config
     )
-    rule_vec, rule_model = train_rule_extractor(
-        [(ex.question, ref, ex.candidate, ex.rule) for ex, ref in zip(train_set, best_refs)],
-        config,
+    rule_vec, rule_model = _fit_extractor(
+        [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, config
     )
-    judge_vec = vectorizer.fit(
-        [
-            vectorizer.build_triple_text(ex.question, ref, ex.candidate)
-            for ex, ref in zip(train_set, best_refs)
-        ]
-    )
+    judge_vec = vectorizer.fit([p.triple for p in prepared])
 
-    # Judge training reuses the exact assembly path used at inference time.
-    partial = PedantsModel(
-        type_vectorizer=type_vec,
-        type_model=type_model,
-        rule_vectorizer=rule_vec,
-        rule_model=rule_model,
-        judge_vectorizer=judge_vec,
-        judge_model=_placeholder_judge(judge_vec, config),
-        config=config,
-    )
-    data = [
-        (assemble_features(ex, partial).to_sparse(), int(ex.human_label)) for ex in train_set
-    ]
+    # Judge training reuses the exact feature path used at inference time.
+    parts = _Extractors(type_vec, type_model, rule_vec, rule_model, judge_vec)
+    dim = DENSE_DIM + judge_vec.dimension
+    data = []
+    for p, ex in zip(prepared, train_set):
+        type_probs, rule_probs, text = _extract(p, parts)
+        x = _judge_input(type_probs, rule_probs, p.scores, *text)
+        data.append((vectorizer._sparse(dim, *x), int(ex.human_label)))
+    del prepared  # the texts are not needed by the judge's fit, where memory peaks
     judge_model = linear.train(data, config, n_classes=2)
 
     return PedantsModel(
@@ -398,11 +447,14 @@ def train_pedants(
     )
 
 
-def _placeholder_judge(judge_vec: TfidfModel, config: TrainConfig) -> LinearModel:
-    dim = DENSE_DIM + judge_vec.dimension
-    return LinearModel(
-        classes=2, weights=np.zeros((2, dim)), bias=np.zeros(2), config=config
-    )
+def _question_type(question: str, type_probs: np.ndarray) -> QuestionType:
+    top = int(np.argmax(type_probs))
+    if type_probs[top] >= 0.5:
+        return QuestionType.from_code(top)
+    for tok in question.split():
+        if tok in _WH_LOOKUP:
+            return _WH_LOOKUP[tok]
+    return QuestionType.WHAT
 
 
 def predicted_question_type(question: str, type_probs: np.ndarray) -> QuestionType:
@@ -412,25 +464,21 @@ def predicted_question_type(question: str, type_probs: np.ndarray) -> QuestionTy
     question wins; a question with no wh-word defaults to "what". The
     fallback affects only the reported type, never the feature vector.
     """
-    top = int(np.argmax(type_probs))
-    if type_probs[top] >= 0.5:
-        return QuestionType.from_code(top)
-    for tok in normalize(question, PEDANTS_POLICY).split():
-        if tok in _WH_LOOKUP:
-            return _WH_LOOKUP[tok]
-    return QuestionType.WHAT
+    return _question_type(normalize(question, PEDANTS_POLICY), type_probs)
 
 
 def judge(example: QAExample, model: PedantsModel) -> Judgment:
     """Run the full pipeline on one example."""
-    fv, ref_idx = _assemble(example, model)
-    probs = linear.predict_proba(model.judge_model, fv.to_sparse())
-    correct = int(np.argmax(probs)) == 1
+    prepared = _prepare(example)
+    type_probs, rule_probs, text = _extract(prepared, model)
+    probs = linear._proba(
+        model.judge_model, *_judge_input(type_probs, rule_probs, prepared.scores, *text)
+    )
     return Judgment(
-        correct=correct,
+        correct=int(np.argmax(probs)) == 1,
         confidence=float(probs[1]),
-        predicted_rule=RuleLabel.from_code(int(np.argmax(fv.rule_probs))),
-        predicted_type=predicted_question_type(example.question, fv.type_probs),
-        token_scores=fv.token_scores,
-        chosen_reference=ref_idx,
+        predicted_rule=RuleLabel.from_code(int(np.argmax(rule_probs))),
+        predicted_type=_question_type(prepared.question, type_probs),
+        token_scores=prepared.scores,
+        chosen_reference=prepared.ref_index,
     )

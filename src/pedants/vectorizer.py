@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyCorpus
 from .textnorm import PEDANTS_POLICY, NormPolicy, normalize
@@ -19,6 +22,9 @@ CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 
 FORMAT_VERSION = 1
+
+_NO_INDICES = np.empty(0, dtype=np.intp)
+_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,22 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfidfModel":
+        """Load a fitted model, rejecting one no fit could have produced."""
         if data.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported vectorizer format: {data.get('version')!r}")
         cfg = data["config"]
+        vocab = data["vocab"]
+        idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
+        if idf.shape != (len(vocab),):
+            raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
+        vocabulary = {tok: i for i, tok in enumerate(vocab)}
+        if len(vocabulary) != len(vocab):
+            raise ValueError("vectorizer vocabulary has duplicate tokens")
+        if not (np.isfinite(idf).all() and (idf > 0).all()):
+            raise ValueError("vectorizer idf weights must be finite and positive")
         return cls(
-            vocabulary={tok: i for i, tok in enumerate(data["vocab"])},
-            idf=[float(x) for x in data["idf"]],
+            vocabulary=vocabulary,
+            idf=idf.tolist(),
             doc_count=int(data["doc_count"]),
             config=TfidfConfig(
                 smooth_idf=bool(cfg["smooth_idf"]),
@@ -124,40 +140,65 @@ def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, config=config)
 
 
+def _tfidf(tokens: Sequence[str], model: TfidfModel) -> tuple[np.ndarray, np.ndarray]:
+    """tf x idf of a token list as sorted column indices and their weights.
+
+    Out-of-vocabulary tokens are dropped; with no in-vocabulary token both
+    arrays are empty (the zero vector, left unnormalized). The squared
+    weights are summed in index order, so a document always encodes to the
+    same bits.
+    """
+    vocab = model.vocabulary
+    counts: dict[int, int] = {}
+    for tok in tokens:
+        col = vocab.get(tok)
+        if col is not None:
+            counts[col] = counts.get(col, 0) + 1
+    if not counts:
+        return _NO_INDICES, _NO_VALUES
+    indices = sorted(counts)
+    idf = model.idf
+    values = [counts[i] * idf[i] for i in indices]
+    if model.config.l2_normalize:
+        norm = math.sqrt(sum(v * v for v in values))
+        values = [v / norm for v in values]
+    return np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64)
+
+
+def _sparse(dimension: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
+    return SparseVector(dimension, tuple(indices.tolist()), tuple(values.tolist()))
+
+
 def transform(text: str, model: TfidfModel) -> SparseVector:
     """Encode one whitespace-tokenized document as tf x idf, L2-normalized.
 
     Out-of-vocabulary tokens are dropped; a document with no in-vocabulary
     tokens encodes to the zero vector, which is left unnormalized.
     """
-    counts: Counter[int] = Counter()
-    vocab = model.vocabulary
-    for tok in text.split():
-        col = vocab.get(tok)
-        if col is not None:
-            counts[col] += 1
-    if not counts:
-        return SparseVector(model.dimension, (), ())
-    indices = tuple(sorted(counts))
-    values = [counts[i] * model.idf[i] for i in indices]
-    if model.config.l2_normalize:
-        norm = math.sqrt(sum(v * v for v in values))
-        values = [v / norm for v in values]
-    return SparseVector(model.dimension, indices, tuple(values))
+    return _sparse(model.dimension, *_tfidf(text.split(), model))
+
+
+def _pair_text(question: str, answer: str) -> str:
+    """The "[CLS] q [SEP] a" text of already normalized strings."""
+    return f"{CLS_TOKEN} {question} {SEP_TOKEN} {answer}"
+
+
+def _triple_text(question: str, answer: str, candidate: str) -> str:
+    """The "[CLS] q [SEP] a [SEP] candidate" text of already normalized strings."""
+    return f"{_pair_text(question, answer)} {SEP_TOKEN} {candidate}"
 
 
 def build_pair_text(question: str, answer: str, policy: NormPolicy = PEDANTS_POLICY) -> str:
     """Normalized "[CLS] q [SEP] a" string for question-type features."""
-    return f"{CLS_TOKEN} {normalize(question, policy)} {SEP_TOKEN} {normalize(answer, policy)}"
+    return _pair_text(normalize(question, policy), normalize(answer, policy))
+
 
 def build_triple_text(
     question: str, answer: str, candidate: str, policy: NormPolicy = PEDANTS_POLICY
 ) -> str:
     """Normalized "[CLS] q [SEP] a [SEP] candidate" string."""
-    return (
-        f"{CLS_TOKEN} {normalize(question, policy)} "
-        f"{SEP_TOKEN} {normalize(answer, policy)} "
-        f"{SEP_TOKEN} {normalize(candidate, policy)}"
+    return _triple_text(
+        normalize(question, policy), normalize(answer, policy), normalize(candidate, policy)
     )
 
 

@@ -3,12 +3,18 @@
 These deliberately take different computational routes from the code under
 test: dense full-batch gradient descent instead of sparse SGD, explicit
 comparison branches instead of sign arithmetic, precision/recall-form F1
-instead of confusion-count form.
+instead of confusion-count form, and a judge that re-normalizes every
+string in every public piece it calls instead of preparing each once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pedants import linear, vectorizer
+from pedants.metrics import token_prf
+from pedants.pipeline import FeatureVector, Judgment, RuleLabel, predicted_question_type
+from pedants.textnorm import PEDANTS_POLICY
 
 
 def batch_gd_train(features, labels, n_classes=2, l2=1e-4, lr=0.5, iters=4000):
@@ -79,3 +85,37 @@ def macro_f1_oracle(labels, verdicts) -> float:
         return 2 * precision * recall / (precision + recall)
 
     return (class_f1(True) + class_f1(False)) / 2
+
+
+def first_max_reference(candidate, references, policy):
+    """(index, scores) of the first reference with the highest token F1,
+    scoring each (candidate, reference) pair on its own."""
+    scored = [token_prf(candidate, ref, policy) for ref in references]
+    best = max(s.f1 for s in scored)
+    idx = next(i for i, s in enumerate(scored) if s.f1 == best)
+    return idx, scored[idx]
+
+
+def per_call_judge(example, model) -> Judgment:
+    """The judge composed from public pieces, each normalizing its own
+    inputs: per-pair token scores, encode_pair/encode_triple, predict_proba
+    on SparseVectors, and FeatureVector.to_sparse."""
+    ref_idx, scores = first_max_reference(example.candidate, example.references, PEDANTS_POLICY)
+    q, ref, cand = example.question, example.references[ref_idx], example.candidate
+    type_probs = linear.predict_proba(
+        model.type_model, vectorizer.encode_pair(q, ref, model.type_vectorizer)
+    )
+    rule_probs = linear.predict_proba(
+        model.rule_model, vectorizer.encode_triple(q, ref, cand, model.rule_vectorizer)
+    )
+    text = vectorizer.encode_triple(q, ref, cand, model.judge_vectorizer)
+    features = FeatureVector(type_probs, rule_probs, scores, text)
+    probs = linear.predict_proba(model.judge_model, features.to_sparse())
+    return Judgment(
+        correct=int(np.argmax(probs)) == 1,
+        confidence=float(probs[1]),
+        predicted_rule=RuleLabel.from_code(int(np.argmax(rule_probs))),
+        predicted_type=predicted_question_type(q, type_probs),
+        token_scores=scores,
+        chosen_reference=ref_idx,
+    )

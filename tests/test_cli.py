@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from pedants.cli import main
+from pedants.io import load_seed_corpus
 
 ROWS = [
     {
@@ -287,3 +288,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "judge" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda b: b["final_judge"]["vectorizer"]["idf"].pop(),
+        lambda b: b["final_judge"]["model"]["weights"].__setitem__(3, float("nan")),
+    ],
+    ids=["truncated-idf", "nan-weight"],
+)
+def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):
+    bundle = json.loads(seed_bundle_path.read_text())
+    corrupt(bundle)
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(json.dumps(bundle))
+    out = tmp_path / "out.jsonl"
+    rc = main(["judge", "--dataset", str(dataset), "--model", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("pedants: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before judging anything
+
+
+def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    seed = load_seed_corpus()
+    lines = [json.dumps(ex.to_dict()) for ex in seed]
+    lines.insert(3, "{bad")
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bundle.json"
+    assert main(["train", "--corpus", str(corpus), "--skip-bad", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping bad line: {corpus}:4: " in captured.err
+    assert f"trained on {len(seed)} examples" in captured.out
+
+
+def test_rank_missing_model_id_names_its_line(tmp_path, capsys):
+    rows = [dict(ROWS[0]), dict(ROWS[1])]
+    del rows[1]["model_id"]
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert main(["rank", "--dataset", str(path), "--metric", "em"]) == 1
+    assert f"pedants: error: {path}:2: record has no model_id" in capsys.readouterr().err

@@ -139,3 +139,19 @@ def test_report_writers(tmp_path):
     io.write_report_json(json_path, rows)
     assert csv_path.read_text().splitlines()[0] == "metric,accuracy"
     assert json.loads(json_path.read_text()) == rows
+
+
+def test_read_examples_reports_skips(tmp_path):
+    path = _write(
+        tmp_path,
+        ["{bad", json.dumps({"question": "q", "references": ["a"], "candidate": "c"})],
+    )
+    seen = []
+    assert len(io.read_examples(path, skip_bad=True, on_skip=seen.append)) == 1
+    assert [err.line_no for err in seen] == [1]
+
+
+def test_dataset_error_prefixes():
+    assert str(DatasetError("boom", path="d.jsonl", line_no=3)) == "d.jsonl:3: boom"
+    assert str(DatasetError("boom", path="d.jsonl")) == "d.jsonl: boom"
+    assert str(DatasetError("boom")) == "boom"

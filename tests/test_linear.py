@@ -164,3 +164,25 @@ def test_final_loss_never_exceeds_initial():
         model.config.l2_penalty,
     )
     assert final <= initial + 1e-12
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: d["weights"].pop(), "weights"),
+        (lambda d: d["weights"].append(0.0), "weights"),
+        (lambda d: d["bias"].pop(), "biases"),
+        (lambda d: d["weights"].__setitem__(2, float("nan")), "finite"),
+        (lambda d: d["weights"].__setitem__(0, float("-inf")), "finite"),
+        (lambda d: d["bias"].__setitem__(1, float("inf")), "finite"),
+    ],
+    ids=["short", "long", "short-bias", "nan-weight", "inf-weight", "inf-bias"],
+)
+def test_from_dict_rejects_corrupt_models(damage, message):
+    X, y = _make_blobs()
+    model = train([(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)])
+    data = json.loads(json.dumps(model.to_dict()))
+    assert LinearModel.from_dict(data).to_dict() == data
+    damage(data)
+    with pytest.raises(ValueError, match=message):
+        LinearModel.from_dict(data)

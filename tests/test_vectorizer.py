@@ -144,3 +144,23 @@ def test_random_documents_norms():
     model = fit(corpus)
     for doc in corpus:
         assert transform(doc, model).norm() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: d["idf"].pop(), "idf weights"),
+        (lambda d: d["vocab"].__setitem__(1, d["vocab"][0]), "duplicate"),
+        (lambda d: d["idf"].__setitem__(0, 0.0), "finite and positive"),
+        (lambda d: d["idf"].__setitem__(0, float("inf")), "finite and positive"),
+        (lambda d: d["idf"].__setitem__(0, float("nan")), "finite and positive"),
+        (lambda d: d["idf"].__setitem__(0, None), "finite and positive"),
+    ],
+    ids=["short-idf", "duplicate-token", "zero-idf", "inf-idf", "nan-idf", "null-idf"],
+)
+def test_from_dict_rejects_corrupt_models(damage, message):
+    data = json.loads(json.dumps(fit(["a b", "b c", "c d"]).to_dict()))
+    assert TfidfModel.from_dict(data).to_dict() == data
+    damage(data)
+    with pytest.raises(ValueError, match=message):
+        TfidfModel.from_dict(data)
