@@ -25,9 +25,9 @@ from . import io
 from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .linear import TrainConfig
-from .metrics import best_reference, exact_match
+from .metrics import _best_bag, best_reference, exact_match
 from .pipeline import PedantsModel, QAExample, judge, train_pedants
-from .textnorm import POLICY_PRESETS
+from .textnorm import POLICY_PRESETS, normalize, tokenize
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_SEED = 668
@@ -78,13 +78,29 @@ class Judger:
 
 
 class MultiJudger:
-    """Runs several metrics on one labeled example (for eval/rank)."""
+    """Runs several metrics on one labeled example (for eval/rank).
+
+    em and f1 share the one --norm policy, so when both run the candidate
+    and the references are normalized once for the two of them.
+    """
 
     def __init__(self, judgers: dict[str, Judger]):
         self.judgers = judgers
+        self.f1_with_em = judgers["f1"] if "em" in judgers and "f1" in judgers else None
 
     def __call__(self, example: QAExample) -> dict[str, bool]:
-        return {name: j(example)["correct"] for name, j in self.judgers.items()}
+        verdicts = {}
+        if self.f1_with_em is not None:
+            policy = self.f1_with_em.policy
+            candidate = normalize(example.candidate, policy)
+            references = [normalize(ref, policy) for ref in example.references]
+            verdicts["em"] = candidate in references
+            _, scores = _best_bag(tokenize(candidate), [tokenize(ref) for ref in references])
+            verdicts["f1"] = scores.f1 >= self.f1_with_em.threshold
+        for name, judger in self.judgers.items():
+            if name not in verdicts:
+                verdicts[name] = judger(example)["correct"]
+        return verdicts
 
 
 _POOL_FN: Callable = None
@@ -167,28 +183,32 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _labeled_examples(path: str, skip_bad: bool) -> Iterator[tuple[int, QAExample]]:
-    """Stream (line_no, example) pairs of records that carry a human label."""
-    for line_no, example in io.iter_examples(path, skip_bad=skip_bad, on_skip=_report_skip):
-        if example.human_label is None:
-            err = DatasetError("record has no human label", path=path, line_no=line_no)
-            if not skip_bad:
-                raise err
-            _report_skip(err)
-            continue
-        yield line_no, example
+def _labeled_records(
+    path: str, skip_bad: bool, prejudged: bool | None = None
+) -> Iterator[tuple[int, QAExample, dict | None]]:
+    """Stream (line_no, example, verdicts) of records that carry a human label.
 
-
-def _judged_records(path: str, skip_bad: bool) -> Iterator[tuple[QAExample, dict[str, bool]]]:
-    """Stream pre-judged records: labeled examples plus their verdict maps."""
+    With ``prejudged`` True or False, every record must be of that kind:
+    pre-judged records carry a "verdicts" map of metric names to booleans,
+    plain ones carry none, and a file does not mix the two. ``verdicts`` is
+    None unless ``prejudged`` is True.
+    """
     for line_no, obj in io.iter_raw(path, skip_bad=skip_bad, on_skip=_report_skip):
         try:
             example = io.example_from_dict(obj)
-            verdicts = obj["verdicts"]
             if example.human_label is None:
                 raise ValueError("record has no human label")
-            if not isinstance(verdicts, dict) or not verdicts or not all(
-                isinstance(v, bool) for v in verdicts.values()
+            if prejudged is not None and ("verdicts" in obj) != prejudged:
+                has = "has no" if prejudged else "has"
+                raise ValueError(
+                    f"record {has} 'verdicts', unlike the first record: a file holds "
+                    "pre-judged or plain records, not both"
+                )
+            verdicts = obj["verdicts"] if prejudged else None
+            if prejudged and not (
+                isinstance(verdicts, dict)
+                and verdicts
+                and all(isinstance(v, bool) for v in verdicts.values())
             ):
                 raise ValueError("'verdicts' must map metric names to booleans")
         except Exception as exc:
@@ -197,7 +217,7 @@ def _judged_records(path: str, skip_bad: bool) -> Iterator[tuple[QAExample, dict
                 raise err from exc
             _report_skip(err)
             continue
-        yield example, verdicts
+        yield line_no, example, verdicts
 
 
 def cmd_train(args) -> int:
@@ -250,7 +270,7 @@ def cmd_eval(args) -> int:
             {m.strip() for m in args.metric.split(",") if m.strip()} if args.metric else None
         )
         counts: dict[str, ConfusionCounts] = {}
-        for example, verdicts in _judged_records(args.dataset, config.skip_bad):
+        for _, example, verdicts in _labeled_records(args.dataset, config.skip_bad, True):
             for name, verdict in verdicts.items():
                 if requested is not None and name not in requested:
                     continue
@@ -264,7 +284,7 @@ def cmd_eval(args) -> int:
         names = _parse_metrics(args.metric or "em,f1,pedants")
         multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
         counts = {name: ConfusionCounts() for name in names}
-        labeled = (ex for _, ex in _labeled_examples(args.dataset, config.skip_bad))
+        labeled = (ex for _, ex, _ in _labeled_records(args.dataset, config.skip_bad, False))
         # two lock-stepped passes over one stream: labels here, verdicts in the pool
         labels_iter, judge_iter = itertools.tee(labeled)
         for example, verdicts in zip(
@@ -308,7 +328,7 @@ def cmd_rank(args) -> int:
         multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
-        for line_no, example in _labeled_examples(args.dataset, config.skip_bad):
+        for line_no, example, _ in _labeled_records(args.dataset, config.skip_bad):
             if example.model_id is None:
                 raise DatasetError("record has no model_id", path=args.dataset, line_no=line_no)
             verdicts = multi(example)
@@ -347,7 +367,7 @@ def cmd_sweep(args) -> int:
     policy = POLICY_PRESETS[config.norm]
     scored = [
         (best_reference(ex.candidate, ex.references, policy)[1].f1, bool(ex.human_label))
-        for _, ex in _labeled_examples(args.dataset, config.skip_bad)
+        for _, ex, _ in _labeled_records(args.dataset, config.skip_bad)
     ]
     rows = threshold_sweep(scored, config.thresholds)
     table = [

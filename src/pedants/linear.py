@@ -51,14 +51,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(
-            seed=int(data["seed"]),
-            l2_penalty=float(data["l2_penalty"]),
-            tolerance=float(data["tolerance"]),
-            max_epochs=int(data["max_epochs"]),
-            eta0=float(data["eta0"]),
-            lr_power=float(data["lr_power"]),
-        )
+        try:
+            return cls(
+                seed=int(data["seed"]),
+                l2_penalty=float(data["l2_penalty"]),
+                tolerance=float(data["tolerance"]),
+                max_epochs=int(data["max_epochs"]),
+                eta0=float(data["eta0"]),
+                lr_power=float(data["lr_power"]),
+            )
+        except TypeError as exc:  # a null or a nested value where a number belongs
+            raise ValueError(f"malformed training config: {exc}") from exc
 
 
 @dataclass
@@ -84,10 +87,13 @@ class LinearModel:
     @classmethod
     def from_dict(cls, data: dict) -> "LinearModel":
         """Load a trained model, rejecting misshapen or non-finite parameters."""
-        classes = int(data["classes"])
-        dim = int(data["dim"])
-        weights = np.array(data["weights"], dtype=np.float64)
-        bias = np.array(data["bias"], dtype=np.float64)
+        try:
+            classes = int(data["classes"])
+            dim = int(data["dim"])
+            weights = np.array(data["weights"], dtype=np.float64)
+            bias = np.array(data["bias"], dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(f"malformed linear model: {exc}") from exc
         if weights.shape != (classes * dim,):
             raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")
         if bias.shape != (classes,):

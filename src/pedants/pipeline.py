@@ -267,20 +267,23 @@ class PedantsModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PedantsModel":
-        version = data.get("format_version")
+        version = data.get("format_version") if isinstance(data, dict) else None
         if version != BUNDLE_FORMAT_VERSION:
             raise ValueError(f"unsupported bundle format_version: {version!r}")
-        return cls(
-            type_vectorizer=TfidfModel.from_dict(data["type_extractor"]["vectorizer"]),
-            type_model=LinearModel.from_dict(data["type_extractor"]["model"]),
-            rule_vectorizer=TfidfModel.from_dict(data["rule_extractor"]["vectorizer"]),
-            rule_model=LinearModel.from_dict(data["rule_extractor"]["model"]),
-            judge_vectorizer=TfidfModel.from_dict(data["final_judge"]["vectorizer"]),
-            judge_model=LinearModel.from_dict(data["final_judge"]["model"]),
-            config=TrainConfig.from_dict(data["config"]),
-            fingerprint=data.get("fingerprint", {}),
-            format_version=version,
-        )
+        try:
+            return cls(
+                type_vectorizer=TfidfModel.from_dict(data["type_extractor"]["vectorizer"]),
+                type_model=LinearModel.from_dict(data["type_extractor"]["model"]),
+                rule_vectorizer=TfidfModel.from_dict(data["rule_extractor"]["vectorizer"]),
+                rule_model=LinearModel.from_dict(data["rule_extractor"]["model"]),
+                judge_vectorizer=TfidfModel.from_dict(data["final_judge"]["vectorizer"]),
+                judge_model=LinearModel.from_dict(data["final_judge"]["model"]),
+                config=TrainConfig.from_dict(data["config"]),
+                fingerprint=data.get("fingerprint", {}),
+                format_version=version,
+            )
+        except TypeError as exc:  # a section that is not an object
+            raise ValueError(f"malformed bundle: {exc}") from exc
 
     def to_json(self) -> str:
         # sort_keys + compact separators keep serialization byte-reproducible

@@ -95,11 +95,23 @@ class TfidfModel:
     @classmethod
     def from_dict(cls, data: dict) -> "TfidfModel":
         """Load a fitted model, rejecting one no fit could have produced."""
-        if data.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported vectorizer format: {data.get('version')!r}")
-        cfg = data["config"]
+        version = data.get("version") if isinstance(data, dict) else None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported vectorizer format: {version!r}")
         vocab = data["vocab"]
-        idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
+        if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
+            raise ValueError("vectorizer vocabulary must be an array of strings")
+        try:
+            cfg = data["config"]
+            idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
+            doc_count = int(data["doc_count"])
+            config = TfidfConfig(
+                smooth_idf=bool(cfg["smooth_idf"]),
+                l2_normalize=bool(cfg["l2_normalize"]),
+                min_df=int(cfg["min_df"]),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed vectorizer: {exc}") from exc
         if idf.shape != (len(vocab),):
             raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
         vocabulary = {tok: i for i, tok in enumerate(vocab)}
@@ -107,16 +119,7 @@ class TfidfModel:
             raise ValueError("vectorizer vocabulary has duplicate tokens")
         if not (np.isfinite(idf).all() and (idf > 0).all()):
             raise ValueError("vectorizer idf weights must be finite and positive")
-        return cls(
-            vocabulary=vocabulary,
-            idf=idf.tolist(),
-            doc_count=int(data["doc_count"]),
-            config=TfidfConfig(
-                smooth_idf=bool(cfg["smooth_idf"]),
-                l2_normalize=bool(cfg["l2_normalize"]),
-                min_df=int(cfg["min_df"]),
-            ),
-        )
+        return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count, config=config)
 
 
 def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:

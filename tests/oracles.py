@@ -3,18 +3,52 @@
 These deliberately take different computational routes from the code under
 test: dense full-batch gradient descent instead of sparse SGD, explicit
 comparison branches instead of sign arithmetic, precision/recall-form F1
-instead of confusion-count form, and a judge that re-normalizes every
-string in every public piece it calls instead of preparing each once.
+instead of confusion-count form, a judge that re-normalizes every string
+in every public piece it calls instead of preparing each once, and
+normalization character by character over the whole string instead of
+token by token through a translate table.
 """
 
 from __future__ import annotations
+
+import re
+import unicodedata
+from functools import lru_cache
 
 import numpy as np
 
 from pedants import linear, vectorizer
 from pedants.metrics import token_prf
 from pedants.pipeline import FeatureVector, Judgment, RuleLabel, predicted_question_type
-from pedants.textnorm import PEDANTS_POLICY
+from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
+
+# the suffix rules themselves, without the package's cache
+lemma = _cached_lemma.__wrapped__
+_ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b", re.IGNORECASE)
+_WS_RE = re.compile(r"\s+")
+
+
+@lru_cache(maxsize=4096)
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def reference_normalize(text: str, policy: NormPolicy) -> str:
+    """Apply a normalization policy to a raw string. Total and idempotent."""
+    s = unicodedata.normalize("NFC", text)
+    if policy.lowercase:
+        s = s.lower()
+    if policy.strip_punct:
+        s = "".join(ch for ch in s if not _is_punct(ch))
+        # deleting characters can expose combining marks to new bases
+        s = unicodedata.normalize("NFC", s)
+    if policy.lemmatize:
+        s = " ".join(lemma(tok) for tok in s.split())
+    if policy.strip_articles:
+        s = _ARTICLE_RE.sub(" ", s)
+    if policy.collapse_whitespace or policy.lemmatize:
+        s = _WS_RE.sub(" ", s)
+    return s.strip()
 
 
 def batch_gd_train(features, labels, n_classes=2, l2=1e-4, lr=0.5, iters=4000):

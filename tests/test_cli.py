@@ -6,6 +6,8 @@ import pytest
 
 from pedants.cli import main
 from pedants.io import load_seed_corpus
+from pedants.pipeline import QAExample
+from pedants.textnorm import normalize
 
 ROWS = [
     {
@@ -295,8 +297,25 @@ def test_console_entry_point_runs():
     [
         lambda b: b["final_judge"]["vectorizer"]["idf"].pop(),
         lambda b: b["final_judge"]["model"]["weights"].__setitem__(3, float("nan")),
+        lambda b: b["final_judge"]["model"].__setitem__("classes", None),
+        lambda b: b["config"].__setitem__("seed", None),
+        lambda b: b["type_extractor"]["model"]["config"].__setitem__("eta0", [0.1]),
+        lambda b: b["final_judge"]["vectorizer"]["vocab"].__setitem__(0, 5),
+        lambda b: b["rule_extractor"]["vectorizer"].__setitem__("vocab", None),
+        lambda b: b["rule_extractor"]["vectorizer"]["config"].__setitem__("min_df", None),
+        lambda b: b.__setitem__("type_extractor", None),
     ],
-    ids=["truncated-idf", "nan-weight"],
+    ids=[
+        "truncated-idf",
+        "nan-weight",
+        "null-classes",
+        "null-seed",
+        "list-eta0",
+        "int-vocab-token",
+        "null-vocab",
+        "null-min-df",
+        "null-section",
+    ],
 )
 def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):
     bundle = json.loads(seed_bundle_path.read_text())
@@ -332,3 +351,55 @@ def test_rank_missing_model_id_names_its_line(tmp_path, capsys):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert main(["rank", "--dataset", str(path), "--metric", "em"]) == 1
     assert f"pedants: error: {path}:2: record has no model_id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prejudged_first", [True, False], ids=["prejudged-first", "plain-first"])
+def test_eval_rejects_mixed_records(tmp_path, prejudged_first, capsys):
+    judged = dict(ROWS[0], verdicts={"em": True})
+    plain = dict(ROWS[1])
+    rows = [judged, plain, judged] if prejudged_first else [plain, judged, plain]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert main(["eval", "--dataset", str(path), "--metric", "em"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pedants: error: {path}:2: record has")
+    assert "unlike the first record" in err
+
+    out_dir = tmp_path / "reports"
+    base = ["eval", "--dataset", str(path), "--metric", "em", "--out", str(out_dir)]
+    assert main(base + ["--skip-bad"]) == 0
+    assert f"skipping bad line: {path}:2: " in capsys.readouterr().err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [(r["metric"], r["examples"]) for r in report] == [("em", 2)]
+
+
+@pytest.mark.parametrize("norm", ["em", "pedants"])
+def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkeypatch):
+    import pedants.cli as cli
+    import pedants.metrics as metrics
+
+    calls = []
+
+    def counted(text, policy):
+        calls.append(text)
+        return normalize(text, policy)
+
+    monkeypatch.setattr(cli, "normalize", counted)
+    monkeypatch.setattr(metrics, "normalize", counted)
+    em = cli.Judger("em", norm, 0.5, None)
+    f1 = cli.Judger("f1", norm, 0.5, None)
+    both, em_only = cli.MultiJudger({"em": em, "f1": f1}), cli.MultiJudger({"em": em})
+    for ex in seed_corpus:
+        separate = {"em": em(ex)["correct"], "f1": f1(ex)["correct"]}
+        calls.clear()
+        assert both(ex) == separate
+        assert len(calls) == 1 + len(ex.references)
+        calls.clear()
+        assert em_only(ex) == {"em": separate["em"]}
+        assert len(calls) <= 1 + len(ex.references)
+
+    # exact match stops at the first reference that matches
+    ex = QAExample("q", ("Paris", "Paris, France"), "paris")
+    calls.clear()
+    assert em_only(ex) == {"em": True}
+    assert calls == ["paris", "Paris"]
