@@ -1,5 +1,11 @@
 """Rule- and type-aware answer correctness judging for short-form QA."""
 
+import os
+
+# pedants' matrix products are tiny, so an idle BLAS thread pool only costs
+# CPU; this must run before numpy loads, and a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     DatasetError,
     DimensionMismatch,
@@ -15,12 +21,9 @@ from .errors import (
 )
 from .harness import (
     ConfusionCounts,
-    JudgedRecord,
     RankingInput,
     SweepRow,
-    agreement_accuracy,
     likert_to_binary,
-    macro_f1,
     pairwise_ranking_accuracy,
     threshold_sweep,
 )
@@ -28,7 +31,6 @@ from .linear import LinearModel, TrainConfig, predict, predict_proba, train
 from .metrics import (
     PrfScores,
     Threshold,
-    best_over_references,
     best_reference,
     exact_match,
     threshold_judge,

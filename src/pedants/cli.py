@@ -10,6 +10,7 @@ randomness flows from the single --seed flag. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -17,7 +18,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -36,19 +36,6 @@ DEFAULT_THRESHOLD = 0.5
 POOL_BATCH = 256
 
 METRIC_CHOICES = ("em", "f1", "pedants")
-
-
-@dataclass
-class RunConfig:
-    """Resolved run settings shared by the subcommands."""
-
-    seed: int = DEFAULT_SEED
-    norm: str = "em"
-    thresholds: tuple[float, ...] = (DEFAULT_THRESHOLD,)
-    model_path: str | None = None
-    workers: int = 1
-    out: str | None = None
-    skip_bad: bool = False
 
 
 class Judger:
@@ -141,11 +128,11 @@ def _resolve_model_path(args) -> str:
     return path
 
 
-def _build_judger(metric: str, args, config: RunConfig) -> Judger:
+def _build_judger(metric: str, args) -> Judger:
     model = None
     if metric == "pedants":
         model = PedantsModel.load(_resolve_model_path(args))
-    return Judger(metric, config.norm, config.thresholds[0], model)
+    return Judger(metric, args.norm, _parse_thresholds(args.threshold)[0], model)
 
 
 def _parse_metrics(spec: str) -> list[str]:
@@ -171,16 +158,13 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
     return values
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        norm=getattr(args, "norm", "em"),
-        thresholds=_parse_thresholds(getattr(args, "threshold", None) or str(DEFAULT_THRESHOLD)),
-        model_path=getattr(args, "model", None),
-        workers=getattr(args, "workers", 1),
-        out=getattr(args, "out", None),
-        skip_bad=getattr(args, "skip_bad", False),
-    )
+def _write_report(out: str | None, stem: str, rows: list[dict]) -> None:
+    """Write rows as <out>/<stem>.csv and <out>/<stem>.json, if out is set."""
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        io.write_report_csv(out_dir / f"{stem}.csv", rows)
+        io.write_report_json(out_dir / f"{stem}.json", rows)
 
 
 def _labeled_records(
@@ -236,19 +220,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_judge(args) -> int:
-    config = _run_config(args)
-    judger = _build_judger(args.metric, args, config)
+    judger = _build_judger(args.metric, args)
     dataset = io.DatasetFile(args.dataset)
-    examples = (
-        ex for _, ex in dataset.records(skip_bad=config.skip_bad, on_skip=_report_skip)
-    )
-    handle = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
+    examples = (ex for _, ex in dataset.records(skip_bad=args.skip_bad, on_skip=_report_skip))
     started = time.perf_counter()
-    try:
-        n = io.write_jsonl(handle, _map_ordered(judger, examples, config.workers))
-    finally:
-        if config.out:
-            handle.close()
+    with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
+        n = io.write_jsonl(handle, _map_ordered(judger, examples, args.workers))
     elapsed = time.perf_counter() - started
     rate = n / elapsed if elapsed > 0 else float("inf")
     print(f"judged {n} examples in {elapsed:.2f}s ({rate:.0f}/s)", file=sys.stderr)
@@ -262,15 +239,14 @@ def _dataset_is_prejudged(path: str, skip_bad: bool) -> bool:
 
 
 def cmd_eval(args) -> int:
-    config = _run_config(args)
-    if _dataset_is_prejudged(args.dataset, config.skip_bad):
+    if _dataset_is_prejudged(args.dataset, args.skip_bad):
         # verdicts were computed elsewhere, possibly by metrics this package
         # does not implement; filter by name only
         requested = (
             {m.strip() for m in args.metric.split(",") if m.strip()} if args.metric else None
         )
         counts: dict[str, ConfusionCounts] = {}
-        for _, example, verdicts in _labeled_records(args.dataset, config.skip_bad, True):
+        for _, example, verdicts in _labeled_records(args.dataset, args.skip_bad, True):
             for name, verdict in verdicts.items():
                 if requested is not None and name not in requested:
                     continue
@@ -282,13 +258,13 @@ def cmd_eval(args) -> int:
         names = sorted(counts)
     else:
         names = _parse_metrics(args.metric or "em,f1,pedants")
-        multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
+        multi = MultiJudger({name: _build_judger(name, args) for name in names})
         counts = {name: ConfusionCounts() for name in names}
-        labeled = (ex for _, ex, _ in _labeled_records(args.dataset, config.skip_bad, False))
+        labeled = (ex for _, ex, _ in _labeled_records(args.dataset, args.skip_bad, False))
         # two lock-stepped passes over one stream: labels here, verdicts in the pool
         labels_iter, judge_iter = itertools.tee(labeled)
         for example, verdicts in zip(
-            labels_iter, _map_ordered(multi, judge_iter, config.workers)
+            labels_iter, _map_ordered(multi, judge_iter, args.workers)
         ):
             for name in names:
                 counts[name].update(bool(example.human_label), verdicts[name])
@@ -307,16 +283,11 @@ def cmd_eval(args) -> int:
             f"{row['metric']:>8}: accuracy={row['accuracy']:.4f} "
             f"macro_f1={row['macro_f1']:.4f} n={row['examples']}"
         )
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_report_csv(out_dir / "report.csv", rows)
-        io.write_report_json(out_dir / "report.json", rows)
+    _write_report(args.out, "report", rows)
     return 0
 
 
 def cmd_rank(args) -> int:
-    config = _run_config(args)
     if args.rates:
         data = json.loads(Path(args.rates).read_text(encoding="utf-8"))
         ranking = RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
@@ -325,10 +296,10 @@ def cmd_rank(args) -> int:
         if not args.dataset:
             raise PedantsError("rank needs --rates or --dataset")
         names = _parse_metrics(args.metric)
-        multi = MultiJudger({name: _build_judger(name, args, config) for name in names})
+        multi = MultiJudger({name: _build_judger(name, args) for name in names})
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
-        for line_no, example, _ in _labeled_records(args.dataset, config.skip_bad):
+        for line_no, example, _ in _labeled_records(args.dataset, args.skip_bad):
             if example.model_id is None:
                 raise DatasetError("record has no model_id", path=args.dataset, line_no=line_no)
             verdicts = multi(example)
@@ -354,22 +325,18 @@ def cmd_rank(args) -> int:
             f"{row['metric']:>8}: pairwise_ranking_accuracy="
             f"{row['pairwise_ranking_accuracy']:.4f} models={row['models']}"
         )
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_report_csv(out_dir / "ranking.csv", rows)
-        io.write_report_json(out_dir / "ranking.json", rows)
+    _write_report(args.out, "ranking", rows)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = _run_config(args)
-    policy = POLICY_PRESETS[config.norm]
+    thresholds = _parse_thresholds(args.threshold)
+    policy = POLICY_PRESETS[args.norm]
     scored = [
         (best_reference(ex.candidate, ex.references, policy)[1].f1, bool(ex.human_label))
-        for _, ex, _ in _labeled_records(args.dataset, config.skip_bad)
+        for _, ex, _ in _labeled_records(args.dataset, args.skip_bad)
     ]
-    rows = threshold_sweep(scored, config.thresholds)
+    rows = threshold_sweep(scored, thresholds)
     table = [
         {
             "threshold": row.threshold,
@@ -384,26 +351,35 @@ def cmd_sweep(args) -> int:
             f"threshold={row['threshold']:.2f}: accuracy={row['accuracy']:.4f} "
             f"macro_f1={row['macro_f1']:.4f}"
         )
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_report_csv(out_dir / "sweep.csv", table)
-        io.write_report_json(out_dir / "sweep.json", table)
+    _write_report(args.out, "sweep", table)
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: a process count from 1 to the machine's CPU count."""
+    limit = os.cpu_count() or 1
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(f"must be in [1, {limit}] (the CPU count), got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
-    # usage problems are validation failures: exit 1, not argparse's 2
+    # usage problems are validation failures: exit 1, not argparse's 2, with
+    # the prefix of every other error (the usage line names the subcommand)
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"pedants: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pedants", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, dataset=False, norm=False, workers=False):
+    def common(p, model=False, dataset=False, norm=False, workers=False, threshold=False):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="global RNG seed")
         p.add_argument("--skip-bad", action="store_true", help="skip malformed JSONL lines")
         if model:
@@ -414,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--norm", choices=sorted(POLICY_PRESETS), default="em",
                            help="normalization preset for em/f1 metrics")
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="worker process count")
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           help="worker process count, 1 to the CPU count")
+        if threshold:
+            p.add_argument("--threshold", default=str(DEFAULT_THRESHOLD),
+                           help="F1 cutoff for the f1 metric (default %(default)s)")
 
     p = sub.add_parser("train", help="train a model bundle on a labeled corpus")
     common(p)
@@ -423,30 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("judge", help="judge every example in a dataset")
-    common(p, model=True, dataset=True, norm=True, workers=True)
+    common(p, model=True, dataset=True, norm=True, workers=True, threshold=True)
     p.add_argument("--metric", choices=METRIC_CHOICES, default="pedants")
-    p.add_argument("--threshold", help="F1 cutoff for --metric f1 (default 0.5)")
     p.add_argument("--out", help="output JSONL path (default: stdout)")
     p.set_defaults(func=cmd_judge)
 
     p = sub.add_parser("eval", help="compare metric verdicts against human labels")
-    common(p, model=True, dataset=True, norm=True, workers=True)
+    common(p, model=True, dataset=True, norm=True, workers=True, threshold=True)
     p.add_argument(
         "--metric",
         default=None,
         help="comma-separated metric list (default: em,f1,pedants; for "
         "pre-judged files, all verdict names present)",
     )
-    p.add_argument("--threshold", help="F1 cutoff for the f1 metric (default 0.5)")
     p.add_argument("--out", help="directory for report.{csv,json}")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rank", help="pairwise model-ranking agreement with humans")
-    common(p, model=True, norm=True)
+    common(p, model=True, norm=True, threshold=True)
     p.add_argument("--rates", help="JSON rate table {human: {...}, metrics: {...}}")
     p.add_argument("--dataset", help="labeled JSONL with model_id fields")
     p.add_argument("--metric", default="em,f1,pedants", help="comma-separated metric list")
-    p.add_argument("--threshold", help="F1 cutoff for the f1 metric (default 0.5)")
     p.add_argument("--out", help="directory for ranking.{csv,json}")
     p.set_defaults(func=cmd_rank)
 

@@ -3,23 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyRecords, OutOfRangeScore, TooFewModels
-from .pipeline import QAExample
-
-
-@dataclass
-class JudgedRecord:
-    """A human-labeled example plus one boolean verdict per metric."""
-
-    example: QAExample
-    verdicts: dict[str, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.example.human_label is None:
-            raise ValueError("JudgedRecord requires an example with a human label")
 
 
 @dataclass
@@ -86,25 +73,6 @@ class RankingInput:
     @property
     def n_models(self) -> int:
         return len(self.human_rates)
-
-
-def _counts_for(records: Sequence[JudgedRecord], metric: str) -> ConfusionCounts:
-    if not records:
-        raise EmptyRecords("no records to aggregate")
-    counts = ConfusionCounts()
-    for r in records:
-        counts.update(bool(r.example.human_label), r.verdicts[metric])
-    return counts
-
-
-def agreement_accuracy(records: Sequence[JudgedRecord], metric: str) -> float:
-    """Fraction of records where the metric's verdict matches the human label."""
-    return _counts_for(records, metric).accuracy()
-
-
-def macro_f1(records: Sequence[JudgedRecord], metric: str) -> float:
-    """Unweighted mean of per-class F1 over the correct/incorrect classes."""
-    return _counts_for(records, metric).macro_f1()
 
 
 def _sign(x: float) -> int:

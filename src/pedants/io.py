@@ -10,9 +10,11 @@ when "label" is absent), "rule", "qtype", "model_id", "dataset_id", and
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.resources
 import json
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -119,6 +121,22 @@ class DatasetFile:
         return (example for _, example in self.records())
 
 
+@contextlib.contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a temp file beside ``path`` for writing text; when the block
+    ends it replaces ``path``, and when the block raises it is removed and
+    ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(handle: TextIO, records: Iterable[dict], header: str = JSONL_HEADER) -> int:
     """Write records as JSON lines after a schema comment; returns the count."""
     handle.write(header + "\n")
@@ -144,11 +162,12 @@ def load_seed_corpus() -> list[QAExample]:
 def write_report_csv(path: str | Path, rows: list[dict]) -> None:
     if not rows:
         raise ValueError("no report rows to write")
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with open_atomic(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
 
 
 def write_report_json(path: str | Path, rows: list[dict]) -> None:
-    Path(path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+    with open_atomic(path) as handle:
+        handle.write(json.dumps(rows, indent=2) + "\n")

@@ -101,13 +101,6 @@ def best_reference(
     )
 
 
-def best_over_references(
-    candidate: str, references: Sequence[str], policy: NormPolicy = EM_POLICY
-) -> PrfScores:
-    """Token scores against the F1-maximizing reference."""
-    return best_reference(candidate, references, policy)[1]
-
-
 def threshold_judge(scores: PrfScores, threshold: Threshold) -> bool:
     """Judge correctness by comparing F1 against an at-least cutoff."""
     return scores.f1 >= threshold.value

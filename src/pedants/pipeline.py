@@ -89,16 +89,6 @@ class RuleLabel(Enum):
 _RULE_ORDER = list(RuleLabel)
 _RULE_CODE = {r: i for i, r in enumerate(_RULE_ORDER)}
 
-RULE_DESCRIPTIONS = {
-    RuleLabel.R1: "entity aliasing",
-    RuleLabel.R2: "numerical information",
-    RuleLabel.R3: "less details",
-    RuleLabel.R4: "more details",
-    RuleLabel.R5: "semantic equivalence",
-    RuleLabel.R6: "irrelevant information",
-    RuleLabel.R7: "other possible answers",
-}
-
 
 @dataclass
 class QAExample:
@@ -290,7 +280,10 @@ class PedantsModel:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        from .io import open_atomic  # io imports this module
+
+        with open_atomic(path) as handle:
+            handle.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PedantsModel":

@@ -210,9 +210,3 @@ def tokenize(text: str) -> TokenBag:
     """Split a normalized string on whitespace runs into a token bag."""
     tokens = tuple(text.split())
     return TokenBag(tokens=tokens, counts=Counter(tokens))
-
-
-def lemmatize(bag: TokenBag) -> TokenBag:
-    """Map every token in a bag through :func:`lemma`."""
-    tokens = tuple(lemma(tok) for tok in bag.tokens)
-    return TokenBag(tokens=tokens, counts=Counter(tokens))

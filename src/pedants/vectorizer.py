@@ -29,8 +29,6 @@ _NO_VALUES = np.empty(0, dtype=np.float64)
 
 @dataclass(frozen=True)
 class TfidfConfig:
-    smooth_idf: bool = True
-    l2_normalize: bool = True
     min_df: int = 1
 
 
@@ -82,11 +80,8 @@ class TfidfModel:
             vocab[col] = tok
         return {
             "version": FORMAT_VERSION,
-            "config": {
-                "smooth_idf": self.config.smooth_idf,
-                "l2_normalize": self.config.l2_normalize,
-                "min_df": self.config.min_df,
-            },
+            # idf smoothing and L2 normalization are fixed; the bundle states both
+            "config": {"smooth_idf": True, "l2_normalize": True, "min_df": self.config.min_df},
             "vocab": vocab,
             "idf": list(self.idf),
             "doc_count": self.doc_count,
@@ -105,13 +100,12 @@ class TfidfModel:
             cfg = data["config"]
             idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
             doc_count = int(data["doc_count"])
-            config = TfidfConfig(
-                smooth_idf=bool(cfg["smooth_idf"]),
-                l2_normalize=bool(cfg["l2_normalize"]),
-                min_df=int(cfg["min_df"]),
-            )
+            config = TfidfConfig(min_df=int(cfg["min_df"]))
+            fixed = cfg["smooth_idf"] is True and cfg["l2_normalize"] is True
         except TypeError as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
+        if not fixed:
+            raise ValueError("vectorizer must use smoothed idf and L2 normalization")
         if idf.shape != (len(vocab),):
             raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
         vocabulary = {tok: i for i, tok in enumerate(vocab)}
@@ -136,10 +130,7 @@ def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     n_docs = len(corpus)
     tokens = sorted(tok for tok, count in df.items() if count >= config.min_df)
     vocabulary = {tok: i for i, tok in enumerate(tokens)}
-    if config.smooth_idf:
-        idf = [math.log((1 + n_docs) / (1 + df[tok])) + 1.0 for tok in tokens]
-    else:
-        idf = [math.log(n_docs / df[tok]) + 1.0 for tok in tokens]
+    idf = [math.log((1 + n_docs) / (1 + df[tok])) + 1.0 for tok in tokens]
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, config=config)
 
 
@@ -162,9 +153,8 @@ def _tfidf(tokens: Sequence[str], model: TfidfModel) -> tuple[np.ndarray, np.nda
     indices = sorted(counts)
     idf = model.idf
     values = [counts[i] * idf[i] for i in indices]
-    if model.config.l2_normalize:
-        norm = math.sqrt(sum(v * v for v in values))
-        values = [v / norm for v in values]
+    norm = math.sqrt(sum(v * v for v in values))
+    values = [v / norm for v in values]
     return np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64)
 
 

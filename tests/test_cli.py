@@ -1,10 +1,12 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
-from pedants.cli import main
+from pedants.cli import build_parser, main
 from pedants.io import load_seed_corpus
 from pedants.pipeline import QAExample
 from pedants.textnorm import normalize
@@ -284,6 +286,40 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "cpus+1", "1000000000", "two"])
+def test_workers_out_of_range_rejected_before_any_pool(value, dataset, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    if value == "cpus+1":
+        value = str((os.cpu_count() or 1) + 1)
+    for command in ("judge", "eval"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(dataset), "--metric", "em", "--workers", value])
+        assert exc.value.code == 1
+        assert "pedants: error: argument --workers: " in capsys.readouterr().err
+
+
+def test_workers_accepts_one_to_cpu_count(dataset):
+    for n in {1, os.cpu_count() or 1}:
+        args = build_parser().parse_args(["judge", "--dataset", str(dataset), "--workers", str(n)])
+        assert args.workers == n
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_caps_openblas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, pedants; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pedants.cli", "--help"], capture_output=True, text=True
@@ -304,6 +340,8 @@ def test_console_entry_point_runs():
         lambda b: b["rule_extractor"]["vectorizer"].__setitem__("vocab", None),
         lambda b: b["rule_extractor"]["vectorizer"]["config"].__setitem__("min_df", None),
         lambda b: b.__setitem__("type_extractor", None),
+        lambda b: b["final_judge"]["vectorizer"]["config"].__setitem__("smooth_idf", False),
+        lambda b: b["type_extractor"]["vectorizer"]["config"].__setitem__("l2_normalize", False),
     ],
     ids=[
         "truncated-idf",
@@ -315,6 +353,8 @@ def test_console_entry_point_runs():
         "null-vocab",
         "null-min-df",
         "null-section",
+        "unsmoothed-idf",
+        "unnormalized-tfidf",
     ],
 )
 def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):
@@ -329,6 +369,22 @@ def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, co
     assert err.startswith("pedants: error: ")
     assert "Traceback" not in err
     assert not out.exists()  # rejected before judging anything
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_judge_leaves_existing_out_unchanged(tmp_path, seed_bundle_path, workers, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(ROWS[0]) + "\n" + json.dumps(ROWS[1]) + "\n{broken\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "judged.jsonl"
+    out.write_text("previous run\n")
+    rc = main(["judge", "--dataset", str(path), "--model", str(seed_bundle_path),
+               "--out", str(out), "--workers", workers])
+    assert rc == 1
+    assert f"{path}:3:" in capsys.readouterr().err
+    assert out.read_text() == "previous run\n"
+    assert [p.name for p in out_dir.iterdir()] == ["judged.jsonl"]
 
 
 def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):

@@ -6,44 +6,37 @@ from oracles import accuracy_oracle, macro_f1_oracle, pairwise_agreement
 from pedants.errors import EmptyRecords, OutOfRangeScore, TooFewModels
 from pedants.harness import (
     ConfusionCounts,
-    JudgedRecord,
     RankingInput,
-    agreement_accuracy,
     likert_to_binary,
-    macro_f1,
     pairwise_ranking_accuracy,
     threshold_sweep,
 )
-from pedants.pipeline import QAExample
 
 
-def _records(labels, verdicts, metric="m"):
-    out = []
-    for i, (label, verdict) in enumerate(zip(labels, verdicts)):
-        ex = QAExample(
-            question=f"q{i}", references=("a",), candidate="c", human_label=bool(label)
-        )
-        out.append(JudgedRecord(example=ex, verdicts={metric: bool(verdict)}))
-    return out
+def _counts(labels, verdicts):
+    counts = ConfusionCounts()
+    for label, verdict in zip(labels, verdicts):
+        counts.update(bool(label), bool(verdict))
+    return counts
 
 
 def test_perfect_and_inverted_agreement():
     labels = [1, 0, 1, 1]
-    assert agreement_accuracy(_records(labels, labels), "m") == 1.0
-    assert macro_f1(_records(labels, labels), "m") == 1.0
+    assert _counts(labels, labels).accuracy() == 1.0
+    assert _counts(labels, labels).macro_f1() == 1.0
     inverted = [1 - l for l in labels]
-    assert agreement_accuracy(_records(labels, inverted), "m") == 0.0
+    assert _counts(labels, inverted).accuracy() == 0.0
 
 
 def test_confusion_matrix_case():
     labels = [1, 1, 0, 0]
     verdicts = [1, 0, 0, 0]
-    records = _records(labels, verdicts)
-    assert agreement_accuracy(records, "m") == pytest.approx(0.75)
+    counts = _counts(labels, verdicts)
+    assert counts.accuracy() == pytest.approx(0.75)
     # oracle: class-correct F1 = 2/3, class-incorrect F1 = 0.8
     expected = macro_f1_oracle([bool(x) for x in labels], [bool(x) for x in verdicts])
     assert expected == pytest.approx((2 / 3 + 0.8) / 2, abs=1e-12)
-    assert macro_f1(records, "m") == pytest.approx(expected, abs=1e-12)
+    assert counts.macro_f1() == pytest.approx(expected, abs=1e-12)
 
 
 def test_accuracy_inversion_property():
@@ -52,9 +45,8 @@ def test_accuracy_inversion_property():
         n = rng.randint(1, 30)
         labels = [rng.random() < 0.5 for _ in range(n)]
         verdicts = [rng.random() < 0.5 for _ in range(n)]
-        records = _records(labels, verdicts)
-        flipped = _records(labels, [not v for v in verdicts])
-        total = agreement_accuracy(records, "m") + agreement_accuracy(flipped, "m")
+        flipped = [not v for v in verdicts]
+        total = _counts(labels, verdicts).accuracy() + _counts(labels, flipped).accuracy()
         assert total == pytest.approx(1.0)
 
 
@@ -64,28 +56,16 @@ def test_agreement_matches_oracle_on_random_data():
         n = rng.randint(1, 40)
         labels = [rng.random() < 0.6 for _ in range(n)]
         verdicts = [rng.random() < 0.6 for _ in range(n)]
-        records = _records(labels, verdicts)
-        assert agreement_accuracy(records, "m") == pytest.approx(
-            accuracy_oracle(labels, verdicts), abs=1e-12
-        )
-        assert macro_f1(records, "m") == pytest.approx(
-            macro_f1_oracle(labels, verdicts), abs=1e-12
-        )
+        counts = _counts(labels, verdicts)
+        assert counts.accuracy() == pytest.approx(accuracy_oracle(labels, verdicts), abs=1e-12)
+        assert counts.macro_f1() == pytest.approx(macro_f1_oracle(labels, verdicts), abs=1e-12)
 
 
 def test_empty_records_rejected():
     with pytest.raises(EmptyRecords):
-        agreement_accuracy([], "m")
-    with pytest.raises(EmptyRecords):
-        macro_f1([], "m")
-    with pytest.raises(EmptyRecords):
         ConfusionCounts().accuracy()
-
-
-def test_judged_record_requires_label():
-    ex = QAExample(question="q", references=("a",), candidate="c")
-    with pytest.raises(ValueError):
-        JudgedRecord(example=ex, verdicts={"m": True})
+    with pytest.raises(EmptyRecords):
+        ConfusionCounts().macro_f1()
 
 
 def test_pairwise_trivial_cases():
@@ -206,9 +186,12 @@ def test_confusion_counts_streaming_equals_batch():
     rng = random.Random(83)
     labels = [rng.random() < 0.5 for _ in range(200)]
     verdicts = [rng.random() < 0.5 for _ in range(200)]
-    counts = ConfusionCounts()
-    for label, verdict in zip(labels, verdicts):
-        counts.update(label, verdict)
-    records = _records(labels, verdicts)
-    assert counts.accuracy() == agreement_accuracy(records, "m")
-    assert counts.macro_f1() == macro_f1(records, "m")
+    counts = _counts(labels, verdicts)
+    assert (counts.tp, counts.fp, counts.fn, counts.tn) == (
+        sum(l and v for l, v in zip(labels, verdicts)),
+        sum(v and not l for l, v in zip(labels, verdicts)),
+        sum(l and not v for l, v in zip(labels, verdicts)),
+        sum(not (l or v) for l, v in zip(labels, verdicts)),
+    )
+    assert counts.accuracy() == pytest.approx(accuracy_oracle(labels, verdicts), abs=1e-12)
+    assert counts.macro_f1() == pytest.approx(macro_f1_oracle(labels, verdicts), abs=1e-12)

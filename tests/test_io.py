@@ -13,6 +13,21 @@ def _write(tmp_path, lines, name="data.jsonl"):
     return path
 
 
+def test_open_atomic_replaces_on_success_and_keeps_target_on_failure(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with io.open_atomic(target) as handle:
+            handle.write("partial")
+            raise RuntimeError("boom")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with io.open_atomic(target) as handle:
+        handle.write("new\n")
+    assert target.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_read_examples_round_trip(tmp_path):
     record = {
         "question": "Who?",

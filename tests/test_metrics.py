@@ -6,7 +6,6 @@ from pedants.errors import EmptyReferences
 from pedants.metrics import (
     PrfScores,
     Threshold,
-    best_over_references,
     best_reference,
     exact_match,
     threshold_judge,
@@ -105,12 +104,12 @@ def test_exact_match_implies_perfect_f1():
         cand = _random_text(rng)
         refs = [_random_text(rng), cand.upper(), _random_text(rng)]
         if exact_match(cand, refs, EM_POLICY):
-            assert best_over_references(cand, refs, EM_POLICY).f1 == pytest.approx(1.0)
+            assert best_reference(cand, refs, EM_POLICY)[1].f1 == pytest.approx(1.0)
 
 
 def test_best_over_references():
-    assert best_over_references("2015", ["2015", "2017"]).f1 == pytest.approx(1.0)
-    assert best_over_references("2016", ["2015", "2017"]).f1 == pytest.approx(0.0)
+    assert best_reference("2015", ["2015", "2017"])[1].f1 == pytest.approx(1.0)
+    assert best_reference("2016", ["2015", "2017"])[1].f1 == pytest.approx(0.0)
     # oracle by hand: f1 vs "The Yankees" = 0, vs "Houston Astros" = 2*(2/3*1)/(2/3+1) = 0.8
     idx, scores = best_reference("houston astros win", ["The Yankees", "Houston Astros"])
     assert idx == 1
@@ -122,14 +121,14 @@ def test_best_over_references_duplicate_invariance():
     for _ in range(200):
         cand = _random_text(rng)
         refs = [_random_text(rng) or "x", _random_text(rng) or "y"]
-        base = best_over_references(cand, refs)
-        dup = best_over_references(cand, refs + [refs[0]])
+        base = best_reference(cand, refs)[1]
+        dup = best_reference(cand, refs + [refs[0]])[1]
         assert base == dup
 
 
 def test_best_over_references_empty():
     with pytest.raises(EmptyReferences):
-        best_over_references("x", [])
+        best_reference("x", [])
 
 
 def test_threshold_judge_boundary():

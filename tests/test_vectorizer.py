@@ -155,8 +155,21 @@ def test_random_documents_norms():
         (lambda d: d["idf"].__setitem__(0, float("inf")), "finite and positive"),
         (lambda d: d["idf"].__setitem__(0, float("nan")), "finite and positive"),
         (lambda d: d["idf"].__setitem__(0, None), "finite and positive"),
+        (lambda d: d["config"].__setitem__("smooth_idf", False), "smoothed idf"),
+        (lambda d: d["config"].__setitem__("l2_normalize", False), "L2 normalization"),
+        (lambda d: d["config"].__setitem__("l2_normalize", 1), "L2 normalization"),
     ],
-    ids=["short-idf", "duplicate-token", "zero-idf", "inf-idf", "nan-idf", "null-idf"],
+    ids=[
+        "short-idf",
+        "duplicate-token",
+        "zero-idf",
+        "inf-idf",
+        "nan-idf",
+        "null-idf",
+        "unsmoothed-idf",
+        "unnormalized",
+        "truthy-not-true",
+    ],
 )
 def test_from_dict_rejects_corrupt_models(damage, message):
     data = json.loads(json.dumps(fit(["a b", "b c", "c d"]).to_dict()))
