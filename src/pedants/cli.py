@@ -355,13 +355,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _int_value(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer from 0 up, as numpy's generators take."""
+    n = _int_value(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _worker_count(text: str) -> int:
     """A --workers value: a process count from 1 to the machine's CPU count."""
     limit = os.cpu_count() or 1
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    n = _int_value(text)
     if not 1 <= n <= limit:
         raise argparse.ArgumentTypeError(f"must be in [1, {limit}] (the CPU count), got {n}")
     return n
@@ -380,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=False, dataset=False, norm=False, workers=False, threshold=False):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="global RNG seed")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                       help="global RNG seed, 0 or more")
         p.add_argument("--skip-bad", action="store_true", help="skip malformed JSONL lines")
         if model:
             p.add_argument("--model", help=f"model bundle path (default: ${MODEL_ENV_VAR})")

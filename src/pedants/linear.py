@@ -10,7 +10,8 @@ pair of the score difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ class TrainConfig:
     ``tolerance`` is the minimum epoch-over-epoch improvement of the
     regularized mean log loss; training stops once an epoch improves by
     less. The learning rate at 0-based epoch e is eta0 / (1 + e)**lr_power.
+    Values are range-checked when a config is built, so a bundle holding one
+    that no training run could use is rejected when it loads.
     """
 
     seed: int = 668
@@ -49,19 +52,30 @@ class TrainConfig:
             "lr_power": self.lr_power,
         }
 
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("seed", self.seed >= 0, "be at least 0"),
+            ("max_epochs", self.max_epochs >= 0, "be at least 0"),
+            ("l2_penalty", 0 <= self.l2_penalty < math.inf, "be finite and at least 0"),
+            ("tolerance", math.isfinite(self.tolerance), "be finite"),
+            ("eta0", 0 < self.eta0 < math.inf, "be finite and positive"),
+            ("lr_power", 0 <= self.lr_power < math.inf, "be finite and at least 0"),
+        ):
+            if not ok:
+                raise ValueError(f"training config {name} must {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        try:
-            return cls(
-                seed=int(data["seed"]),
-                l2_penalty=float(data["l2_penalty"]),
-                tolerance=float(data["tolerance"]),
-                max_epochs=int(data["max_epochs"]),
-                eta0=float(data["eta0"]),
-                lr_power=float(data["lr_power"]),
-            )
-        except TypeError as exc:  # a null or a nested value where a number belongs
-            raise ValueError(f"malformed training config: {exc}") from exc
+        values = {}
+        for f in fields(cls):
+            kind = int if f.name in ("seed", "max_epochs") else float
+            try:
+                values[f.name] = kind(data[f.name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                # a null or a nested value where a number belongs, or a
+                # non-finite one where an integer belongs
+                raise ValueError(f"malformed training config {f.name}: {exc}") from exc
+        return cls(**values)
 
 
 @dataclass
@@ -92,7 +106,7 @@ class LinearModel:
             dim = int(data["dim"])
             weights = np.array(data["weights"], dtype=np.float64)
             bias = np.array(data["bias"], dtype=np.float64)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed linear model: {exc}") from exc
         if weights.shape != (classes * dim,):
             raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")
@@ -123,19 +137,39 @@ def _as_arrays(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _flatten(data: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Examples as one batch: concatenated indices and values, and the row
+    of each entry."""
+    lengths = [len(idx) for idx, _ in data]
+    return (
+        np.concatenate([idx for idx, _ in data]),
+        np.concatenate([vals for _, vals in data]),
+        np.repeat(np.arange(len(data), dtype=np.intp), lengths),
+    )
+
+
 def _mean_loss(
     weights: np.ndarray,
     bias: np.ndarray,
-    data: list[tuple[np.ndarray, np.ndarray]],
+    batch: tuple[np.ndarray, ...],
     labels: np.ndarray,
     l2_penalty: float,
 ) -> float:
-    total = 0.0
-    for (idx, vals), y in zip(data, labels):
-        scores = weights[:, idx] @ vals + bias
-        probs = _softmax(scores)
-        total -= np.log(probs[y])
-    return total / len(data) + 0.5 * l2_penalty * float(np.sum(weights * weights))
+    """Regularized mean log loss of a batch from ``_flatten``, in one pass.
+
+    Scores are summed per row (``bincount``), so rows without entries score
+    the bias alone; temporaries are O(classes x entries), never N x D.
+    """
+    indices, values, rows = batch
+    n = len(labels)
+    terms = weights.take(indices, axis=1)
+    terms *= values
+    # (bincount gives integers when there are no entries at all)
+    scores = np.stack([np.bincount(rows, weights=t, minlength=n) for t in terms], axis=1) + bias
+    clipped = np.minimum(np.maximum(scores, -LOGIT_CLAMP), LOGIT_CLAMP)
+    exp = np.exp(clipped - clipped.max(axis=1, keepdims=True))
+    probs = exp[np.arange(n), labels] / exp.sum(axis=1)
+    return -float(np.sum(np.log(probs))) / n + 0.5 * l2_penalty * float(np.sum(weights * weights))
 
 
 def train(
@@ -166,29 +200,46 @@ def train(
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
     data = [_as_arrays(x) for x, _ in examples]
-    weights = np.zeros((n_classes, dim), dtype=np.float64)
+    batch = _flatten(data)
+    # Feature-major weights: an example's rows are one gather and one
+    # scatter. rows.T is (C, nnz) and F-ordered, the layout weights[:, idx]
+    # has, so BLAS scores it with the same rounding.
+    wt = np.zeros((dim, n_classes), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    prev_loss = _mean_loss(weights, bias, data, labels, config.l2_penalty)
+    prev_loss = _mean_loss(wt.T, bias, batch, labels, config.l2_penalty)
     best_loss = prev_loss
-    best_weights, best_bias = weights.copy(), bias.copy()
+    best_weights, best_bias = wt.T.copy(), bias.copy()  # copies are C-ordered (C, D)
 
+    ys = labels.tolist()
+    scores = np.empty(n_classes, dtype=np.float64)  # scores, then probabilities
+    step = np.empty(n_classes, dtype=np.float64)
     for epoch in range(config.max_epochs):
         eta = config.eta0 / (1.0 + epoch) ** config.lr_power
         decay = max(0.0, 1.0 - eta * config.l2_penalty)
-        for i in rng.permutation(len(data)):
+        for i in rng.permutation(len(data)).tolist():
             idx, vals = data[i]
-            scores = weights[:, idx] @ vals + bias
-            grad = _softmax(scores)
-            grad[labels[i]] -= 1.0
-            weights *= decay
-            weights[:, idx] -= eta * grad[:, None] * vals[None, :]
-            bias -= eta * grad
-        loss = _mean_loss(weights, bias, data, labels, config.l2_penalty)
+            rows = wt.take(idx, axis=0)
+            # _softmax, in place on preallocated buffers
+            np.matmul(rows.T, vals, out=scores)
+            np.add(scores, bias, out=scores)
+            np.maximum(scores, -LOGIT_CLAMP, out=scores)
+            np.minimum(scores, LOGIT_CLAMP, out=scores)
+            np.subtract(scores, np.maximum.reduce(scores), out=scores)
+            np.exp(scores, out=scores)
+            np.divide(scores, np.add.reduce(scores), out=scores)
+            scores[ys[i]] -= 1.0  # the gradient of the loss in the scores
+            np.multiply(eta, scores, out=step)
+            wt *= decay
+            rows *= decay
+            rows -= np.multiply.outer(vals, step)
+            wt[idx] = rows
+            bias -= step
+        loss = _mean_loss(wt.T, bias, batch, labels, config.l2_penalty)
         if loss < best_loss:
             best_loss = loss
-            best_weights, best_bias = weights.copy(), bias.copy()
+            best_weights, best_bias = wt.T.copy(), bias.copy()
         if prev_loss - loss < config.tolerance:
             break
         prev_loss = loss

@@ -8,12 +8,13 @@ as applying it once.
 Each step runs in C where it can. NFC and lowercasing run on the whole
 string. A policy that collapses whitespace then works token by token: only
 a token that is not alphanumeric has punctuation deleted (``str.translate``)
-and is NFC-normalized again, and lemmas come from a cache. This gives the
-same string as applying each step to the whole string, because punctuation
-is never whitespace and whitespace never composes with a neighbour under
-NFC. Two caches hold state between calls, each with a fixed entry limit:
-the translate table's code points (PUNCT_TABLE_SIZE) and the lemmas of
-tokens (LEMMA_CACHE_SIZE).
+and is NFC-normalized again, or goes through the article pattern, and
+lemmas come from a cache. This gives the same string as applying each step
+to the whole string, because punctuation is never whitespace, whitespace
+never composes with a neighbour under NFC, and an article never spans
+whitespace. Two caches hold state between calls, each with a fixed entry
+limit: the translate table's code points (PUNCT_TABLE_SIZE) and the lemmas
+of tokens (LEMMA_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b", re.IGNORECASE)
 
@@ -63,10 +65,10 @@ class NormPolicy:
     re-normalization a no-op.
 
     With whitespace collapsing (or lemmatization) the string is split into
-    tokens after lowercasing: punctuation removal and lemmatization act on
-    each token, the tokens that are left are joined with single spaces, and
-    article removal runs on the joined string. Without it, punctuation
-    removal and article removal act on the whole string.
+    tokens after lowercasing: punctuation removal, lemmatization and article
+    removal act on each token, and the tokens that are left are joined with
+    single spaces. Without it, punctuation removal and article removal act
+    on the whole string.
     """
 
     lowercase: bool = True
@@ -200,10 +202,27 @@ def normalize(text: str, policy: NormPolicy) -> str:
         ])
     if policy.lemmatize:
         tokens = map(lemma, tokens)
-    s = " ".join(tokens)
     if policy.strip_articles:
-        s = " ".join(_ARTICLE_RE.sub(" ", s).split())
-    return s
+        tokens = _drop_articles(tokens)
+    return " ".join(tokens)
+
+
+def _drop_articles(tokens: Iterable[str]) -> list[str]:
+    """Article removal on whitespace-free tokens.
+
+    An alphanumeric token is all word characters, so the article pattern can
+    only match it whole; any other token goes through the pattern and may
+    split into several. Matches never span whitespace, so this equals the
+    pattern on the joined string.
+    """
+    kept = []
+    for tok in tokens:
+        if tok.isalnum():
+            if len(tok) > 3 or not _ARTICLE_RE.fullmatch(tok):
+                kept.append(tok)
+        else:
+            kept += _ARTICLE_RE.sub(" ", tok).split()
+    return kept
 
 
 def tokenize(text: str) -> TokenBag:

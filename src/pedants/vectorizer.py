@@ -31,6 +31,10 @@ _NO_VALUES = np.empty(0, dtype=np.float64)
 class TfidfConfig:
     min_df: int = 1
 
+    def __post_init__(self):
+        if self.min_df < 1:
+            raise ValueError(f"vectorizer config min_df must be at least 1, got {self.min_df!r}")
+
 
 @dataclass(frozen=True)
 class SparseVector:
@@ -100,10 +104,14 @@ class TfidfModel:
             cfg = data["config"]
             idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
             doc_count = int(data["doc_count"])
-            config = TfidfConfig(min_df=int(cfg["min_df"]))
+            min_df = cfg["min_df"]
             fixed = cfg["smooth_idf"] is True and cfg["l2_normalize"] is True
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
+        try:
+            min_df = int(min_df)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed vectorizer config min_df: {exc}") from exc
         if not fixed:
             raise ValueError("vectorizer must use smoothed idf and L2 normalization")
         if idf.shape != (len(vocab),):
@@ -113,7 +121,10 @@ class TfidfModel:
             raise ValueError("vectorizer vocabulary has duplicate tokens")
         if not (np.isfinite(idf).all() and (idf > 0).all()):
             raise ValueError("vectorizer idf weights must be finite and positive")
-        return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count, config=config)
+        return cls(
+            vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count,
+            config=TfidfConfig(min_df=min_df),
+        )
 
 
 def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately take different computational routes from the code under
-test: dense full-batch gradient descent instead of sparse SGD, explicit
+test: dense full-batch gradient descent instead of sparse SGD, a trainer
+that keeps class-major weights and sums the epoch loss one example at a
+time instead of feature-major weights and one batched loss pass, explicit
 comparison branches instead of sign arithmetic, precision/recall-form F1
 instead of confusion-count form, a judge that re-normalizes every string
 in every public piece it calls instead of preparing each once, and
@@ -18,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from pedants import linear, vectorizer
+from pedants.errors import InconsistentDimensions, SingleClassCorpus
 from pedants.metrics import token_prf
 from pedants.pipeline import FeatureVector, Judgment, RuleLabel, predicted_question_type
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
@@ -68,6 +71,65 @@ def batch_gd_train(features, labels, n_classes=2, l2=1e-4, lr=0.5, iters=4000):
         W -= lr * (grad.T @ X + l2 * W)
         b -= lr * grad.sum(axis=0)
     return W, b
+
+
+def reference_mean_loss(weights, bias, data, labels, l2_penalty) -> float:
+    """The epoch loss one example at a time."""
+    total = 0.0
+    for (idx, vals), y in zip(data, labels):
+        scores = weights[:, idx] @ vals + bias
+        probs = linear._softmax(scores)
+        total -= np.log(probs[y])
+    return total / len(data) + 0.5 * l2_penalty * float(np.sum(weights * weights))
+
+
+def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> linear.LinearModel:
+    """The trainer with class-major weights, a dense decay and a scatter per
+    step, and the epoch loss one example at a time."""
+    if not examples:
+        raise ValueError("no training examples")
+    dim = examples[0][0].dimension
+    for x, _ in examples:
+        if x.dimension != dim:
+            raise InconsistentDimensions(f"expected dimension {dim}, got {x.dimension}")
+    labels = np.array([y for _, y in examples], dtype=np.intp)
+    present = set(int(y) for y in labels)
+    if len(present) < 2:
+        raise SingleClassCorpus(f"need at least 2 classes, got labels {sorted(present)}")
+    if n_classes is None:
+        n_classes = max(2, max(present) + 1)
+    if max(present) >= n_classes or min(present) < 0:
+        raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
+
+    data = [linear._as_arrays(x) for x, _ in examples]
+    weights = np.zeros((n_classes, dim), dtype=np.float64)
+    bias = np.zeros(n_classes, dtype=np.float64)
+
+    rng = np.random.default_rng(config.seed)
+    prev_loss = reference_mean_loss(weights, bias, data, labels, config.l2_penalty)
+    best_loss = prev_loss
+    best_weights, best_bias = weights.copy(), bias.copy()
+
+    for epoch in range(config.max_epochs):
+        eta = config.eta0 / (1.0 + epoch) ** config.lr_power
+        decay = max(0.0, 1.0 - eta * config.l2_penalty)
+        for i in rng.permutation(len(data)):
+            idx, vals = data[i]
+            scores = weights[:, idx] @ vals + bias
+            grad = linear._softmax(scores)
+            grad[labels[i]] -= 1.0
+            weights *= decay
+            weights[:, idx] -= eta * grad[:, None] * vals[None, :]
+            bias -= eta * grad
+        loss = reference_mean_loss(weights, bias, data, labels, config.l2_penalty)
+        if loss < best_loss:
+            best_loss = loss
+            best_weights, best_bias = weights.copy(), bias.copy()
+        if prev_loss - loss < config.tolerance:
+            break
+        prev_loss = loss
+
+    return linear.LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, config=config)
 
 
 def batch_gd_predict(W, b, features) -> np.ndarray:

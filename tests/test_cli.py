@@ -301,6 +301,62 @@ def test_workers_out_of_range_rejected_before_any_pool(value, dataset, monkeypat
         assert "pedants: error: argument --workers: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "seven"])
+def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, capsys):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr("pedants.io.read_examples", no_read)
+    out = tmp_path / "bundle.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+              "--seed", value])
+    assert exc.value.code == 1
+    assert "pedants: error: argument --seed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("config", "seed", -1),
+        ("config", "eta0", 0.0),
+        ("config", "l2_penalty", -1e-4),
+        ("config", "max_epochs", -1),
+        ("config", "lr_power", -0.5),
+        ("config", "tolerance", float("nan")),
+        ("config", "seed", float("inf")),
+        ("rule_model", "eta0", float("inf")),
+        ("judge_model", "l2_penalty", float("nan")),
+        ("type_vectorizer", "min_df", 0),
+        ("judge_vectorizer", "min_df", float("inf")),
+        ("rule_vectorizer", "min_df", float("nan")),
+    ],
+)
+def test_bundle_config_out_of_range_rejected_at_load(
+    tmp_path, dataset, seed_bundle_path, section, field, value, capsys
+):
+    bundle = json.loads(seed_bundle_path.read_text())
+    part = {
+        "config": bundle["config"],
+        "rule_model": bundle["rule_extractor"]["model"]["config"],
+        "judge_model": bundle["final_judge"]["model"]["config"],
+        "type_vectorizer": bundle["type_extractor"]["vectorizer"]["config"],
+        "rule_vectorizer": bundle["rule_extractor"]["vectorizer"]["config"],
+        "judge_vectorizer": bundle["final_judge"]["vectorizer"]["config"],
+    }[section]
+    part[field] = value
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(json.dumps(bundle))
+    out = tmp_path / "out.jsonl"
+    rc = main(["judge", "--dataset", str(dataset), "--model", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("pedants: error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_workers_accepts_one_to_cpu_count(dataset):
     for n in {1, os.cpu_count() or 1}:
         args = build_parser().parse_args(["judge", "--dataset", str(dataset), "--workers", str(n)])

@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from oracles import batch_gd_predict, batch_gd_train
+from oracles import batch_gd_predict, batch_gd_train, reference_mean_loss, reference_train
 from pedants.errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
-from pedants.linear import LinearModel, TrainConfig, predict, predict_proba, train
+from pedants.linear import (
+    LOGIT_CLAMP,
+    LinearModel,
+    TrainConfig,
+    _as_arrays,
+    _flatten,
+    _mean_loss,
+    predict,
+    predict_proba,
+    train,
+)
 from pedants.vectorizer import SparseVector
 
 
@@ -154,16 +164,67 @@ def test_final_loss_never_exceeds_initial():
         (_dense_to_sparse([1.0, 1.0]), 1),
     ]
     model = train(data, TrainConfig())
-    from pedants.linear import _as_arrays, _mean_loss
-
-    arrays = [_as_arrays(x) for x, _ in data]
+    batch = _flatten([_as_arrays(x) for x, _ in data])
     labels = np.array([y for _, y in data])
-    final = _mean_loss(model.weights, model.bias, arrays, labels, model.config.l2_penalty)
+    final = _mean_loss(model.weights, model.bias, batch, labels, model.config.l2_penalty)
     initial = _mean_loss(
-        np.zeros_like(model.weights), np.zeros_like(model.bias), arrays, labels,
+        np.zeros_like(model.weights), np.zeros_like(model.bias), batch, labels,
         model.config.l2_penalty,
     )
     assert final <= initial + 1e-12
+
+
+def _random_examples(rng, n, dim, n_labels, signal=0.0, empty_share=0.15):
+    """Rows of normal noise on features n_labels and up, plus feature `label`
+    set to `signal` when that is nonzero. Some rows have no entries, and the
+    first two carry labels 0 and 1, so at least two classes are present."""
+    examples = []
+    for i in range(n):
+        label = i if i < 2 else int(rng.integers(n_labels))
+        nnz = 0 if rng.random() < empty_share else int(rng.integers(1, 9))
+        entries = dict(zip(rng.choice(range(n_labels, dim), nnz, replace=False).tolist(),
+                           rng.normal(0.0, 1.0, nnz).tolist()))
+        if nnz and signal:
+            entries[label] = signal
+        idx = sorted(entries)
+        examples.append((SparseVector(dim, tuple(idx), tuple(entries[j] for j in idx)), label))
+    return examples
+
+
+@pytest.mark.parametrize(
+    "n_classes, n_labels, signal, seed",
+    [(2, 2, 0.0, 1), (7, 7, 0.0, 2), (2, 2, 20.0, 3), (7, 7, 20.0, 4), (7, 4, 0.0, 5)],
+    ids=["2-class", "7-class", "2-class-clamped", "7-class-clamped", "unused-classes"],
+)
+def test_train_matches_reference_trainer_bit_for_bit(n_classes, n_labels, signal, seed):
+    rng = np.random.default_rng(seed)
+    examples = _random_examples(rng, 80, 40, n_labels, signal)
+    assert any(x.nnz == 0 for x, _ in examples)
+    config = TrainConfig(seed=seed)
+    model = train(examples, config, n_classes=n_classes)
+    assert model.to_dict() == reference_train(examples, config, n_classes=n_classes).to_dict()
+    # judging gathers weights[:, idx]; its layout, and so BLAS's rounding,
+    # follows from the layout of weights
+    assert model.weights.flags["C_CONTIGUOUS"]
+    if signal:  # the trained model scores past the clamp
+        scores = [model.weights[:, x.indices] @ x.values + model.bias for x, _ in examples]
+        assert np.abs(scores).max() > LOGIT_CLAMP
+
+
+@pytest.mark.parametrize("empty_share", [0.0, 0.3, 1.0], ids=["full", "some-empty", "all-empty"])
+def test_batched_loss_matches_per_example_loss(empty_share):
+    rng = np.random.default_rng(7)
+    for case in range(40):
+        n_classes = (2, 7)[case % 2]
+        scale = (0.5, 20.0)[case // 2 % 2]  # the larger one reaches the clamp
+        examples = _random_examples(rng, 30, 25, n_classes, empty_share=empty_share)
+        arrays = [_as_arrays(x) for x, _ in examples]
+        labels = np.array([y for _, y in examples], dtype=np.intp)
+        weights = rng.normal(0.0, scale, (n_classes, 25))
+        bias = rng.normal(0.0, scale, n_classes)
+        batched = _mean_loss(weights, bias, _flatten(arrays), labels, 1e-4)
+        per_example = reference_mean_loss(weights, bias, arrays, labels, 1e-4)
+        assert batched == pytest.approx(per_example, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -175,8 +236,9 @@ def test_final_loss_never_exceeds_initial():
         (lambda d: d["weights"].__setitem__(2, float("nan")), "finite"),
         (lambda d: d["weights"].__setitem__(0, float("-inf")), "finite"),
         (lambda d: d["bias"].__setitem__(1, float("inf")), "finite"),
+        (lambda d: d.__setitem__("classes", float("inf")), "malformed"),
     ],
-    ids=["short", "long", "short-bias", "nan-weight", "inf-weight", "inf-bias"],
+    ids=["short", "long", "short-bias", "nan-weight", "inf-weight", "inf-bias", "inf-classes"],
 )
 def test_from_dict_rejects_corrupt_models(damage, message):
     X, y = _make_blobs()

@@ -177,6 +177,7 @@ NORM_SETTINGS = settings(
 @given(text=texts)
 @example("e.\u0301")
 @example("$the$ _the_ a\u2000an\u3000the\u0085x\u1680y")
+@example("THE tHe An A.n the's x-the thes")
 @example("\u039f\u0394\u039f\u03a3. \u03c3\u03c2 \u2040\u203f")
 @example("Children, lives; series' The geese\u2026")
 @example("\u03aa\u0301 \u1fbc\u0301")
@@ -236,3 +237,12 @@ def test_caches_stop_growing_at_their_limits(monkeypatch):
     finally:
         textnorm._PUNCT_TABLE.clear()
         lemma.cache_clear()
+
+
+def test_article_removal_matches_reference_on_single_code_points():
+    # normalize drops an alphanumeric token only when the article pattern
+    # matches it whole: put every alphanumeric code point in an article's
+    # place and in place of each of its letters
+    points = [c for c in map(chr, range(0x110000)) if c.isalnum()]
+    text = " ".join(f"{c} {c}n a{c} {c}he t{c}e th{c}" for c in points)
+    assert normalize(text, EM_POLICY) == reference_normalize(text, EM_POLICY)
