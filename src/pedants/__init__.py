@@ -37,7 +37,6 @@ from .metrics import (
     token_prf,
 )
 from .pipeline import (
-    FeatureVector,
     Judgment,
     PedantsModel,
     QAExample,

@@ -32,14 +32,23 @@ def example_from_dict(obj: dict) -> QAExample:
     for key in ("question", "references", "candidate"):
         if key not in obj:
             raise ValueError(f"missing required field {key!r}")
+    for key in ("question", "candidate"):
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
     refs = obj["references"]
     if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
         raise ValueError("'references' must be a non-empty array of strings")
+    for key in ("model_id", "dataset_id"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
     label = obj.get("label")
     if label is not None and label not in (0, 1, True, False):
         raise ValueError(f"'label' must be 0 or 1, got {label!r}")
-    if label is None and obj.get("rating") is not None:
-        label = likert_to_binary(obj["rating"], LIKERT_CUTOFF)
+    rating = obj.get("rating")
+    if rating is not None and (isinstance(rating, bool) or not isinstance(rating, (int, float))):
+        raise ValueError(f"'rating' must be a number, got {rating!r}")
+    if label is None and rating is not None:
+        label = likert_to_binary(rating, LIKERT_CUTOFF)
     parsed = dict(obj)
     parsed["label"] = label
     parsed.pop("rating", None)

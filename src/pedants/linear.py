@@ -130,13 +130,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / np.add.reduce(exp)
 
 
-def _as_arrays(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.fromiter(x.indices, dtype=np.intp, count=x.nnz),
-        np.fromiter(x.values, dtype=np.float64, count=x.nnz),
-    )
-
-
 def _flatten(data: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
     """Examples as one batch: concatenated indices and values, and the row
     of each entry."""
@@ -199,7 +192,7 @@ def train(
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    data = [_as_arrays(x) for x, _ in examples]
+    data = [(x.indices, x.values) for x, _ in examples]
     batch = _flatten(data)
     # Feature-major weights: an example's rows are one gather and one
     # scatter. rows.T is (C, nnz) and F-ordered, the layout weights[:, idx]
@@ -253,7 +246,7 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
         raise DimensionMismatch(
             f"vector dimension {x.dimension} != model dimension {model.feature_dim}"
         )
-    return _proba(model, *_as_arrays(x))
+    return _proba(model, x.indices, x.values)
 
 
 def _proba(model: LinearModel, indices: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ candidate) to feed a binary logistic-regression judge. A trained bundle is
 immutable and safe to share across concurrent judging workers.
 
 Judging and training share one feature path: each example is prepared once
-(every string normalized once, the best reference chosen), and the
-encoders and scorers pass index/value arrays. The public per-stage
-functions (assemble_features, encode_*, predict_proba) wrap the same code.
+(every string normalized once, the best reference chosen), its pair and
+triple are tf-idf-encoded once each (one triple vectorizer serves the rule
+extractor and the judge), and the scorers read index/value arrays. The
+public per-stage functions (assemble_features, encode_*, predict_proba)
+wrap the same code.
 """
 
 from __future__ import annotations
@@ -141,48 +143,6 @@ class QAExample:
         )
 
 
-@dataclass
-class FeatureVector:
-    """Assembled judge input: 7 type probs + 7 rule probs + 3 token scores +
-    the tf-idf triple encoding."""
-
-    type_probs: np.ndarray
-    rule_probs: np.ndarray
-    token_scores: PrfScores
-    text: SparseVector
-
-    @property
-    def dimension(self) -> int:
-        return DENSE_DIM + self.text.dimension
-
-    def to_sparse(self) -> SparseVector:
-        indices, values = _judge_input(
-            self.type_probs,
-            self.rule_probs,
-            self.token_scores,
-            np.asarray(self.text.indices, dtype=np.intp),
-            np.asarray(self.text.values, dtype=np.float64),
-        )
-        return vectorizer._sparse(self.dimension, indices, values)
-
-
-def _judge_input(
-    type_probs: np.ndarray,
-    rule_probs: np.ndarray,
-    scores: PrfScores,
-    text_indices: np.ndarray,
-    text_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The judge's sparse input as index/value arrays: the nonzero entries of
-    the dense prefix, then the tf-idf block shifted past it."""
-    dense = np.concatenate((type_probs, rule_probs, (scores.f1, scores.precision, scores.recall)))
-    nonzero = np.flatnonzero(dense)
-    return (
-        np.concatenate((nonzero, text_indices + DENSE_DIM)),
-        np.concatenate((dense[nonzero], text_values)),
-    )
-
-
 @dataclass(frozen=True)
 class Judgment:
     """A verdict plus the intermediate signals that explain it."""
@@ -210,7 +170,8 @@ class Judgment:
 @dataclass
 class PedantsModel:
     """The full judging bundle: two extractors, the final judge, and the
-    vocabularies each was fitted with."""
+    vocabularies each was fitted with. The rule extractor and the judge read
+    one triple vectorizer: ``rule_vectorizer is judge_vectorizer``."""
 
     type_vectorizer: TfidfModel
     type_model: LinearModel
@@ -235,6 +196,9 @@ class PedantsModel:
         for got, want, name in checks:
             if got != want:
                 raise ValueError(f"{name} model dimension {got} != expected {want}")
+        if self.judge_vectorizer != self.rule_vectorizer:
+            raise ValueError("rule and judge vectorizers differ; both must be the triple vectorizer")
+        self.judge_vectorizer = self.rule_vectorizer
 
     def to_dict(self) -> dict:
         return {
@@ -316,36 +280,49 @@ def _prepare(example: QAExample) -> _Prepared:
     )
 
 
-class _Extractors(NamedTuple):
-    """The fitted parts of a bundle that feed the judge; a PedantsModel
-    carries the same attributes."""
-
-    type_vectorizer: TfidfModel
-    type_model: LinearModel
-    rule_vectorizer: TfidfModel
-    rule_model: LinearModel
-    judge_vectorizer: TfidfModel
+def _features(
+    type_model: LinearModel,
+    rule_model: LinearModel,
+    scores: PrfScores,
+    pair: tuple[np.ndarray, np.ndarray],
+    triple: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Type probs, rule probs, and the judge's input, from the pair and
+    triple encodings as index/value arrays. The judge's input is the nonzero
+    entries of the dense prefix, then the triple's block shifted past it."""
+    type_probs = linear._proba(type_model, *pair)
+    rule_probs = linear._proba(rule_model, *triple)
+    dense = np.concatenate((type_probs, rule_probs, (scores.f1, scores.precision, scores.recall)))
+    nonzero = np.flatnonzero(dense)
+    judge_input = (
+        np.concatenate((nonzero, triple[0] + DENSE_DIM)),
+        np.concatenate((dense[nonzero], triple[1])),
+    )
+    return type_probs, rule_probs, judge_input
 
 
 def _extract(
-    prepared: _Prepared, parts: _Extractors | PedantsModel
+    prepared: _Prepared, model: PedantsModel
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Type probs, rule probs, and the judge's tf-idf block as index/value
-    arrays. The triple is split once for the rule and judge vectorizers."""
-    triple = prepared.triple.split()
-    type_probs = linear._proba(
-        parts.type_model, *vectorizer._tfidf(prepared.pair.split(), parts.type_vectorizer)
+    """``_features`` of one prepared example; the triple is encoded once,
+    for the rule model and the judge."""
+    return _features(
+        model.type_model,
+        model.rule_model,
+        prepared.scores,
+        vectorizer._tfidf(prepared.pair.split(), model.type_vectorizer),
+        vectorizer._tfidf(prepared.triple.split(), model.judge_vectorizer),
     )
-    rule_probs = linear._proba(parts.rule_model, *vectorizer._tfidf(triple, parts.rule_vectorizer))
-    return type_probs, rule_probs, vectorizer._tfidf(triple, parts.judge_vectorizer)
 
 
 def _fit_extractor(
     texts: list[str], labels: list[int], n_classes: int, config: TrainConfig
-) -> tuple[TfidfModel, LinearModel]:
+) -> tuple[TfidfModel, LinearModel, list[SparseVector]]:
+    """Fit a vocabulary on ``texts``, encode each text once, and train on
+    the encodings; returns the vocabulary, the model and the encodings."""
     tfidf = vectorizer.fit(texts)
-    data = [(vectorizer.transform(text, tfidf), y) for text, y in zip(texts, labels)]
-    return tfidf, linear.train(data, config, n_classes=n_classes)
+    vectors = [vectorizer.transform(text, tfidf) for text in texts]
+    return tfidf, linear.train(list(zip(vectors, labels)), config, n_classes=n_classes), vectors
 
 
 def train_type_extractor(
@@ -358,7 +335,7 @@ def train_type_extractor(
         [qtype.code for _, _, qtype in examples],
         N_TYPES,
         config,
-    )
+    )[:2]
 
 
 def train_rule_extractor(
@@ -371,20 +348,15 @@ def train_rule_extractor(
         [rule.code for _, _, _, rule in examples],
         N_RULES,
         config,
-    )
+    )[:2]
 
 
-def assemble_features(example: QAExample, model: PedantsModel) -> FeatureVector:
-    """Feature vector for one example: token scores against the best-F1
-    reference, extractor probability blocks, and the triple encoding."""
-    prepared = _prepare(example)
-    type_probs, rule_probs, text = _extract(prepared, model)
-    return FeatureVector(
-        type_probs,
-        rule_probs,
-        prepared.scores,
-        vectorizer._sparse(model.judge_vectorizer.dimension, *text),
-    )
+def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
+    """The judge's input for one example: 7 type probs, 7 rule probs and the
+    token scores (f1, p, r) against the best-F1 reference, then the tf-idf
+    triple encoding."""
+    _, _, judge_input = _extract(_prepare(example), model)
+    return SparseVector(DENSE_DIM + model.judge_vectorizer.dimension, *judge_input)
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], config: TrainConfig) -> dict:
@@ -412,31 +384,37 @@ def train_pedants(
         raise MissingAnnotations(missing)
 
     prepared = [_prepare(ex) for ex in train_set]
-    type_vec, type_model = _fit_extractor(
+    # one triple vectorizer serves the rule extractor and the judge, and each
+    # pair and triple is encoded once, for the fits and the judge's inputs
+    type_vec, type_model, pairs = _fit_extractor(
         [p.pair for p in prepared], [ex.qtype.code for ex in train_set], N_TYPES, config
     )
-    rule_vec, rule_model = _fit_extractor(
+    triple_vec, rule_model, triples = _fit_extractor(
         [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, config
     )
-    judge_vec = vectorizer.fit([p.triple for p in prepared])
 
     # Judge training reuses the exact feature path used at inference time.
-    parts = _Extractors(type_vec, type_model, rule_vec, rule_model, judge_vec)
-    dim = DENSE_DIM + judge_vec.dimension
+    dim = DENSE_DIM + triple_vec.dimension
     data = []
-    for p, ex in zip(prepared, train_set):
-        type_probs, rule_probs, text = _extract(p, parts)
-        x = _judge_input(type_probs, rule_probs, p.scores, *text)
-        data.append((vectorizer._sparse(dim, *x), int(ex.human_label)))
-    del prepared  # the texts are not needed by the judge's fit, where memory peaks
+    for p, pair, triple, ex in zip(prepared, pairs, triples, train_set):
+        _, _, judge_input = _features(
+            type_model,
+            rule_model,
+            p.scores,
+            (pair.indices, pair.values),
+            (triple.indices, triple.values),
+        )
+        data.append((SparseVector(dim, *judge_input), int(ex.human_label)))
+    # the texts and encodings are not needed by the judge's fit, where memory peaks
+    del prepared, pairs, triples
     judge_model = linear.train(data, config, n_classes=2)
 
     return PedantsModel(
         type_vectorizer=type_vec,
         type_model=type_model,
-        rule_vectorizer=rule_vec,
+        rule_vectorizer=triple_vec,
         rule_model=rule_model,
-        judge_vectorizer=judge_vec,
+        judge_vectorizer=triple_vec,
         judge_model=judge_model,
         config=config,
         fingerprint=_corpus_fingerprint(train_set, config),
@@ -444,6 +422,12 @@ def train_pedants(
 
 
 def _question_type(question: str, type_probs: np.ndarray) -> QuestionType:
+    """Extractor argmax, with a wh-word fallback when the extractor is unsure.
+
+    When the top probability is below 0.5, the earliest wh-word in the
+    normalized question wins; a question with no wh-word defaults to "what".
+    The fallback affects only the reported type, never the judge's input.
+    """
     top = int(np.argmax(type_probs))
     if type_probs[top] >= 0.5:
         return QuestionType.from_code(top)
@@ -453,23 +437,11 @@ def _question_type(question: str, type_probs: np.ndarray) -> QuestionType:
     return QuestionType.WHAT
 
 
-def predicted_question_type(question: str, type_probs: np.ndarray) -> QuestionType:
-    """Extractor argmax, with a wh-word fallback when the extractor is unsure.
-
-    When the top probability is below 0.5, the earliest wh-word in the
-    question wins; a question with no wh-word defaults to "what". The
-    fallback affects only the reported type, never the feature vector.
-    """
-    return _question_type(normalize(question, PEDANTS_POLICY), type_probs)
-
-
 def judge(example: QAExample, model: PedantsModel) -> Judgment:
     """Run the full pipeline on one example."""
     prepared = _prepare(example)
-    type_probs, rule_probs, text = _extract(prepared, model)
-    probs = linear._proba(
-        model.judge_model, *_judge_input(type_probs, rule_probs, prepared.scores, *text)
-    )
+    type_probs, rule_probs, judge_input = _extract(prepared, model)
+    probs = linear._proba(model.judge_model, *judge_input)
     return Judgment(
         correct=int(np.argmax(probs)) == 1,
         confidence=float(probs[1]),

@@ -36,32 +36,49 @@ class TfidfConfig:
             raise ValueError(f"vectorizer config min_df must be at least 1, got {self.min_df!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Sorted (index, weight) pairs in a fixed-dimension space."""
+    """Sorted (index, weight) pairs in a fixed-dimension space.
+
+    ``indices`` (intp) and ``values`` (float64) are read-only numpy arrays,
+    copied from the arguments and checked once: aligned, indices strictly
+    increasing in [0, dimension), values finite.
+    """
 
     dimension: int
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.indices) != len(self.values):
+        indices = np.array(self.indices, dtype=np.intp)
+        values = np.array(self.values, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != values.shape:
             raise ValueError("indices and values must align")
-        prev = -1
-        for i in self.indices:
-            if i <= prev or i >= self.dimension:
-                raise ValueError(f"index {i} out of order or out of range")
-            prev = i
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError("weights must be finite")
+        if indices.size and (
+            indices[0] < 0 or indices[-1] >= self.dimension or (np.diff(indices) <= 0).any()
+        ):
+            raise ValueError(f"indices out of order or out of range [0, {self.dimension})")
+        if not np.isfinite(values).all():
+            raise ValueError("weights must be finite")
+        indices.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseVector):
+            return NotImplemented
+        return (
+            self.dimension == other.dimension
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
 
     def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
+        return math.sqrt(float(self.values @ self.values))
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
 
 @dataclass
@@ -169,17 +186,13 @@ def _tfidf(tokens: Sequence[str], model: TfidfModel) -> tuple[np.ndarray, np.nda
     return np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64)
 
 
-def _sparse(dimension: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
-    return SparseVector(dimension, tuple(indices.tolist()), tuple(values.tolist()))
-
-
 def transform(text: str, model: TfidfModel) -> SparseVector:
     """Encode one whitespace-tokenized document as tf x idf, L2-normalized.
 
     Out-of-vocabulary tokens are dropped; a document with no in-vocabulary
     tokens encodes to the zero vector, which is left unnormalized.
     """
-    return _sparse(model.dimension, *_tfidf(text.split(), model))
+    return SparseVector(model.dimension, *_tfidf(text.split(), model))
 
 
 def _pair_text(question: str, answer: str) -> str:

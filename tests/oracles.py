@@ -6,7 +6,8 @@ that keeps class-major weights and sums the epoch loss one example at a
 time instead of feature-major weights and one batched loss pass, explicit
 comparison branches instead of sign arithmetic, precision/recall-form F1
 instead of confusion-count form, a judge that re-normalizes every string
-in every public piece it calls instead of preparing each once, and
+in every public piece it calls and lays out the judge's input densely
+instead of preparing each string once and assembling sparse arrays, and
 normalization character by character over the whole string instead of
 token by token through a translate table.
 """
@@ -22,8 +23,9 @@ import numpy as np
 from pedants import linear, vectorizer
 from pedants.errors import InconsistentDimensions, SingleClassCorpus
 from pedants.metrics import token_prf
-from pedants.pipeline import FeatureVector, Judgment, RuleLabel, predicted_question_type
+from pedants.pipeline import Judgment, QuestionType, RuleLabel
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
+from pedants.vectorizer import SparseVector
 
 # the suffix rules themselves, without the package's cache
 lemma = _cached_lemma.__wrapped__
@@ -101,7 +103,7 @@ def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> li
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    data = [linear._as_arrays(x) for x, _ in examples]
+    data = [(x.indices, x.values) for x, _ in examples]
     weights = np.zeros((n_classes, dim), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
@@ -192,10 +194,24 @@ def first_max_reference(candidate, references, policy):
     return idx, scored[idx]
 
 
+def fallback_question_type(question, type_probs) -> QuestionType:
+    """The type extractor's argmax when its probability reaches 0.5; else
+    the first wh-word among the normalized question's tokens, else "what"."""
+    top = int(np.argmax(type_probs))
+    if type_probs[top] >= 0.5:
+        return QuestionType.from_code(top)
+    wh_words = {t.value: t for t in QuestionType}
+    for tok in reference_normalize(question, PEDANTS_POLICY).split():
+        if tok in wh_words:
+            return wh_words[tok]
+    return QuestionType.WHAT
+
+
 def per_call_judge(example, model) -> Judgment:
     """The judge composed from public pieces, each normalizing its own
-    inputs: per-pair token scores, encode_pair/encode_triple, predict_proba
-    on SparseVectors, and FeatureVector.to_sparse."""
+    inputs: per-pair token scores, encode_pair/encode_triple, and
+    predict_proba on SparseVectors, with the judge's input laid out as a
+    dense vector first (7 type probs, 7 rule probs, f1, p, r, the triple)."""
     ref_idx, scores = first_max_reference(example.candidate, example.references, PEDANTS_POLICY)
     q, ref, cand = example.question, example.references[ref_idx], example.candidate
     type_probs = linear.predict_proba(
@@ -205,13 +221,19 @@ def per_call_judge(example, model) -> Judgment:
         model.rule_model, vectorizer.encode_triple(q, ref, cand, model.rule_vectorizer)
     )
     text = vectorizer.encode_triple(q, ref, cand, model.judge_vectorizer)
-    features = FeatureVector(type_probs, rule_probs, scores, text)
-    probs = linear.predict_proba(model.judge_model, features.to_sparse())
+    dense = np.zeros(17 + text.dimension)
+    dense[:7], dense[7:14] = type_probs, rule_probs
+    dense[14:17] = scores.f1, scores.precision, scores.recall
+    dense[17 + text.indices] = text.values
+    nonzero = np.flatnonzero(dense)
+    probs = linear.predict_proba(
+        model.judge_model, SparseVector(dense.size, nonzero, dense[nonzero])
+    )
     return Judgment(
         correct=int(np.argmax(probs)) == 1,
         confidence=float(probs[1]),
         predicted_rule=RuleLabel.from_code(int(np.argmax(rule_probs))),
-        predicted_type=predicted_question_type(q, type_probs),
+        predicted_type=fallback_question_type(q, type_probs),
         token_scores=scores,
         chosen_reference=ref_idx,
     )

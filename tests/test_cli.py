@@ -398,6 +398,10 @@ def test_console_entry_point_runs():
         lambda b: b.__setitem__("type_extractor", None),
         lambda b: b["final_judge"]["vectorizer"]["config"].__setitem__("smooth_idf", False),
         lambda b: b["type_extractor"]["vectorizer"]["config"].__setitem__("l2_normalize", False),
+        # valid on its own, but not the rule extractor's triple vectorizer
+        lambda b: b["final_judge"]["vectorizer"]["idf"].__setitem__(
+            0, 2 * b["final_judge"]["vectorizer"]["idf"][0]
+        ),
     ],
     ids=[
         "truncated-idf",
@@ -411,6 +415,7 @@ def test_console_entry_point_runs():
         "null-section",
         "unsmoothed-idf",
         "unnormalized-tfidf",
+        "judge-vectorizer-differs",
     ],
 )
 def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):
@@ -425,6 +430,34 @@ def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, co
     assert err.startswith("pedants: error: ")
     assert "Traceback" not in err
     assert not out.exists()  # rejected before judging anything
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("question", 5), ("candidate", None), ("model_id", ["m"]), ("rating", True)],
+)
+def test_mistyped_record_names_its_line(tmp_path, seed_bundle_path, field, value, capsys):
+    bad = dict(ROWS[1])
+    del bad["label"]  # so that a rating would be read as the label
+    bad[field] = value
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in (ROWS[0], bad, ROWS[2])) + "\n")
+    out = tmp_path / "out.jsonl"
+    for args in (
+        ["judge", "--model", str(seed_bundle_path), "--out", str(out)],
+        ["judge", "--metric", "f1", "--out", str(out)],
+        ["rank", "--metric", "em"],
+    ):
+        assert main(args + ["--dataset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pedants: error: {path}:2: ") and repr(field) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    rc = main(["judge", "--dataset", str(path), "--model", str(seed_bundle_path),
+               "--out", str(out), "--skip-bad"])
+    assert rc == 0
+    assert f"skipping bad line: {path}:2: " in capsys.readouterr().err
+    assert len(_judgment_lines(out)) == 2
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

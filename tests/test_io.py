@@ -83,6 +83,12 @@ def test_malformed_line_reports_line_number(tmp_path):
         {"question": "q", "references": "a", "candidate": "c"},  # wrong type
         {"question": "q", "references": ["a"]},  # missing candidate
         {"question": "q", "references": ["a"], "candidate": "c", "label": 2},
+        {"question": 5, "references": ["a"], "candidate": "c"},
+        {"question": "q", "references": ["a"], "candidate": None},
+        {"question": "q", "references": ["a"], "candidate": "c", "model_id": ["m"]},
+        {"question": "q", "references": ["a"], "candidate": "c", "dataset_id": 3},
+        {"question": "q", "references": ["a"], "candidate": "c", "rating": True},
+        {"question": "q", "references": ["a"], "candidate": "c", "rating": "4"},
     ],
 )
 def test_invalid_records_rejected(tmp_path, record):

@@ -9,7 +9,6 @@ from pedants.linear import (
     LOGIT_CLAMP,
     LinearModel,
     TrainConfig,
-    _as_arrays,
     _flatten,
     _mean_loss,
     predict,
@@ -164,7 +163,7 @@ def test_final_loss_never_exceeds_initial():
         (_dense_to_sparse([1.0, 1.0]), 1),
     ]
     model = train(data, TrainConfig())
-    batch = _flatten([_as_arrays(x) for x, _ in data])
+    batch = _flatten([(x.indices, x.values) for x, _ in data])
     labels = np.array([y for _, y in data])
     final = _mean_loss(model.weights, model.bias, batch, labels, model.config.l2_penalty)
     initial = _mean_loss(
@@ -218,7 +217,7 @@ def test_batched_loss_matches_per_example_loss(empty_share):
         n_classes = (2, 7)[case % 2]
         scale = (0.5, 20.0)[case // 2 % 2]  # the larger one reaches the clamp
         examples = _random_examples(rng, 30, 25, n_classes, empty_share=empty_share)
-        arrays = [_as_arrays(x) for x, _ in examples]
+        arrays = [(x.indices, x.values) for x, _ in examples]
         labels = np.array([y for _, y in examples], dtype=np.intp)
         weights = rng.normal(0.0, scale, (n_classes, 25))
         bias = rng.normal(0.0, scale, n_classes)

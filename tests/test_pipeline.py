@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,15 +12,16 @@ from pedants.pipeline import (
     QAExample,
     QuestionType,
     RuleLabel,
+    _question_type,
     assemble_features,
     judge,
-    predicted_question_type,
     train_pedants,
     train_rule_extractor,
     train_type_extractor,
 )
-from pedants.vectorizer import encode_pair, encode_triple
-from pedants import linear
+from pedants.textnorm import PEDANTS_POLICY, normalize
+from pedants.vectorizer import SparseVector, TfidfModel, encode_pair, encode_triple
+from pedants import linear, vectorizer
 
 Q1 = QAExample(
     question="Who is the president of the US in 2023?",
@@ -132,17 +134,22 @@ def test_rule_extractor_specificity_example(seed_model):
 
 
 def test_assemble_features_layout(seed_model):
-    fv = assemble_features(Q1, seed_model)
-    assert fv.dimension == DENSE_DIM + seed_model.judge_vectorizer.dimension
-    assert fv.type_probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert fv.rule_probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (fv.token_scores.f1, fv.token_scores.precision, fv.token_scores.recall) == (
-        pytest.approx(0.5), pytest.approx(0.5), pytest.approx(0.5),
-    )
-    sparse = fv.to_sparse()
-    assert sparse.dimension == fv.dimension
+    x = assemble_features(Q1, seed_model)
+    assert isinstance(x, SparseVector)
+    assert x.dimension == DENSE_DIM + seed_model.judge_vectorizer.dimension
+    # the dense prefix: 7 type probs and 7 rule probs, each block positive
+    # and summing to 1, then f1, p, r
+    assert x.indices[:DENSE_DIM].tolist() == list(range(DENSE_DIM))
+    for probs in (x.values[:7], x.values[7:14]):
+        assert (probs > 0).all()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert x.values[14:DENSE_DIM].tolist() == [pytest.approx(0.5)] * 3
+    # then the triple's encoding, shifted past the prefix
+    text = encode_triple(Q1.question, Q1.references[0], Q1.candidate, seed_model.judge_vectorizer)
+    assert x.indices[DENSE_DIM:].tolist() == (text.indices + DENSE_DIM).tolist()
+    assert x.values[DENSE_DIM:].tolist() == text.values.tolist()
     # dimension is constant across examples for a fixed model
-    assert assemble_features(Q2, seed_model).dimension == fv.dimension
+    assert assemble_features(Q2, seed_model).dimension == x.dimension
 
 
 def test_train_requires_annotations():
@@ -234,12 +241,14 @@ def test_judge_determinism(seed_model):
     assert j1 == j2
 
 
-def test_bundle_save_load_round_trip(seed_model, tmp_path):
+def test_bundle_save_load_round_trip(seed_corpus, seed_model, tmp_path):
     path = tmp_path / "bundle.json"
     seed_model.save(path)
     loaded = PedantsModel.load(path)
     assert loaded.to_json() == seed_model.to_json()
     assert judge(Q1, loaded) == judge(Q1, seed_model)
+    for ex in seed_corpus:
+        assert judge(ex, loaded).to_dict() == judge(ex, seed_model).to_dict()
 
 
 def test_bundle_version_checked(seed_model, tmp_path):
@@ -257,14 +266,61 @@ def test_fingerprint_recorded(seed_model):
 
 
 def test_type_fallback_heuristic():
+    def qtype(question, probs):
+        return _question_type(normalize(question, PEDANTS_POLICY), probs)
+
     uncertain = np.full(7, 1 / 7)
-    assert predicted_question_type("When did it happen?", uncertain) is QuestionType.WHEN
-    assert predicted_question_type("In 2011, what airport was busiest?", uncertain) is (
-        QuestionType.WHAT
-    )
-    assert predicted_question_type("Name a primary color.", uncertain) is QuestionType.WHAT
+    assert qtype("When did it happen?", uncertain) is QuestionType.WHEN
+    assert qtype("In 2011, what airport was busiest?", uncertain) is QuestionType.WHAT
+    assert qtype("Name a primary color.", uncertain) is QuestionType.WHAT
+    assert qtype("WHO? Where, or which?", uncertain) is QuestionType.WHO  # earliest wins
     confident = np.zeros(7)
     confident[QuestionType.WHERE.code] = 0.9
     confident[QuestionType.WHAT.code] = 0.1
     # confident extractor wins even when the text says otherwise
-    assert predicted_question_type("When did it happen?", confident) is QuestionType.WHERE
+    assert qtype("When did it happen?", confident) is QuestionType.WHERE
+
+
+def test_one_triple_vectorizer_after_train_and_load(seed_model, seed_bundle_path):
+    assert seed_model.rule_vectorizer is seed_model.judge_vectorizer
+    loaded = PedantsModel.load(seed_bundle_path)
+    assert loaded.rule_vectorizer is loaded.judge_vectorizer
+    bundle = json.loads(seed_bundle_path.read_text())
+    # bundle format 1 still stores it under both keys
+    assert bundle["rule_extractor"]["vectorizer"] == bundle["final_judge"]["vectorizer"]
+
+
+def test_differing_vectorizers_rejected(seed_model):
+    rule = seed_model.rule_vectorizer
+    idf = list(rule.idf)
+    idf[0] *= 2
+    other = TfidfModel(dict(rule.vocabulary), idf, rule.doc_count, rule.config)
+    with pytest.raises(ValueError, match="vectorizers differ"):
+        dataclasses.replace(seed_model, judge_vectorizer=other)
+    data = seed_model.to_dict()
+    data["final_judge"]["vectorizer"] = other.to_dict()
+    with pytest.raises(ValueError, match="vectorizers differ"):
+        PedantsModel.from_dict(data)
+    # an equal copy is replaced by the rule extractor's object
+    copy = TfidfModel.from_dict(rule.to_dict())
+    model = dataclasses.replace(seed_model, judge_vectorizer=copy)
+    assert model.judge_vectorizer is model.rule_vectorizer is rule
+
+
+def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
+    calls = []
+    tfidf = vectorizer._tfidf
+
+    def counted(tokens, model):
+        calls.append(model)
+        return tfidf(tokens, model)
+
+    monkeypatch.setattr(vectorizer, "_tfidf", counted)
+    model = train_pedants(seed_corpus, TrainConfig())
+    assert len(calls) == 2 * len(seed_corpus)
+    calls.clear()
+    for ex in seed_corpus:
+        judge(ex, model)
+    assert len(calls) == 2 * len(seed_corpus)
+    assert calls[0] is model.type_vectorizer and calls[1] is model.judge_vectorizer
+

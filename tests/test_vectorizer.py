@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pedants.errors import EmptyCorpus
@@ -125,6 +126,25 @@ def test_sparse_vector_validation():
         SparseVector(3, (3,), (1.0,))  # out of range
     with pytest.raises(ValueError):
         SparseVector(3, (0,), (math.inf,))  # non-finite
+    with pytest.raises(ValueError):
+        SparseVector(3, (-1,), (1.0,))  # negative
+    with pytest.raises(ValueError):
+        SparseVector(3, (0, 1), (1.0,))  # misaligned
+
+
+def test_sparse_vector_holds_read_only_copies():
+    indices, values = np.array([0, 2]), np.array([0.5, 1.5])
+    vec = SparseVector(3, indices, values)
+    assert vec.indices.dtype == np.intp and vec.values.dtype == np.float64
+    indices[0], values[0] = 1, 9.0  # the caller's arrays are not the vector's
+    assert vec.indices.tolist() == [0, 2] and vec.values.tolist() == [0.5, 1.5]
+    for array in (vec.indices, vec.values):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert vec == SparseVector(3, (0, 2), (0.5, 1.5))
+    assert vec != SparseVector(3, (0, 2), (0.5, 1.0))
+    assert vec != SparseVector(4, (0, 2), (0.5, 1.5))
+    assert SparseVector(3, (), ()) == SparseVector(3, [], [])
 
 
 def test_min_document_frequency_filter():
