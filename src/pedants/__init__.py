@@ -49,6 +49,6 @@ from .pipeline import (
     train_type_extractor,
 )
 from .textnorm import EM_POLICY, PEDANTS_POLICY, POLICY_PRESETS, NormPolicy, normalize, tokenize
-from .vectorizer import SparseVector, TfidfConfig, TfidfModel, encode_pair, encode_triple
+from .vectorizer import SparseVector, TfidfModel, encode_pair, encode_triple
 
 __version__ = "0.1.0"

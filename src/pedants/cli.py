@@ -25,7 +25,7 @@ from . import io
 from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .linear import TrainConfig
-from .metrics import _best_bag, best_reference, exact_match
+from .metrics import _best_bag, best_reference
 from .pipeline import PedantsModel, QAExample, judge, train_pedants
 from .textnorm import POLICY_PRESETS, normalize, tokenize
 
@@ -39,55 +39,46 @@ METRIC_CHOICES = ("em", "f1", "pedants")
 
 
 class Judger:
-    """Maps one example to an output record. Instances are picklable so
-    worker processes can share one immutable configuration."""
+    """Maps one example to one output record per metric. Instances are
+    picklable so worker processes can share one immutable configuration.
 
-    def __init__(self, metric: str, policy_name: str, threshold: float, model: PedantsModel | None):
-        self.metric = metric
-        self.policy = POLICY_PRESETS[policy_name]
+    em and f1 read one normalization of the candidate and of each reference
+    under the --norm policy. The references are normalized as em reaches
+    them, so em alone still stops at the first one that matches.
+    """
+
+    def __init__(self, metrics: list[str], norm: str, threshold: float, model: PedantsModel | None):
+        self.metrics = metrics
+        self.policy = POLICY_PRESETS[norm]
         self.threshold = threshold
         self.model = model
 
-    def __call__(self, example: QAExample) -> dict:
-        if self.metric == "em":
-            return {"correct": exact_match(example.candidate, example.references, self.policy)}
-        if self.metric == "f1":
-            idx, scores = best_reference(example.candidate, example.references, self.policy)
-            return {
-                "correct": scores.f1 >= self.threshold,
-                "f1": scores.f1,
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "threshold": self.threshold,
-                "reference_index": idx,
-            }
-        return judge(example, self.model).to_dict()
+    def __call__(self, example: QAExample) -> dict[str, dict]:
+        records = {}
+        if "em" in self.metrics or "f1" in self.metrics:
+            candidate = normalize(example.candidate, self.policy)
+            references = (normalize(ref, self.policy) for ref in example.references)
+            if "f1" in self.metrics:
+                references = list(references)
+            if "em" in self.metrics:
+                records["em"] = {"correct": candidate in references}
+            if "f1" in self.metrics:
+                idx, scores = _best_bag(tokenize(candidate), [tokenize(r) for r in references])
+                records["f1"] = {
+                    "correct": scores.f1 >= self.threshold,
+                    "f1": scores.f1,
+                    "precision": scores.precision,
+                    "recall": scores.recall,
+                    "threshold": self.threshold,
+                    "reference_index": idx,
+                }
+        if "pedants" in self.metrics:
+            records["pedants"] = judge(example, self.model).to_dict()
+        return records
 
-
-class MultiJudger:
-    """Runs several metrics on one labeled example (for eval/rank).
-
-    em and f1 share the one --norm policy, so when both run the candidate
-    and the references are normalized once for the two of them.
-    """
-
-    def __init__(self, judgers: dict[str, Judger]):
-        self.judgers = judgers
-        self.f1_with_em = judgers["f1"] if "em" in judgers and "f1" in judgers else None
-
-    def __call__(self, example: QAExample) -> dict[str, bool]:
-        verdicts = {}
-        if self.f1_with_em is not None:
-            policy = self.f1_with_em.policy
-            candidate = normalize(example.candidate, policy)
-            references = [normalize(ref, policy) for ref in example.references]
-            verdicts["em"] = candidate in references
-            _, scores = _best_bag(tokenize(candidate), [tokenize(ref) for ref in references])
-            verdicts["f1"] = scores.f1 >= self.f1_with_em.threshold
-        for name, judger in self.judgers.items():
-            if name not in verdicts:
-                verdicts[name] = judger(example)["correct"]
-        return verdicts
+    def verdicts(self, example: QAExample) -> dict[str, bool]:
+        """Each metric's verdict alone, so a worker sends back little."""
+        return {name: record["correct"] for name, record in self(example).items()}
 
 
 _POOL_FN: Callable = None
@@ -128,18 +119,20 @@ def _resolve_model_path(args) -> str:
     return path
 
 
-def _build_judger(metric: str, args) -> Judger:
+def _build_judger(metrics: list[str], args) -> Judger:
     model = None
-    if metric == "pedants":
+    if "pedants" in metrics:
         model = PedantsModel.load(_resolve_model_path(args))
-    return Judger(metric, args.norm, _parse_thresholds(args.threshold)[0], model)
+    return Judger(metrics, args.norm, args.threshold, model)
 
 
 def _parse_metrics(spec: str) -> list[str]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METRIC_CHOICES:
             raise PedantsError(f"unknown metric {name!r}; choose from {', '.join(METRIC_CHOICES)}")
+        if name in names[:i]:
+            raise PedantsError(f"metric {name!r} is given more than once")
     if not names:
         raise PedantsError("no metrics given")
     return names
@@ -220,12 +213,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_judge(args) -> int:
-    judger = _build_judger(args.metric, args)
+    judger = _build_judger([args.metric], args)
     dataset = io.DatasetFile(args.dataset)
     examples = (ex for _, ex in dataset.records(skip_bad=args.skip_bad, on_skip=_report_skip))
+    records = (r[args.metric] for r in _map_ordered(judger, examples, args.workers))
     started = time.perf_counter()
     with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
-        n = io.write_jsonl(handle, _map_ordered(judger, examples, args.workers))
+        n = io.write_jsonl(handle, records)
     elapsed = time.perf_counter() - started
     rate = n / elapsed if elapsed > 0 else float("inf")
     print(f"judged {n} examples in {elapsed:.2f}s ({rate:.0f}/s)", file=sys.stderr)
@@ -258,13 +252,13 @@ def cmd_eval(args) -> int:
         names = sorted(counts)
     else:
         names = _parse_metrics(args.metric or "em,f1,pedants")
-        multi = MultiJudger({name: _build_judger(name, args) for name in names})
+        judger = _build_judger(names, args)
         counts = {name: ConfusionCounts() for name in names}
         labeled = (ex for _, ex, _ in _labeled_records(args.dataset, args.skip_bad, False))
         # two lock-stepped passes over one stream: labels here, verdicts in the pool
         labels_iter, judge_iter = itertools.tee(labeled)
         for example, verdicts in zip(
-            labels_iter, _map_ordered(multi, judge_iter, args.workers)
+            labels_iter, _map_ordered(judger.verdicts, judge_iter, args.workers)
         ):
             for name in names:
                 counts[name].update(bool(example.human_label), verdicts[name])
@@ -287,22 +281,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_rates(path: str) -> RankingInput:
+    """The rate table of a --rates file; a bad one is an error naming the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not (isinstance(data, dict) and "human" in data and "metrics" in data):
+            raise ValueError('expected an object with "human" and "metrics" keys')
+        return RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
+    except (ValueError, PedantsError) as exc:
+        raise PedantsError(f"{path}: {exc}") from exc
+
+
 def cmd_rank(args) -> int:
     if args.rates:
-        data = json.loads(Path(args.rates).read_text(encoding="utf-8"))
-        ranking = RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
-        names = sorted(data["metrics"])
+        ranking = _read_rates(args.rates)
+        names = sorted(ranking.metric_rates)
     else:
         if not args.dataset:
             raise PedantsError("rank needs --rates or --dataset")
         names = _parse_metrics(args.metric)
-        multi = MultiJudger({name: _build_judger(name, args) for name in names})
+        judger = _build_judger(names, args)
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
         for line_no, example, _ in _labeled_records(args.dataset, args.skip_bad):
             if example.model_id is None:
                 raise DatasetError("record has no model_id", path=args.dataset, line_no=line_no)
-            verdicts = multi(example)
+            verdicts = judger.verdicts(example)
             human.setdefault(example.model_id, []).append(int(example.human_label))
             for name in names:
                 auto[name].setdefault(example.model_id, []).append(int(verdicts[name]))
@@ -370,6 +374,17 @@ def _seed(text: str) -> int:
     return n
 
 
+def _threshold(text: str) -> float:
+    """A --threshold value of judge, eval and rank: one cutoff in [0, 1]."""
+    try:
+        values = _parse_thresholds(text)
+    except PedantsError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"takes one cutoff, got {len(values)} in {text!r}")
+    return values[0]
+
+
 def _worker_count(text: str) -> int:
     """A --workers value: a process count from 1 to the machine's CPU count."""
     limit = os.cpu_count() or 1
@@ -406,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=_worker_count, default=1,
                            help="worker process count, 1 to the CPU count")
         if threshold:
-            p.add_argument("--threshold", default=str(DEFAULT_THRESHOLD),
+            p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD,
                            help="F1 cutoff for the f1 metric (default %(default)s)")
 
     p = sub.add_parser("train", help="train a model bundle on a labeled corpus")

@@ -59,6 +59,16 @@ class RankingInput:
     metric_rates: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self):
+        if not isinstance(self.metric_rates, Mapping):
+            raise ValueError("metric rates must map each metric name to a rate table")
+        tables = {"human": self.human_rates}
+        tables.update((f"metric {name!r}", rates) for name, rates in self.metric_rates.items())
+        for owner, rates in tables.items():
+            if not isinstance(rates, Mapping):
+                raise ValueError(f"{owner} rates must map model names to rates")
+            for model, rate in rates.items():
+                if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                    raise ValueError(f"{owner} rate for {model!r} must be a number, got {rate!r}")
         if len(self.human_rates) < 2:
             raise TooFewModels(f"need >= 2 models, got {len(self.human_rates)}")
         models = set(self.human_rates)

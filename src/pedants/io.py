@@ -146,9 +146,9 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         raise
 
 
-def write_jsonl(handle: TextIO, records: Iterable[dict], header: str = JSONL_HEADER) -> int:
-    """Write records as JSON lines after a schema comment; returns the count."""
-    handle.write(header + "\n")
+def write_jsonl(handle: TextIO, records: Iterable[dict]) -> int:
+    """Write records as JSON lines after the schema comment; returns the count."""
+    handle.write(JSONL_HEADER + "\n")
     n = 0
     for record in records:
         handle.write(json.dumps(record) + "\n")

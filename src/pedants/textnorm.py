@@ -6,15 +6,15 @@ Normalization is idempotent: applying a policy twice gives the same string
 as applying it once.
 
 Each step runs in C where it can. NFC and lowercasing run on the whole
-string. A policy that collapses whitespace then works token by token: only
-a token that is not alphanumeric has punctuation deleted (``str.translate``)
-and is NFC-normalized again, or goes through the article pattern, and
-lemmas come from a cache. This gives the same string as applying each step
-to the whole string, because punctuation is never whitespace, whitespace
-never composes with a neighbour under NFC, and an article never spans
-whitespace. Two caches hold state between calls, each with a fixed entry
-limit: the translate table's code points (PUNCT_TABLE_SIZE) and the lemmas
-of tokens (LEMMA_CACHE_SIZE).
+string, which is then split into tokens on whitespace: only a token that is
+not alphanumeric has punctuation deleted (``str.translate``) and is
+NFC-normalized again, or goes through the article pattern, and lemmas come
+from a cache. This gives the same string as applying each step to the whole
+string, because punctuation is never whitespace, whitespace never composes
+with a neighbour under NFC, and an article never spans whitespace. Two
+caches hold state between calls, each with a fixed entry limit: the
+translate table's code points (PUNCT_TABLE_SIZE) and the lemmas of tokens
+(LEMMA_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -53,51 +53,29 @@ _PUNCT_TABLE = _PunctTable()
 
 @dataclass(frozen=True)
 class NormPolicy:
-    """Switchboard of normalization steps, applied in a fixed order.
+    """The two normalization steps that tell the presets apart.
 
-    Step order: NFC unicode normalization (always), lowercase, punctuation
-    removal, lemmatization, article removal, whitespace collapsing. NFC runs
-    again after punctuation removal, or after lowercasing when punctuation
-    is kept, since either step can leave a string that NFC would change.
-    Lemmatization rejoins tokens with single spaces, so enabling it implies
-    whitespace collapsing; articles are removed after lemmatization so a
-    reduced token can never reintroduce one. Both constraints keep
-    re-normalization a no-op.
-
-    With whitespace collapsing (or lemmatization) the string is split into
-    tokens after lowercasing: punctuation removal, lemmatization and article
-    removal act on each token, and the tokens that are left are joined with
-    single spaces. Without it, punctuation removal and article removal act
-    on the whole string.
+    Every policy NFC-normalizes and lowercases the string, splits it into
+    tokens on whitespace, deletes punctuation from each token (and
+    NFC-normalizes it again, since deleting characters can expose combining
+    marks to new bases), and joins the tokens that are left with single
+    spaces. Then, in this order, lemmatization reduces each token and
+    article removal drops "a", "an" and "the"; articles go last so a
+    reduced token can never reintroduce one, which keeps re-normalization a
+    no-op.
     """
 
-    lowercase: bool = True
     strip_articles: bool = False
-    strip_punct: bool = True
-    collapse_whitespace: bool = True
     lemmatize: bool = False
 
 
 # Exact-match preset: lowercase, drop articles and punctuation, collapse
-# whitespace. Lowercasing follows the SQuAD-style convention.
-EM_POLICY = NormPolicy(
-    lowercase=True,
-    strip_articles=True,
-    strip_punct=True,
-    collapse_whitespace=True,
-    lemmatize=False,
-)
+# whitespace, the SQuAD-style convention.
+EM_POLICY = NormPolicy(strip_articles=True)
 
-# Pipeline preprocessing preset: lemmatize and remove punctuation; articles
-# are kept (they are informative for question phrasing), lowercase for
-# stability.
-PEDANTS_POLICY = NormPolicy(
-    lowercase=True,
-    strip_articles=False,
-    strip_punct=True,
-    collapse_whitespace=True,
-    lemmatize=True,
-)
+# Pipeline preprocessing preset: also lemmatize, but keep articles (they
+# are informative for question phrasing).
+PEDANTS_POLICY = NormPolicy(lemmatize=True)
 
 POLICY_PRESETS: dict[str, NormPolicy] = {
     "em": EM_POLICY,
@@ -179,27 +157,11 @@ def lemma(token: str) -> str:
 
 def normalize(text: str, policy: NormPolicy) -> str:
     """Apply a normalization policy to a raw string. Total and idempotent."""
-    s = unicodedata.normalize("NFC", text)
-    if policy.lowercase:
-        s = s.lower()
-        if not policy.strip_punct:
-            # lowering can undo NFC ("\u03aa\u0301"); punctuation removal
-            # normalizes again, so only the other policies need it here
-            s = unicodedata.normalize("NFC", s)
-    if not (policy.collapse_whitespace or policy.lemmatize):
-        if policy.strip_punct:
-            # deleting characters can expose combining marks to new bases
-            s = unicodedata.normalize("NFC", s.translate(_PUNCT_TABLE))
-        if policy.strip_articles:
-            s = _ARTICLE_RE.sub(" ", s)
-        return s.strip()
-    tokens = s.split()
-    if policy.strip_punct:
-        # an alphanumeric token holds no punctuation; a token left empty drops
-        tokens = filter(None, [
-            tok if tok.isalnum() else unicodedata.normalize("NFC", tok.translate(_PUNCT_TABLE))
-            for tok in tokens
-        ])
+    # an alphanumeric token holds no punctuation; a token left empty drops
+    tokens = filter(None, [
+        tok if tok.isalnum() else unicodedata.normalize("NFC", tok.translate(_PUNCT_TABLE))
+        for tok in unicodedata.normalize("NFC", text).lower().split()
+    ])
     if policy.lemmatize:
         tokens = map(lemma, tokens)
     if policy.strip_articles:

@@ -1,22 +1,24 @@
 """TF-IDF encoding of questions and answer pairs/triples.
 
-Vocabulary fitting is deterministic (tokens sorted lexicographically), idf
-uses the smoothed form ln((1+N)/(1+df)) + 1, and encoded vectors are
-L2-normalized. Question/answer segments are joined with literal "[CLS]" and
-"[SEP]" marker tokens, which live in the vocabulary like any other token.
+Vocabulary fitting is deterministic (tokens sorted lexicographically) and
+keeps every token it sees, idf uses the smoothed form ln((1+N)/(1+df)) + 1,
+and encoded vectors are L2-normalized. The build/encode helpers normalize
+their strings with PEDANTS_POLICY and join question/answer segments with
+literal "[CLS]" and "[SEP]" marker tokens, which live in the vocabulary like
+any other token.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyCorpus
-from .textnorm import PEDANTS_POLICY, NormPolicy, normalize
+from .textnorm import PEDANTS_POLICY, normalize
 
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
@@ -25,15 +27,6 @@ FORMAT_VERSION = 1
 
 _NO_INDICES = np.empty(0, dtype=np.intp)
 _NO_VALUES = np.empty(0, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class TfidfConfig:
-    min_df: int = 1
-
-    def __post_init__(self):
-        if self.min_df < 1:
-            raise ValueError(f"vectorizer config min_df must be at least 1, got {self.min_df!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +81,6 @@ class TfidfModel:
     vocabulary: dict[str, int]
     idf: list[float]
     doc_count: int
-    config: TfidfConfig = field(default_factory=TfidfConfig)
 
     @property
     def dimension(self) -> int:
@@ -101,8 +93,9 @@ class TfidfModel:
             vocab[col] = tok
         return {
             "version": FORMAT_VERSION,
-            # idf smoothing and L2 normalization are fixed; the bundle states both
-            "config": {"smooth_idf": True, "l2_normalize": True, "min_df": self.config.min_df},
+            # idf smoothing, L2 normalization and keeping every token are
+            # fixed; the bundle states all three
+            "config": {"smooth_idf": True, "l2_normalize": True, "min_df": 1},
             "vocab": vocab,
             "idf": list(self.idf),
             "doc_count": self.doc_count,
@@ -125,12 +118,10 @@ class TfidfModel:
             fixed = cfg["smooth_idf"] is True and cfg["l2_normalize"] is True
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
-        try:
-            min_df = int(min_df)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed vectorizer config min_df: {exc}") from exc
         if not fixed:
             raise ValueError("vectorizer must use smoothed idf and L2 normalization")
+        if isinstance(min_df, bool) or min_df != 1:
+            raise ValueError(f"vectorizer config min_df must be 1, got {min_df!r}")
         if idf.shape != (len(vocab),):
             raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
         vocabulary = {tok: i for i, tok in enumerate(vocab)}
@@ -138,13 +129,10 @@ class TfidfModel:
             raise ValueError("vectorizer vocabulary has duplicate tokens")
         if not (np.isfinite(idf).all() and (idf > 0).all()):
             raise ValueError("vectorizer idf weights must be finite and positive")
-        return cls(
-            vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count,
-            config=TfidfConfig(min_df=min_df),
-        )
+        return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count)
 
 
-def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+def fit(corpus: list[str]) -> TfidfModel:
     """Fit vocabulary and idf weights on whitespace-tokenized documents.
 
     Documents are expected to be normalized already (see the encode helpers);
@@ -156,10 +144,10 @@ def fit(corpus: list[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     for doc in corpus:
         df.update(set(doc.split()))
     n_docs = len(corpus)
-    tokens = sorted(tok for tok, count in df.items() if count >= config.min_df)
+    tokens = sorted(df)
     vocabulary = {tok: i for i, tok in enumerate(tokens)}
     idf = [math.log((1 + n_docs) / (1 + df[tok])) + 1.0 for tok in tokens]
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs, config=config)
+    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
 
 
 def _tfidf(tokens: Sequence[str], model: TfidfModel) -> tuple[np.ndarray, np.ndarray]:
@@ -205,31 +193,23 @@ def _triple_text(question: str, answer: str, candidate: str) -> str:
     return f"{_pair_text(question, answer)} {SEP_TOKEN} {candidate}"
 
 
-def build_pair_text(question: str, answer: str, policy: NormPolicy = PEDANTS_POLICY) -> str:
+def build_pair_text(question: str, answer: str) -> str:
     """Normalized "[CLS] q [SEP] a" string for question-type features."""
-    return _pair_text(normalize(question, policy), normalize(answer, policy))
+    return _pair_text(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
 
 
-def build_triple_text(
-    question: str, answer: str, candidate: str, policy: NormPolicy = PEDANTS_POLICY
-) -> str:
+def build_triple_text(question: str, answer: str, candidate: str) -> str:
     """Normalized "[CLS] q [SEP] a [SEP] candidate" string."""
     return _triple_text(
-        normalize(question, policy), normalize(answer, policy), normalize(candidate, policy)
+        normalize(question, PEDANTS_POLICY),
+        normalize(answer, PEDANTS_POLICY),
+        normalize(candidate, PEDANTS_POLICY),
     )
 
 
-def encode_pair(
-    question: str, answer: str, model: TfidfModel, policy: NormPolicy = PEDANTS_POLICY
-) -> SparseVector:
-    return transform(build_pair_text(question, answer, policy), model)
+def encode_pair(question: str, answer: str, model: TfidfModel) -> SparseVector:
+    return transform(build_pair_text(question, answer), model)
 
 
-def encode_triple(
-    question: str,
-    answer: str,
-    candidate: str,
-    model: TfidfModel,
-    policy: NormPolicy = PEDANTS_POLICY,
-) -> SparseVector:
-    return transform(build_triple_text(question, answer, candidate, policy), model)
+def encode_triple(question: str, answer: str, candidate: str, model: TfidfModel) -> SparseVector:
+    return transform(build_triple_text(question, answer, candidate), model)

@@ -40,10 +40,12 @@ def _is_punct(ch: str) -> bool:
 
 def reference_normalize(text: str, policy: NormPolicy) -> str:
     """Apply a normalization policy to a raw string. Total and idempotent."""
+    # every policy lowercases, strips punctuation and collapses whitespace
+    lowercase = strip_punct = collapse_whitespace = True
     s = unicodedata.normalize("NFC", text)
-    if policy.lowercase:
+    if lowercase:
         s = s.lower()
-    if policy.strip_punct:
+    if strip_punct:
         s = "".join(ch for ch in s if not _is_punct(ch))
         # deleting characters can expose combining marks to new bases
         s = unicodedata.normalize("NFC", s)
@@ -51,7 +53,7 @@ def reference_normalize(text: str, policy: NormPolicy) -> str:
         s = " ".join(lemma(tok) for tok in s.split())
     if policy.strip_articles:
         s = _ARTICLE_RE.sub(" ", s)
-    if policy.collapse_whitespace or policy.lemmatize:
+    if collapse_whitespace or policy.lemmatize:
         s = _WS_RE.sub(" ", s)
     return s.strip()
 

@@ -222,6 +222,29 @@ def test_rank_from_rates_file(tmp_path, capsys):
     assert rows["bad"]["pairwise_ranking_accuracy"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        {"human": [0.5, 0.6], "metrics": {}},
+        [1, 2],
+        {"human": {"m1": 0.9, "m2": "0.5"}, "metrics": {}},
+        {"human": {"m1": 0.9, "m2": 0.5}, "metrics": {"em": {"m1": None, "m2": 0.5}}},
+        {"human": {"m1": 0.9, "m2": True}, "metrics": {}},
+        {"human": {"m1": 0.9, "m2": 0.5}, "metrics": [1]},
+    ],
+    ids=["list-human", "top-level-list", "string-rate", "null-rate", "bool-rate", "list-metrics"],
+)
+def test_malformed_rates_file_names_the_file(tmp_path, rates, capsys):
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(rates))
+    out_dir = tmp_path / "rank"
+    assert main(["rank", "--rates", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pedants: error: {path}: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_rank_from_dataset(dataset, seed_bundle_path, capsys):
     rc = main(
         [
@@ -280,6 +303,26 @@ def test_unknown_metric_rejected(dataset, capsys):
     assert main(["eval", "--dataset", str(dataset), "--metric", "bleu"]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_repeated_metric_rejected(command, dataset, tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    rc = main([command, "--dataset", str(dataset), "--metric", "em,f1,em", "--out", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == "pedants: error: metric 'em' is given more than once\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["judge", "eval", "rank"])
+def test_threshold_takes_one_value_outside_sweep(command, dataset, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", str(dataset), "--metric", "f1", "--threshold", "0.3,0.9"])
+    assert exc.value.code == 1
+    assert "pedants: error: argument --threshold: takes one cutoff, got 2" in (
+        capsys.readouterr().err
+    )
+    assert main([command, "--dataset", str(dataset), "--metric", "f1", "--threshold", "0.3"]) == 0
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["judge", "--no-such-flag"])
@@ -331,6 +374,7 @@ def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, ca
         ("type_vectorizer", "min_df", 0),
         ("judge_vectorizer", "min_df", float("inf")),
         ("rule_vectorizer", "min_df", float("nan")),
+        ("type_vectorizer", "min_df", 2),
     ],
 )
 def test_bundle_config_out_of_range_rejected_at_load(
@@ -531,20 +575,23 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
 
     monkeypatch.setattr(cli, "normalize", counted)
     monkeypatch.setattr(metrics, "normalize", counted)
-    em = cli.Judger("em", norm, 0.5, None)
-    f1 = cli.Judger("f1", norm, 0.5, None)
-    both, em_only = cli.MultiJudger({"em": em, "f1": f1}), cli.MultiJudger({"em": em})
+    em = cli.Judger(["em"], norm, 0.5, None)
+    f1 = cli.Judger(["f1"], norm, 0.5, None)
+    both, em_only = cli.Judger(["em", "f1"], norm, 0.5, None), em
     for ex in seed_corpus:
-        separate = {"em": em(ex)["correct"], "f1": f1(ex)["correct"]}
+        separate = {**em(ex), **f1(ex)}
         calls.clear()
         assert both(ex) == separate
         assert len(calls) == 1 + len(ex.references)
         calls.clear()
-        assert em_only(ex) == {"em": separate["em"]}
+        assert both.verdicts(ex) == {name: r["correct"] for name, r in separate.items()}
+        assert len(calls) == 1 + len(ex.references)
+        calls.clear()
+        assert em_only.verdicts(ex) == {"em": separate["em"]["correct"]}
         assert len(calls) <= 1 + len(ex.references)
 
     # exact match stops at the first reference that matches
     ex = QAExample("q", ("Paris", "Paris, France"), "paris")
     calls.clear()
-    assert em_only(ex) == {"em": True}
+    assert em_only.verdicts(ex) == {"em": True}
     assert calls == ["paris", "Paris"]

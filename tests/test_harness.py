@@ -125,6 +125,18 @@ def test_pairwise_validation():
             human_rates={"a": 0.5, "b": 0.5},
             metric_rates={"m": {"a": 0.5, "c": 0.5}},
         )
+    # the shape and types of the tables are checked before anything else
+    with pytest.raises(ValueError, match="human rates must map"):
+        RankingInput(human_rates=[0.5, 0.6], metric_rates={})
+    with pytest.raises(ValueError, match="metric rates must map"):
+        RankingInput(human_rates={"a": 0.5, "b": 0.6}, metric_rates=[{"a": 0.5}])
+    for bad in ("0.5", None, True):
+        with pytest.raises(ValueError, match="must be a number"):
+            RankingInput(human_rates={"only": bad}, metric_rates={})
+        with pytest.raises(ValueError, match="metric 'm' rate for 'b' must be a number"):
+            RankingInput(
+                human_rates={"a": 0.5, "b": 0.6}, metric_rates={"m": {"a": 0.5, "b": bad}}
+            )
 
 
 def test_threshold_sweep_extremes():

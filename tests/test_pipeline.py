@@ -294,7 +294,7 @@ def test_differing_vectorizers_rejected(seed_model):
     rule = seed_model.rule_vectorizer
     idf = list(rule.idf)
     idf[0] *= 2
-    other = TfidfModel(dict(rule.vocabulary), idf, rule.doc_count, rule.config)
+    other = TfidfModel(dict(rule.vocabulary), idf, rule.doc_count)
     with pytest.raises(ValueError, match="vectorizers differ"):
         dataclasses.replace(seed_model, judge_vectorizer=other)
     data = seed_model.to_dict()

@@ -10,7 +10,6 @@ from pedants.vectorizer import (
     CLS_TOKEN,
     SEP_TOKEN,
     SparseVector,
-    TfidfConfig,
     TfidfModel,
     build_triple_text,
     encode_pair,
@@ -50,11 +49,11 @@ def test_fit_deterministic_serialization():
 
 
 def test_serialization_round_trip():
-    model = fit(["a b", "b c"], TfidfConfig(min_df=1))
+    model = fit(["a b", "b c"])
     clone = TfidfModel.from_dict(model.to_dict())
     assert clone.vocabulary == model.vocabulary
     assert clone.idf == model.idf
-    assert clone.config == model.config
+    assert clone.to_dict()["config"] == {"smooth_idf": True, "l2_normalize": True, "min_df": 1}
 
 
 def test_transform_unit_norm_and_nonzero_for_fitting_docs():
@@ -147,14 +146,6 @@ def test_sparse_vector_holds_read_only_copies():
     assert SparseVector(3, (), ()) == SparseVector(3, [], [])
 
 
-def test_min_document_frequency_filter():
-    corpus = ["alpha beta", "beta gamma", "beta alpha"]
-    model = fit(corpus, TfidfConfig(min_df=2))
-    assert set(model.vocabulary) == {"alpha", "beta"}
-    vec = transform("gamma", model)  # filtered token behaves as OOV
-    assert vec.nnz == 0
-
-
 def test_random_documents_norms():
     rng = random.Random(41)
     vocab_pool = [f"tok{i}" for i in range(30)]
@@ -178,6 +169,8 @@ def test_random_documents_norms():
         (lambda d: d["config"].__setitem__("smooth_idf", False), "smoothed idf"),
         (lambda d: d["config"].__setitem__("l2_normalize", False), "L2 normalization"),
         (lambda d: d["config"].__setitem__("l2_normalize", 1), "L2 normalization"),
+        (lambda d: d["config"].__setitem__("min_df", 2), "min_df"),
+        (lambda d: d["config"].__setitem__("min_df", True), "min_df"),
     ],
     ids=[
         "short-idf",
@@ -189,6 +182,8 @@ def test_random_documents_norms():
         "unsmoothed-idf",
         "unnormalized",
         "truthy-not-true",
+        "min-df-2",
+        "boolean-min-df",
     ],
 )
 def test_from_dict_rejects_corrupt_models(damage, message):
