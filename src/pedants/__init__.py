@@ -44,6 +44,7 @@ from .pipeline import (
     RuleLabel,
     assemble_features,
     judge,
+    judge_batch,
     train_pedants,
     train_rule_extractor,
     train_type_extractor,

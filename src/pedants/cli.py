@@ -26,21 +26,24 @@ from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .linear import TrainConfig
 from .metrics import _best_bag, best_reference
-from .pipeline import PedantsModel, QAExample, judge, train_pedants
+from .pipeline import PedantsModel, QAExample, judge_batch, train_pedants
 from .textnorm import POLICY_PRESETS, normalize, tokenize
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_SEED = 668
 DEFAULT_THRESHOLD = 0.5
-# Worker-pool batch size: bounds in-flight records while preserving order.
+# Records per block: the judge scores a block at once, and a worker pool
+# takes one block at a time, which bounds in-flight records and keeps order.
 POOL_BATCH = 256
 
 METRIC_CHOICES = ("em", "f1", "pedants")
+DEFAULT_METRICS = ",".join(METRIC_CHOICES)
 
 
 class Judger:
-    """Maps one example to one output record per metric. Instances are
-    picklable so worker processes can share one immutable configuration.
+    """Maps a block of examples to one output record per metric for each.
+    Instances are picklable so worker processes can share one immutable
+    configuration.
 
     em and f1 read one normalization of the candidate and of each reference
     under the --norm policy. The references are normalized as em reaches
@@ -53,7 +56,18 @@ class Judger:
         self.threshold = threshold
         self.model = model
 
-    def __call__(self, example: QAExample) -> dict[str, dict]:
+    def __call__(self, examples: list[QAExample]) -> list[dict[str, dict]]:
+        out = [self._string_records(example) for example in examples]
+        if "pedants" in self.metrics:
+            for records, judgment in zip(out, judge_batch(examples, self.model)):
+                records["pedants"] = judgment.to_dict()
+        return out
+
+    def verdicts(self, examples: list[QAExample]) -> list[dict[str, bool]]:
+        """Each metric's verdict alone, so a worker sends back little."""
+        return [{name: r["correct"] for name, r in records.items()} for records in self(examples)]
+
+    def _string_records(self, example: QAExample) -> dict[str, dict]:
         records = {}
         if "em" in self.metrics or "f1" in self.metrics:
             candidate = normalize(example.candidate, self.policy)
@@ -72,13 +86,7 @@ class Judger:
                     "threshold": self.threshold,
                     "reference_index": idx,
                 }
-        if "pedants" in self.metrics:
-            records["pedants"] = judge(example, self.model).to_dict()
         return records
-
-    def verdicts(self, example: QAExample) -> dict[str, bool]:
-        """Each metric's verdict alone, so a worker sends back little."""
-        return {name: record["correct"] for name, record in self(example).items()}
 
 
 _POOL_FN: Callable = None
@@ -94,14 +102,21 @@ def _apply_pool_fn(item):
 
 
 def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator:
-    """Apply fn to items, preserving order; fan out when workers > 1."""
+    """Apply fn, which maps a list of items to a list of results, to blocks
+    of POOL_BATCH items and yield the results in order. With workers > 1
+    each block fans out over a process pool, in tasks of the size
+    ``Pool.map`` would cut it into."""
+    blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
     if workers <= 1:
-        for item in items:
-            yield fn(item)
+        for block in blocks:
+            yield from fn(block)
         return
     with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
-        while batch := list(itertools.islice(items, POOL_BATCH)):
-            yield from pool.map(_apply_pool_fn, batch)
+        for block in blocks:
+            size = -(-len(block) // (4 * workers))  # Pool.map's default chunk size
+            tasks = [block[i : i + size] for i in range(0, len(block), size)]
+            for results in pool.map(_apply_pool_fn, tasks, chunksize=1):
+                yield from results
 
 
 def _report_skip(err: DatasetError) -> None:
@@ -145,9 +160,11 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
         raise PedantsError(f"bad threshold list {spec!r}") from exc
     if not values:
         raise PedantsError("no thresholds given")
-    for v in values:
+    for i, v in enumerate(values):
         if not 0.0 <= v <= 1.0:
             raise PedantsError(f"threshold out of [0, 1]: {v}")
+        if v in values[:i]:
+            raise PedantsError(f"threshold {v} is given more than once")
     return values
 
 
@@ -251,7 +268,7 @@ def cmd_eval(args) -> int:
             raise PedantsError("no verdicts matched the requested metrics")
         names = sorted(counts)
     else:
-        names = _parse_metrics(args.metric or "em,f1,pedants")
+        names = _parse_metrics(args.metric or DEFAULT_METRICS)
         judger = _build_judger(names, args)
         counts = {name: ConfusionCounts() for name in names}
         labeled = (ex for _, ex, _ in _labeled_records(args.dataset, args.skip_bad, False))
@@ -292,21 +309,33 @@ def _read_rates(path: str) -> RankingInput:
         raise PedantsError(f"{path}: {exc}") from exc
 
 
+def _ranked_examples(path: str, skip_bad: bool) -> Iterator[QAExample]:
+    """The labeled examples of a rank dataset, each of which names its model."""
+    for line_no, example, _ in _labeled_records(path, skip_bad):
+        if example.model_id is None:
+            raise DatasetError("record has no model_id", path=path, line_no=line_no)
+        yield example
+
+
 def cmd_rank(args) -> int:
     if args.rates:
+        flags = {"--dataset": args.dataset, "--metric": args.metric, "--model": args.model}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise PedantsError(f"--rates cannot be combined with {', '.join(given)}")
         ranking = _read_rates(args.rates)
         names = sorted(ranking.metric_rates)
     else:
         if not args.dataset:
             raise PedantsError("rank needs --rates or --dataset")
-        names = _parse_metrics(args.metric)
+        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
-        for line_no, example, _ in _labeled_records(args.dataset, args.skip_bad):
-            if example.model_id is None:
-                raise DatasetError("record has no model_id", path=args.dataset, line_no=line_no)
-            verdicts = judger.verdicts(example)
+        examples, judge_iter = itertools.tee(_ranked_examples(args.dataset, args.skip_bad))
+        for example, verdicts in zip(
+            examples, _map_ordered(judger.verdicts, judge_iter, workers=1)
+        ):
             human.setdefault(example.model_id, []).append(int(example.human_label))
             for name in names:
                 auto[name].setdefault(example.model_id, []).append(int(verdicts[name]))
@@ -451,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, model=True, norm=True, threshold=True)
     p.add_argument("--rates", help="JSON rate table {human: {...}, metrics: {...}}")
     p.add_argument("--dataset", help="labeled JSONL with model_id fields")
-    p.add_argument("--metric", default="em,f1,pedants", help="comma-separated metric list")
+    p.add_argument("--metric", help=f"comma-separated metric list (default: {DEFAULT_METRICS})")
     p.add_argument("--out", help="directory for ranking.{csv,json}")
     p.set_defaults(func=cmd_rank)
 

@@ -5,14 +5,17 @@ permutation of the examples, inverse-scaling learning rate, L2 weight decay,
 and an epoch-loss stopping rule. (data, config) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
-pair of the score difference.
+pair of the score difference. The training loss, predict_proba and the
+pipeline's batched judge all score with one kernel (``_scores``), which
+sums each row of a flattened batch alone, so a row gets the same bits in a
+batch of any size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,23 +125,61 @@ class LinearModel:
         )
 
 
+_BIAS_ENTRY = (np.array([-1], dtype=np.intp), np.array([1.0]))
+
+
+def _flatten(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Rows of (indices, values) arrays as one batch: concatenated indices
+    and values, and the offset of each row's first entry.
+
+    Each row ends in a bias entry, index -1 with value 1, which picks the
+    bias row of ``_kernel_weights``; so no row is empty.
+    """
+    indices, values, starts, n = [], [], [], 0
+    for idx, vals in rows:
+        indices += (idx, _BIAS_ENTRY[0])
+        values += (vals, _BIAS_ENTRY[1])
+        starts.append(n)
+        n += len(idx) + 1
+    return np.concatenate(indices), np.concatenate(values), np.array(starts, dtype=np.intp)
+
+
+def _kernel_weights(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Class-major (C, D) weights and their (C,) bias as the feature-major
+    (D + 1, C) array ``_scores`` gathers from, with the bias as last row.
+    It is C-ordered, so a gather does not copy it first."""
+    return np.ascontiguousarray(np.vstack((weights.T, bias)))
+
+
+def _scores(
+    weights: np.ndarray, batch: tuple[np.ndarray, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """The (rows, C) class scores of a batch from ``_flatten``, given
+    weights from ``_kernel_weights``.
+
+    Each row is summed alone, by one ``reduceat`` whatever the batch size,
+    so a row's bits do not depend on the batch it sits in. Trusts the
+    arrays: indices are in range and values finite, as the vectorizers of a
+    loaded bundle guarantee.
+    """
+    indices, values, starts = batch
+    terms = weights.take(indices, axis=0)
+    terms *= values[:, None]
+    return np.add.reduceat(terms, starts, axis=0, out=out)
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    # the ufuncs themselves: the same arithmetic as np.clip, .max() and
-    # .sum(), without their Python-level wrappers
-    clipped = np.minimum(np.maximum(scores, -LOGIT_CLAMP), LOGIT_CLAMP)
-    exp = np.exp(clipped - np.maximum.reduce(clipped))
-    return exp / np.add.reduce(exp)
+    """Scores to class probabilities along the last axis, in place.
 
-
-def _flatten(data: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """Examples as one batch: concatenated indices and values, and the row
-    of each entry."""
-    lengths = [len(idx) for idx, _ in data]
-    return (
-        np.concatenate([idx for idx, _ in data]),
-        np.concatenate([vals for _, vals in data]),
-        np.repeat(np.arange(len(data), dtype=np.intp), lengths),
-    )
+    Scores are clamped first, so no NaN/Inf can leave it. Every reduction
+    runs along the contiguous class axis, the same for any number of rows.
+    """
+    np.maximum(scores, -LOGIT_CLAMP, out=scores)
+    np.minimum(scores, LOGIT_CLAMP, out=scores)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
 
 
 def _mean_loss(
@@ -148,21 +189,15 @@ def _mean_loss(
     labels: np.ndarray,
     l2_penalty: float,
 ) -> float:
-    """Regularized mean log loss of a batch from ``_flatten``, in one pass.
-
-    Scores are summed per row (``bincount``), so rows without entries score
-    the bias alone; temporaries are O(classes x entries), never N x D.
-    """
-    indices, values, rows = batch
+    """Regularized mean log loss of class-major (C, D) weights on a batch
+    from ``_flatten``, in one pass; temporaries are O(classes x entries),
+    never N x D."""
+    probs = _softmax(_scores(_kernel_weights(weights, bias), batch))
     n = len(labels)
-    terms = weights.take(indices, axis=1)
-    terms *= values
-    # (bincount gives integers when there are no entries at all)
-    scores = np.stack([np.bincount(rows, weights=t, minlength=n) for t in terms], axis=1) + bias
-    clipped = np.minimum(np.maximum(scores, -LOGIT_CLAMP), LOGIT_CLAMP)
-    exp = np.exp(clipped - clipped.max(axis=1, keepdims=True))
-    probs = exp[np.arange(n), labels] / exp.sum(axis=1)
-    return -float(np.sum(np.log(probs))) / n + 0.5 * l2_penalty * float(np.sum(weights * weights))
+    return (
+        -float(np.sum(np.log(probs[np.arange(n), labels]))) / n
+        + 0.5 * l2_penalty * float(np.sum(weights * weights))
+    )
 
 
 def train(
@@ -214,7 +249,7 @@ def train(
         for i in rng.permutation(len(data)).tolist():
             idx, vals = data[i]
             rows = wt.take(idx, axis=0)
-            # _softmax, in place on preallocated buffers
+            # the softmax, in place on preallocated buffers
             np.matmul(rows.T, vals, out=scores)
             np.add(scores, bias, out=scores)
             np.maximum(scores, -LOGIT_CLAMP, out=scores)
@@ -246,16 +281,8 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
         raise DimensionMismatch(
             f"vector dimension {x.dimension} != model dimension {model.feature_dim}"
         )
-    return _proba(model, x.indices, x.values)
-
-
-def _proba(model: LinearModel, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Class probabilities of a sparse input given as index/value arrays.
-
-    Trusts the arrays: indices are in range and values finite, as the
-    vectorizers of a loaded bundle guarantee.
-    """
-    return _softmax(model.weights[:, indices] @ values + model.bias)
+    batch = _flatten([(x.indices, x.values)])
+    return _softmax(_scores(_kernel_weights(model.weights, model.bias), batch))[0]
 
 
 def predict(model: LinearModel, x: SparseVector) -> int:

@@ -9,13 +9,15 @@ immutable and safe to share across concurrent judging workers.
 Judging and training share one feature path: each example is prepared once
 (every string normalized once, the best reference chosen), its pair and
 triple are tf-idf-encoded once each (one triple vectorizer serves the rule
-extractor and the judge), and the scorers read index/value arrays. The
-public per-stage functions (assemble_features, encode_*, predict_proba)
-wrap the same code.
+extractor and the judge), and the three linear models score a whole batch
+with one kernel (``linear._scores``). ``judge`` is ``judge_batch`` of one
+example, with the same bits, and ``assemble_features`` and the judge's
+training inputs come from the same batch code.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -200,6 +202,12 @@ class PedantsModel:
             raise ValueError("rule and judge vectorizers differ; both must be the triple vectorizer")
         self.judge_vectorizer = self.rule_vectorizer
 
+    @functools.cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights in the layout judge_batch reads, built on first use,
+        so a bundle that is only trained and saved holds no copy."""
+        return _weights(self.type_model, self.rule_model, self.judge_model)
+
     def to_dict(self) -> dict:
         return {
             "format_version": self.format_version,
@@ -280,49 +288,75 @@ def _prepare(example: QAExample) -> _Prepared:
     )
 
 
-def _features(
-    type_model: LinearModel,
-    rule_model: LinearModel,
-    scores: PrfScores,
-    pair: tuple[np.ndarray, np.ndarray],
-    triple: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Type probs, rule probs, and the judge's input, from the pair and
-    triple encodings as index/value arrays. The judge's input is the nonzero
-    entries of the dense prefix, then the triple's block shifted past it."""
-    type_probs = linear._proba(type_model, *pair)
-    rule_probs = linear._proba(rule_model, *triple)
-    dense = np.concatenate((type_probs, rule_probs, (scores.f1, scores.precision, scores.recall)))
-    nonzero = np.flatnonzero(dense)
-    judge_input = (
-        np.concatenate((nonzero, triple[0] + DENSE_DIM)),
-        np.concatenate((dense[nonzero], triple[1])),
-    )
-    return type_probs, rule_probs, judge_input
+Encoding = tuple[np.ndarray, np.ndarray]  # indices and values, as _tfidf gives them
 
 
-def _extract(
-    prepared: _Prepared, model: PedantsModel
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """``_features`` of one prepared example; the triple is encoded once,
-    for the rule model and the judge."""
-    return _features(
-        model.type_model,
-        model.rule_model,
-        prepared.scores,
-        vectorizer._tfidf(prepared.pair.split(), model.type_vectorizer),
-        vectorizer._tfidf(prepared.triple.split(), model.judge_vectorizer),
+def _weights(
+    type_model: LinearModel, rule_model: LinearModel, judge_model: LinearModel | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``_prefix`` gathers from, as ``linear._kernel_weights``
+    lays them out: the type extractor's, and the rule extractor's with, when
+    given, the judge's triple columns beside them, so one gather of a
+    triple's columns serves both."""
+    triple, bias = rule_model.weights, rule_model.bias
+    if judge_model is not None:
+        triple = np.vstack((triple, judge_model.weights[:, DENSE_DIM:]))
+        bias = np.concatenate((bias, judge_model.bias))
+    return (
+        linear._kernel_weights(type_model.weights, type_model.bias),
+        linear._kernel_weights(triple, bias),
     )
+
+
+def _prefix(
+    scores: Sequence[PrfScores],
+    pairs: Sequence[Encoding],
+    triples: Sequence[Encoding],
+    weights: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's dense prefix, (rows, 17): type probs, rule probs and
+    (f1, p, r); and the triples' scores past the rule extractor's columns
+    (the judge's text scores, its bias included, when ``weights`` holds
+    them)."""
+    type_weights, triple_weights = weights
+    prefix = np.empty((len(scores), DENSE_DIM))
+    linear._scores(type_weights, linear._flatten(pairs), out=prefix[:, :N_TYPES])
+    triple_scores = linear._scores(triple_weights, linear._flatten(triples))
+    prefix[:, N_TYPES : N_TYPES + N_RULES] = triple_scores[:, :N_RULES]
+    linear._softmax(prefix[:, : N_TYPES + N_RULES].reshape(len(scores), 2, N_TYPES))
+    prefix[:, N_TYPES + N_RULES :] = [(s.f1, s.precision, s.recall) for s in scores]
+    return prefix, triple_scores[:, N_RULES:]
+
+
+def _encode_and_prefix(
+    prepared: Sequence[_Prepared], model: PedantsModel
+) -> tuple[np.ndarray, np.ndarray, list[Encoding]]:
+    """``_prefix`` of prepared examples, and their triples' encodings. Each
+    pair and each triple is encoded once; the triple serves the rule
+    extractor and the judge."""
+    pairs, triples = [], []
+    for p in prepared:
+        pairs.append(vectorizer._tfidf(p.pair.split(), model.type_vectorizer))
+        triples.append(vectorizer._tfidf(p.triple.split(), model.judge_vectorizer))
+    return *_prefix([p.scores for p in prepared], pairs, triples, model._kernel), triples
+
+
+def _judge_input(prefix: np.ndarray, triple: Encoding) -> Encoding:
+    """The judge's input: the nonzero entries of the dense prefix, then the
+    triple's block shifted past it."""
+    cols = np.flatnonzero(prefix)
+    return np.concatenate((cols, triple[0] + DENSE_DIM)), np.concatenate((prefix[cols], triple[1]))
 
 
 def _fit_extractor(
     texts: list[str], labels: list[int], n_classes: int, config: TrainConfig
-) -> tuple[TfidfModel, LinearModel, list[SparseVector]]:
+) -> tuple[TfidfModel, LinearModel, list[Encoding]]:
     """Fit a vocabulary on ``texts``, encode each text once, and train on
     the encodings; returns the vocabulary, the model and the encodings."""
     tfidf = vectorizer.fit(texts)
     vectors = [vectorizer.transform(text, tfidf) for text in texts]
-    return tfidf, linear.train(list(zip(vectors, labels)), config, n_classes=n_classes), vectors
+    model = linear.train(list(zip(vectors, labels)), config, n_classes=n_classes)
+    return tfidf, model, [(v.indices, v.values) for v in vectors]
 
 
 def train_type_extractor(
@@ -355,8 +389,9 @@ def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
     """The judge's input for one example: 7 type probs, 7 rule probs and the
     token scores (f1, p, r) against the best-F1 reference, then the tf-idf
     triple encoding."""
-    _, _, judge_input = _extract(_prepare(example), model)
-    return SparseVector(DENSE_DIM + model.judge_vectorizer.dimension, *judge_input)
+    prefix, _, triples = _encode_and_prefix([_prepare(example)], model)
+    dim = DENSE_DIM + model.judge_vectorizer.dimension
+    return SparseVector(dim, *_judge_input(prefix[0], triples[0]))
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], config: TrainConfig) -> dict:
@@ -393,20 +428,16 @@ def train_pedants(
         [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, config
     )
 
-    # Judge training reuses the exact feature path used at inference time.
+    # The judge's inputs come from the batch kernel that judging uses.
+    weights = _weights(type_model, rule_model)
+    prefix, _ = _prefix([p.scores for p in prepared], pairs, triples, weights)
     dim = DENSE_DIM + triple_vec.dimension
-    data = []
-    for p, pair, triple, ex in zip(prepared, pairs, triples, train_set):
-        _, _, judge_input = _features(
-            type_model,
-            rule_model,
-            p.scores,
-            (pair.indices, pair.values),
-            (triple.indices, triple.values),
-        )
-        data.append((SparseVector(dim, *judge_input), int(ex.human_label)))
+    data = [
+        (SparseVector(dim, *_judge_input(row, triple)), int(ex.human_label))
+        for row, triple, ex in zip(prefix, triples, train_set)
+    ]
     # the texts and encodings are not needed by the judge's fit, where memory peaks
-    del prepared, pairs, triples
+    del prepared, pairs, triples, prefix, weights
     judge_model = linear.train(data, config, n_classes=2)
 
     return PedantsModel(
@@ -421,14 +452,19 @@ def train_pedants(
     )
 
 
-def _question_type(question: str, type_probs: np.ndarray) -> QuestionType:
+def _argmax(values: Sequence[float]) -> int:
+    """Index of the largest value; ties resolve to the lowest index."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def _question_type(question: str, type_probs: Sequence[float]) -> QuestionType:
     """Extractor argmax, with a wh-word fallback when the extractor is unsure.
 
     When the top probability is below 0.5, the earliest wh-word in the
     normalized question wins; a question with no wh-word defaults to "what".
     The fallback affects only the reported type, never the judge's input.
     """
-    top = int(np.argmax(type_probs))
+    top = _argmax(type_probs)
     if type_probs[top] >= 0.5:
         return QuestionType.from_code(top)
     for tok in question.split():
@@ -437,16 +473,35 @@ def _question_type(question: str, type_probs: np.ndarray) -> QuestionType:
     return QuestionType.WHAT
 
 
+def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judgment]:
+    """Run the full pipeline on a batch of examples.
+
+    Each example is prepared and encoded alone; the three linear models
+    score the whole batch at once, and each row gets the same bits as in a
+    batch of any other size.
+    """
+    if not examples:
+        return []
+    prepared = [_prepare(ex) for ex in examples]
+    prefix, text_scores, _ = _encode_and_prefix(prepared, model)
+    # the judge's scores: its prefix terms summed along each row, then the text
+    scores = np.add.reduce(prefix[:, None, :] * model.judge_model.weights[:, :DENSE_DIM], axis=2)
+    scores += text_scores
+    probs = linear._softmax(scores)
+    return [
+        Judgment(
+            correct=negative < positive,  # the argmax; a tie is the negative class
+            confidence=positive,
+            predicted_rule=_RULE_ORDER[_argmax(row[N_TYPES : N_TYPES + N_RULES])],
+            predicted_type=_question_type(p.question, row[:N_TYPES]),
+            token_scores=p.scores,
+            chosen_reference=p.ref_index,
+        )
+        for p, row, (negative, positive) in zip(prepared, prefix.tolist(), probs.tolist())
+    ]
+
+
 def judge(example: QAExample, model: PedantsModel) -> Judgment:
-    """Run the full pipeline on one example."""
-    prepared = _prepare(example)
-    type_probs, rule_probs, judge_input = _extract(prepared, model)
-    probs = linear._proba(model.judge_model, *judge_input)
-    return Judgment(
-        correct=int(np.argmax(probs)) == 1,
-        confidence=float(probs[1]),
-        predicted_rule=RuleLabel.from_code(int(np.argmax(rule_probs))),
-        predicted_type=_question_type(prepared.question, type_probs),
-        token_scores=prepared.scores,
-        chosen_reference=prepared.ref_index,
-    )
+    """Run the full pipeline on one example: a batch of one, with the same
+    bits as in any batch."""
+    return judge_batch([example], model)[0]

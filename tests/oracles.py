@@ -6,8 +6,9 @@ that keeps class-major weights and sums the epoch loss one example at a
 time instead of feature-major weights and one batched loss pass, explicit
 comparison branches instead of sign arithmetic, precision/recall-form F1
 instead of confusion-count form, a judge that re-normalizes every string
-in every public piece it calls and lays out the judge's input densely
-instead of preparing each string once and assembling sparse arrays, and
+in every public piece it calls and runs each linear model on one dense
+vector with its own softmax instead of preparing each string once and
+scoring a flattened batch of sparse rows, and
 normalization character by character over the whole string instead of
 token by token through a translate table.
 """
@@ -25,12 +26,19 @@ from pedants.errors import InconsistentDimensions, SingleClassCorpus
 from pedants.metrics import token_prf
 from pedants.pipeline import Judgment, QuestionType, RuleLabel
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
-from pedants.vectorizer import SparseVector
 
 # the suffix rules themselves, without the package's cache
 lemma = _cached_lemma.__wrapped__
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b", re.IGNORECASE)
 _WS_RE = re.compile(r"\s+")
+
+
+def softmax(scores) -> np.ndarray:
+    """Class probabilities of one score vector, clamped as the package
+    clamps them."""
+    clipped = np.clip(scores, -linear.LOGIT_CLAMP, linear.LOGIT_CLAMP)
+    exp = np.exp(clipped - clipped.max())
+    return exp / exp.sum()
 
 
 @lru_cache(maxsize=4096)
@@ -82,7 +90,7 @@ def reference_mean_loss(weights, bias, data, labels, l2_penalty) -> float:
     total = 0.0
     for (idx, vals), y in zip(data, labels):
         scores = weights[:, idx] @ vals + bias
-        probs = linear._softmax(scores)
+        probs = softmax(scores)
         total -= np.log(probs[y])
     return total / len(data) + 0.5 * l2_penalty * float(np.sum(weights * weights))
 
@@ -120,7 +128,7 @@ def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> li
         for i in rng.permutation(len(data)):
             idx, vals = data[i]
             scores = weights[:, idx] @ vals + bias
-            grad = linear._softmax(scores)
+            grad = softmax(scores)
             grad[labels[i]] -= 1.0
             weights *= decay
             weights[:, idx] -= eta * grad[:, None] * vals[None, :]
@@ -209,17 +217,22 @@ def fallback_question_type(question, type_probs) -> QuestionType:
     return QuestionType.WHAT
 
 
+def forward(model, x) -> np.ndarray:
+    """softmax(clamp(W @ x + b)) of a linear model, with x laid out densely."""
+    dense = np.zeros(x.dimension)
+    dense[x.indices] = x.values
+    return softmax(model.weights @ dense + model.bias)
+
+
 def per_call_judge(example, model) -> Judgment:
     """The judge composed from public pieces, each normalizing its own
-    inputs: per-pair token scores, encode_pair/encode_triple, and
-    predict_proba on SparseVectors, with the judge's input laid out as a
-    dense vector first (7 type probs, 7 rule probs, f1, p, r, the triple)."""
+    inputs: per-pair token scores and encode_pair/encode_triple, with each
+    linear model's forward pass computed here on dense vectors, the judge's
+    input laid out as 7 type probs, 7 rule probs, f1, p, r, the triple."""
     ref_idx, scores = first_max_reference(example.candidate, example.references, PEDANTS_POLICY)
     q, ref, cand = example.question, example.references[ref_idx], example.candidate
-    type_probs = linear.predict_proba(
-        model.type_model, vectorizer.encode_pair(q, ref, model.type_vectorizer)
-    )
-    rule_probs = linear.predict_proba(
+    type_probs = forward(model.type_model, vectorizer.encode_pair(q, ref, model.type_vectorizer))
+    rule_probs = forward(
         model.rule_model, vectorizer.encode_triple(q, ref, cand, model.rule_vectorizer)
     )
     text = vectorizer.encode_triple(q, ref, cand, model.judge_vectorizer)
@@ -227,10 +240,7 @@ def per_call_judge(example, model) -> Judgment:
     dense[:7], dense[7:14] = type_probs, rule_probs
     dense[14:17] = scores.f1, scores.precision, scores.recall
     dense[17 + text.indices] = text.values
-    nonzero = np.flatnonzero(dense)
-    probs = linear.predict_proba(
-        model.judge_model, SparseVector(dense.size, nonzero, dense[nonzero])
-    )
+    probs = softmax(model.judge_model.weights @ dense + model.judge_model.bias)
     return Judgment(
         correct=int(np.argmax(probs)) == 1,
         confidence=float(probs[1]),

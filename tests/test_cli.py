@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from pedants.cli import build_parser, main
+from pedants.cli import POOL_BATCH, build_parser, main
 from pedants.io import load_seed_corpus
-from pedants.pipeline import QAExample
+from pedants.pipeline import PedantsModel, QAExample, judge
 from pedants.textnorm import normalize
 
 ROWS = [
@@ -223,6 +223,20 @@ def test_rank_from_rates_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--dataset", "/nonexistent.jsonl"), ("--metric", "em,em"), ("--model", "/nonexistent.json")],
+)
+def test_rank_rates_rejects_dataset_flags(tmp_path, flag, value, capsys):
+    path = tmp_path / "rates.json"
+    rates = {"human": {"m1": 0.9, "m2": 0.1}, "metrics": {"em": {"m1": 1, "m2": 0}}}
+    path.write_text(json.dumps(rates))
+    out_dir = tmp_path / "rank"
+    assert main(["rank", "--rates", str(path), flag, value, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: --rates cannot be combined with {flag}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "rates",
     [
         {"human": [0.5, 0.6], "metrics": {}},
@@ -270,6 +284,16 @@ def test_sweep_outputs_rows(tmp_path, dataset, capsys):
     rows = json.loads((out_dir / "sweep.json").read_text())
     assert [r["threshold"] for r in rows] == [0.3, 0.5]
     assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
+
+
+def test_sweep_rejects_repeated_threshold(tmp_path, dataset, capsys):
+    out_dir = tmp_path / "sweep"
+    rc = main(
+        ["sweep", "--dataset", str(dataset), "--threshold", "0.5,0.5,0.3", "--out", str(out_dir)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "pedants: error: threshold 0.5 is given more than once\n"
+    assert not out_dir.exists()
 
 
 def test_malformed_dataset_aborts_with_line_number(tmp_path, capsys):
@@ -579,19 +603,52 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
     f1 = cli.Judger(["f1"], norm, 0.5, None)
     both, em_only = cli.Judger(["em", "f1"], norm, 0.5, None), em
     for ex in seed_corpus:
-        separate = {**em(ex), **f1(ex)}
+        separate = {**em([ex])[0], **f1([ex])[0]}
         calls.clear()
-        assert both(ex) == separate
+        assert both([ex]) == [separate]
         assert len(calls) == 1 + len(ex.references)
         calls.clear()
-        assert both.verdicts(ex) == {name: r["correct"] for name, r in separate.items()}
+        assert both.verdicts([ex]) == [{name: r["correct"] for name, r in separate.items()}]
         assert len(calls) == 1 + len(ex.references)
         calls.clear()
-        assert em_only.verdicts(ex) == {"em": separate["em"]["correct"]}
+        assert em_only.verdicts([ex]) == [{"em": separate["em"]["correct"]}]
         assert len(calls) <= 1 + len(ex.references)
 
     # exact match stops at the first reference that matches
     ex = QAExample("q", ("Paris", "Paris, France"), "paris")
     calls.clear()
-    assert em_only.verdicts(ex) == {"em": True}
+    assert em_only.verdicts([ex]) == [{"em": True}]
     assert calls == ["paris", "Paris"]
+
+
+def test_block_boundary_same_output_for_any_worker_count(tmp_path, seed_bundle_path, capsys):
+    """POOL_BATCH + 1 records, so the last block holds one, and a malformed
+    line inside the first block; judging and eval give the same output with
+    1 and 2 workers, and each judged row is judge() of its record."""
+    seed = load_seed_corpus()
+    records = []
+    for i in range(POOL_BATCH + 1):
+        row = seed[i % len(seed)].to_dict()
+        row["candidate"] += " " + " ".join(["indeed"] * (i // len(seed)))
+        records.append(row)
+    lines = [json.dumps(r) for r in records]
+    lines.insert(100, "{broken")
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    model = PedantsModel.load(seed_bundle_path)
+    expected = [judge(QAExample.from_dict(r), model).to_dict() for r in records]
+    outputs, reports = [], []
+    for workers in ("1", "2"):
+        out, out_dir = tmp_path / f"judged-{workers}.jsonl", tmp_path / f"eval-{workers}"
+        common = ["--dataset", str(path), "--model", str(seed_bundle_path), "--skip-bad"]
+        assert main(["judge", *common, "--out", str(out), "--workers", workers]) == 0
+        assert main(["eval", *common, "--out", str(out_dir), "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+        reports.append((out_dir / "report.json").read_bytes())
+        assert [json.loads(l) for l in _judgment_lines(out)] == expected
+    assert outputs[0] == outputs[1]
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert [r["examples"] for r in report] == [POOL_BATCH + 1] * 3
+    assert "skipping bad line" in capsys.readouterr().err

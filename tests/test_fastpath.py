@@ -1,6 +1,8 @@
-"""The judge's prepare-once path against the same judge composed from public,
-per-call pieces, on the seed corpus and on generated examples."""
+"""The judge's prepare-once, batch-scored path against the same judge
+composed from public, per-call pieces, on the seed corpus and on generated
+examples and batches."""
 
+import json
 import string
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from oracles import first_max_reference, per_call_judge
 from pedants.io import load_seed_corpus
+from pedants.linear import LinearModel
 from pedants.metrics import best_reference
-from pedants.pipeline import QAExample, judge
+from pedants.pipeline import DENSE_DIM, PedantsModel, QAExample, judge, judge_batch
 from pedants.textnorm import EM_POLICY, PEDANTS_POLICY
+from pedants.vectorizer import TfidfModel, encode_pair, encode_triple
 
 CONFIDENCE_TOL = 1e-12
 
@@ -88,3 +92,96 @@ def test_generated_examples_match_per_call_judge(seed_model, ex):
 @given(candidate=field, refs=references())
 def test_best_reference_is_first_max_token_prf(policy, candidate, refs):
     assert best_reference(candidate, refs, policy) == first_max_reference(candidate, refs, policy)
+
+
+def _restricted(tfidf, keep):
+    """The vectorizer cut down to the kept tokens, and the old column of
+    each new one."""
+    cols = sorted(col for tok, col in tfidf.vocabulary.items() if keep(tok))
+    token = {col: tok for tok, col in tfidf.vocabulary.items()}
+    vocab = {token[col]: i for i, col in enumerate(cols)}
+    return TfidfModel(vocab, [tfidf.idf[c] for c in cols], tfidf.doc_count), cols
+
+
+def _linear(model, cols, prefix=0):
+    keep = list(range(prefix)) + [prefix + c for c in cols]
+    return LinearModel(model.classes, model.weights[:, keep].copy(), model.bias, model.config)
+
+
+@pytest.fixture(scope="module")
+def sparse_model(seed_model):
+    """The seed bundle without the marker tokens and with about half of each
+    vocabulary, a different half for the pair and the triple: many pairs
+    and triples have no in-vocabulary token."""
+    no_marker = lambda tok: not tok.startswith("[")  # noqa: E731
+    pair_vec, pair_cols = _restricted(
+        seed_model.type_vectorizer, lambda tok: no_marker(tok) and len(tok) % 2 == 0
+    )
+    triple_vec, triple_cols = _restricted(
+        seed_model.judge_vectorizer, lambda tok: no_marker(tok) and len(tok) % 2 == 1
+    )
+    return PedantsModel(
+        type_vectorizer=pair_vec,
+        type_model=_linear(seed_model.type_model, pair_cols),
+        rule_vectorizer=triple_vec,
+        rule_model=_linear(seed_model.rule_model, triple_cols),
+        judge_vectorizer=triple_vec,
+        judge_model=_linear(seed_model.judge_model, triple_cols, DENSE_DIM),
+        config=seed_model.config,
+    )
+
+
+# Under sparse_model: punctuation normalizes to nothing, and the pair keeps
+# even-length tokens, the triple odd-length ones.
+EMPTY_BOTH = QAExample(question="¿?", references=("—",), candidate="…")
+EMPTY_PAIR = QAExample(question="¿?", references=("—",), candidate="Biden")
+EMPTY_TRIPLE = QAExample(question="Berlin?", references=("Canada",), candidate="…")
+
+
+@st.composite
+def batches(draw):
+    """256 rows cycled from a few generated examples, with rows whose pair,
+    triple or both encode to nothing under sparse_model placed first, last
+    and in the middle."""
+    pool = draw(st.lists(examples(), min_size=1, max_size=6))
+    rows = [pool[i % len(pool)] for i in range(256)]
+    first, middle, last = draw(st.permutations([EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE]))
+    rows[0], rows[draw(st.integers(1, 254))], rows[-1] = first, middle, last
+    return rows
+
+
+BATCH_SETTINGS = settings(SETTINGS, max_examples=25)
+
+
+@pytest.mark.parametrize("bundle", ["seed_model", "sparse_model"])
+@BATCH_SETTINGS
+@given(rows=batches())
+def test_batch_size_never_changes_a_row(bundle, request, rows):
+    model = request.getfixturevalue(bundle)
+    alone = [json.dumps(judge(ex, model).to_dict()) for ex in rows]
+    for size in (1, 7, 256):
+        batched = [
+            json.dumps(j.to_dict())
+            for start in range(0, len(rows), size)
+            for j in judge_batch(rows[start : start + size], model)
+        ]
+        assert batched == alone
+    for ex in {id(ex): ex for ex in rows}.values():
+        _assert_same(judge(ex, model), per_call_judge(ex, model))
+
+
+def test_sparse_model_has_empty_encodings(sparse_model):
+    def empty(ex):
+        q, ref, cand = ex.question, ex.references[0], ex.candidate
+        return (
+            encode_pair(q, ref, sparse_model.type_vectorizer).nnz == 0,
+            encode_triple(q, ref, cand, sparse_model.judge_vectorizer).nnz == 0,
+        )
+
+    assert empty(EMPTY_BOTH) == (True, True)
+    assert empty(EMPTY_PAIR) == (True, False)
+    assert empty(EMPTY_TRIPLE) == (False, True)
+
+
+def test_empty_batch(seed_model):
+    assert judge_batch([], seed_model) == []
