@@ -27,7 +27,7 @@ from .harness import (
     pairwise_ranking_accuracy,
     threshold_sweep,
 )
-from .linear import LinearModel, TrainConfig, predict, predict_proba, train
+from .linear import LinearModel, predict, predict_proba, train
 from .metrics import (
     PrfScores,
     Threshold,

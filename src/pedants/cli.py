@@ -2,8 +2,8 @@
 
 Judging and evaluation stream their input line by line, so memory stays
 flat regardless of dataset size; with --workers > 1 records fan out over a
-process pool in bounded batches and are emitted in input order. All
-randomness flows from the single --seed flag. Exit codes: 0 success,
+process pool in bounded batches and are emitted in input order. The only
+randomness is training's, drawn from train's --seed. Exit codes: 0 success,
 1 validation failure, 2 unexpected runtime failure.
 """
 
@@ -24,13 +24,12 @@ from typing import Callable, Iterator
 from . import io
 from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
-from .linear import TrainConfig
+from .linear import DEFAULT_SEED
 from .metrics import _best_bag, best_reference
 from .pipeline import PedantsModel, QAExample, judge_batch, train_pedants
 from .textnorm import POLICY_PRESETS, normalize, tokenize
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
-DEFAULT_SEED = 668
 DEFAULT_THRESHOLD = 0.5
 # Records per block: the judge scores a block at once, and a worker pool
 # takes one block at a time, which bounds in-flight records and keeps order.
@@ -101,22 +100,22 @@ def _apply_pool_fn(item):
     return _POOL_FN(item)
 
 
-def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator:
+def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]:
     """Apply fn, which maps a list of items to a list of results, to blocks
-    of POOL_BATCH items and yield the results in order. With workers > 1
-    each block fans out over a process pool, in tasks of the size
-    ``Pool.map`` would cut it into."""
+    of POOL_BATCH items and yield (item, result) pairs in order. With
+    workers > 1 each block fans out over a process pool, in tasks of the
+    size ``Pool.map`` would cut it into; the items stay in this process."""
     blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
     if workers <= 1:
         for block in blocks:
-            yield from fn(block)
+            yield from zip(block, fn(block))
         return
     with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
         for block in blocks:
             size = -(-len(block) // (4 * workers))  # Pool.map's default chunk size
             tasks = [block[i : i + size] for i in range(0, len(block), size)]
-            for results in pool.map(_apply_pool_fn, tasks, chunksize=1):
-                yield from results
+            for task, results in zip(tasks, pool.map(_apply_pool_fn, tasks, chunksize=1)):
+                yield from zip(task, results)
 
 
 def _report_skip(err: DatasetError) -> None:
@@ -141,15 +140,20 @@ def _build_judger(metrics: list[str], args) -> Judger:
     return Judger(metrics, args.norm, args.threshold, model)
 
 
-def _parse_metrics(spec: str) -> list[str]:
+def _metric_names(spec: str) -> list[str]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
+    if not names:
+        raise PedantsError("no metrics given")
+    return names
+
+
+def _parse_metrics(spec: str) -> list[str]:
+    names = _metric_names(spec)
     for i, name in enumerate(names):
         if name not in METRIC_CHOICES:
             raise PedantsError(f"unknown metric {name!r}; choose from {', '.join(METRIC_CHOICES)}")
         if name in names[:i]:
             raise PedantsError(f"metric {name!r} is given more than once")
-    if not names:
-        raise PedantsError("no metrics given")
     return names
 
 
@@ -215,14 +219,13 @@ def _labeled_records(
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(seed=args.seed)
     if args.corpus:
         corpus = io.read_examples(args.corpus, skip_bad=args.skip_bad, on_skip=_report_skip)
         source = args.corpus
     else:
         corpus = io.load_seed_corpus()
         source = "bundled seed corpus"
-    model = train_pedants(corpus, config)
+    model = train_pedants(corpus, args.seed)
     model.save(args.out)
     size = Path(args.out).stat().st_size
     print(f"trained on {len(corpus)} examples from {source} -> {args.out} ({size} bytes)")
@@ -233,7 +236,7 @@ def cmd_judge(args) -> int:
     judger = _build_judger([args.metric], args)
     dataset = io.DatasetFile(args.dataset)
     examples = (ex for _, ex in dataset.records(skip_bad=args.skip_bad, on_skip=_report_skip))
-    records = (r[args.metric] for r in _map_ordered(judger, examples, args.workers))
+    records = (r[args.metric] for _, r in _map_ordered(judger, examples, args.workers))
     started = time.perf_counter()
     with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
         n = io.write_jsonl(handle, records)
@@ -253,9 +256,7 @@ def cmd_eval(args) -> int:
     if _dataset_is_prejudged(args.dataset, args.skip_bad):
         # verdicts were computed elsewhere, possibly by metrics this package
         # does not implement; filter by name only
-        requested = (
-            {m.strip() for m in args.metric.split(",") if m.strip()} if args.metric else None
-        )
+        requested = None if args.metric is None else set(_metric_names(args.metric))
         counts: dict[str, ConfusionCounts] = {}
         for _, example, verdicts in _labeled_records(args.dataset, args.skip_bad, True):
             for name, verdict in verdicts.items():
@@ -268,15 +269,11 @@ def cmd_eval(args) -> int:
             raise PedantsError("no verdicts matched the requested metrics")
         names = sorted(counts)
     else:
-        names = _parse_metrics(args.metric or DEFAULT_METRICS)
+        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
         counts = {name: ConfusionCounts() for name in names}
         labeled = (ex for _, ex, _ in _labeled_records(args.dataset, args.skip_bad, False))
-        # two lock-stepped passes over one stream: labels here, verdicts in the pool
-        labels_iter, judge_iter = itertools.tee(labeled)
-        for example, verdicts in zip(
-            labels_iter, _map_ordered(judger.verdicts, judge_iter, args.workers)
-        ):
+        for example, verdicts in _map_ordered(judger.verdicts, labeled, args.workers):
             for name in names:
                 counts[name].update(bool(example.human_label), verdicts[name])
 
@@ -332,10 +329,8 @@ def cmd_rank(args) -> int:
         judger = _build_judger(names, args)
         human: dict[str, list[int]] = {}
         auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
-        examples, judge_iter = itertools.tee(_ranked_examples(args.dataset, args.skip_bad))
-        for example, verdicts in zip(
-            examples, _map_ordered(judger.verdicts, judge_iter, workers=1)
-        ):
+        examples = _ranked_examples(args.dataset, args.skip_bad)
+        for example, verdicts in _map_ordered(judger.verdicts, examples, workers=1):
             human.setdefault(example.model_id, []).append(int(example.human_label))
             for name in names:
                 auto[name].setdefault(example.model_id, []).append(int(verdicts[name]))
@@ -436,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=False, dataset=False, norm=False, workers=False, threshold=False):
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
-                       help="global RNG seed, 0 or more")
         p.add_argument("--skip-bad", action="store_true", help="skip malformed JSONL lines")
         if model:
             p.add_argument("--model", help=f"model bundle path (default: ${MODEL_ENV_VAR})")
@@ -455,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model bundle on a labeled corpus")
     common(p)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                   help="seed of the training shuffle, 0 or more (default %(default)s)")
     p.add_argument("--corpus", help="training JSONL (default: bundled seed corpus)")
     p.add_argument("--out", required=True, help="output bundle path")
     p.set_defaults(func=cmd_train)

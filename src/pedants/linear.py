@@ -2,7 +2,7 @@
 
 Training is epoch-ordered SGD: one pass per epoch over a seed-shuffled
 permutation of the examples, inverse-scaling learning rate, L2 weight decay,
-and an epoch-loss stopping rule. (data, config) fully determines the model;
+and an epoch-loss stopping rule. (data, seed) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
 pair of the score difference. The training loss, predict_proba and the
@@ -13,72 +13,49 @@ batch of any size.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
-from .vectorizer import SparseVector
+from .vectorizer import SparseVector, check_count, check_fixed
 
 # Numerical guard: scores are clamped here before exponentiation, so no
 # NaN/Inf can ever leave the softmax.
 LOGIT_CLAMP = 30.0
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Trainer hyperparameters.
+# The trainer's fixed SGD settings. The learning rate at 0-based epoch e is
+# ETA0 / (1 + e)**LR_POWER, each step decays the weights by L2_PENALTY, and
+# training stops once an epoch improves the regularized mean log loss by less
+# than TOLERANCE, or after MAX_EPOCHS. Only the seed of the shuffle is chosen.
+L2_PENALTY = 1e-4
+TOLERANCE = 1e-3
+MAX_EPOCHS = 1000
+ETA0 = 0.5
+LR_POWER = 0.5
+DEFAULT_SEED = 668
+_FIXED = {
+    "l2_penalty": L2_PENALTY,
+    "tolerance": TOLERANCE,
+    "max_epochs": MAX_EPOCHS,
+    "eta0": ETA0,
+    "lr_power": LR_POWER,
+}
 
-    ``tolerance`` is the minimum epoch-over-epoch improvement of the
-    regularized mean log loss; training stops once an epoch improves by
-    less. The learning rate at 0-based epoch e is eta0 / (1 + e)**lr_power.
-    Values are range-checked when a config is built, so a bundle holding one
-    that no training run could use is rejected when it loads.
-    """
 
-    seed: int = 668
-    l2_penalty: float = 1e-4
-    tolerance: float = 1e-3
-    max_epochs: int = 1000
-    eta0: float = 0.5
-    lr_power: float = 0.5
+def config_dict(seed: int) -> dict:
+    """A bundle's training config: the seed, and the fixed settings it was
+    trained with."""
+    return {"seed": seed, **_FIXED}
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "l2_penalty": self.l2_penalty,
-            "tolerance": self.tolerance,
-            "max_epochs": self.max_epochs,
-            "eta0": self.eta0,
-            "lr_power": self.lr_power,
-        }
 
-    def __post_init__(self):
-        for name, ok, rule in (
-            ("seed", self.seed >= 0, "be at least 0"),
-            ("max_epochs", self.max_epochs >= 0, "be at least 0"),
-            ("l2_penalty", 0 <= self.l2_penalty < math.inf, "be finite and at least 0"),
-            ("tolerance", math.isfinite(self.tolerance), "be finite"),
-            ("eta0", 0 < self.eta0 < math.inf, "be finite and positive"),
-            ("lr_power", 0 <= self.lr_power < math.inf, "be finite and at least 0"),
-        ):
-            if not ok:
-                raise ValueError(f"training config {name} must {rule}, got {getattr(self, name)!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        values = {}
-        for f in fields(cls):
-            kind = int if f.name in ("seed", "max_epochs") else float
-            try:
-                values[f.name] = kind(data[f.name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                # a null or a nested value where a number belongs, or a
-                # non-finite one where an integer belongs
-                raise ValueError(f"malformed training config {f.name}: {exc}") from exc
-        return cls(**values)
+def config_seed(config: dict) -> int:
+    """The seed of a bundle's training config, whose other settings must be
+    the trainer's constants."""
+    check_fixed(config, _FIXED, "training config")
+    return check_count(config["seed"], "training config seed")
 
 
 @dataclass
@@ -86,7 +63,7 @@ class LinearModel:
     classes: int
     weights: np.ndarray  # (C, D)
     bias: np.ndarray  # (C,)
-    config: TrainConfig
+    seed: int = DEFAULT_SEED
 
     @property
     def feature_dim(self) -> int:
@@ -98,15 +75,15 @@ class LinearModel:
             "dim": self.feature_dim,
             "weights": [float(w) for w in self.weights.ravel()],  # row-major
             "bias": [float(b) for b in self.bias],
-            "config": self.config.to_dict(),
+            "config": config_dict(self.seed),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearModel":
         """Load a trained model, rejecting misshapen or non-finite parameters."""
+        classes = check_count(data["classes"], "linear model classes")
+        dim = check_count(data["dim"], "linear model dim")
         try:
-            classes = int(data["classes"])
-            dim = int(data["dim"])
             weights = np.array(data["weights"], dtype=np.float64)
             bias = np.array(data["bias"], dtype=np.float64)
         except (TypeError, OverflowError) as exc:
@@ -121,7 +98,7 @@ class LinearModel:
             classes=classes,
             weights=weights.reshape(classes, dim),
             bias=bias,
-            config=TrainConfig.from_dict(data["config"]),
+            seed=config_seed(data["config"]),
         )
 
 
@@ -202,7 +179,7 @@ def _mean_loss(
 
 def train(
     examples: Sequence[tuple[SparseVector, int]],
-    config: TrainConfig = TrainConfig(),
+    seed: int = DEFAULT_SEED,
     n_classes: int | None = None,
 ) -> LinearModel:
     """Train a C-class logistic regression with seeded, reproducible SGD.
@@ -235,17 +212,17 @@ def train(
     wt = np.zeros((dim, n_classes), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
-    rng = np.random.default_rng(config.seed)
-    prev_loss = _mean_loss(wt.T, bias, batch, labels, config.l2_penalty)
+    rng = np.random.default_rng(seed)
+    prev_loss = _mean_loss(wt.T, bias, batch, labels, L2_PENALTY)
     best_loss = prev_loss
     best_weights, best_bias = wt.T.copy(), bias.copy()  # copies are C-ordered (C, D)
 
     ys = labels.tolist()
     scores = np.empty(n_classes, dtype=np.float64)  # scores, then probabilities
     step = np.empty(n_classes, dtype=np.float64)
-    for epoch in range(config.max_epochs):
-        eta = config.eta0 / (1.0 + epoch) ** config.lr_power
-        decay = max(0.0, 1.0 - eta * config.l2_penalty)
+    for epoch in range(MAX_EPOCHS):
+        eta = ETA0 / (1.0 + epoch) ** LR_POWER
+        decay = max(0.0, 1.0 - eta * L2_PENALTY)
         for i in rng.permutation(len(data)).tolist():
             idx, vals = data[i]
             rows = wt.take(idx, axis=0)
@@ -264,15 +241,15 @@ def train(
             rows -= np.multiply.outer(vals, step)
             wt[idx] = rows
             bias -= step
-        loss = _mean_loss(wt.T, bias, batch, labels, config.l2_penalty)
+        loss = _mean_loss(wt.T, bias, batch, labels, L2_PENALTY)
         if loss < best_loss:
             best_loss = loss
             best_weights, best_bias = wt.T.copy(), bias.copy()
-        if prev_loss - loss < config.tolerance:
+        if prev_loss - loss < TOLERANCE:
             break
         prev_loss = loss
 
-    return LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, config=config)
+    return LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
 
 
 def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:

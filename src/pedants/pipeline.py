@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linear, vectorizer
 from .errors import EmptyReferences, MissingAnnotations
-from .linear import LinearModel, TrainConfig
+from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_bag
 from .textnorm import PEDANTS_POLICY, normalize, tokenize
 from .vectorizer import SparseVector, TfidfModel
@@ -181,7 +181,7 @@ class PedantsModel:
     rule_model: LinearModel
     judge_vectorizer: TfidfModel
     judge_model: LinearModel
-    config: TrainConfig
+    seed: int
     fingerprint: dict = field(default_factory=dict)
     format_version: str = BUNDLE_FORMAT_VERSION
 
@@ -190,6 +190,8 @@ class PedantsModel:
             raise ValueError("extractors must be 7-class models")
         if self.judge_model.classes != 2:
             raise ValueError("final judge must be binary")
+        if not isinstance(self.fingerprint, dict):
+            raise ValueError(f"fingerprint must be an object, got {self.fingerprint!r}")
         checks = [
             (self.type_model.feature_dim, self.type_vectorizer.dimension, "type"),
             (self.rule_model.feature_dim, self.rule_vectorizer.dimension, "rule"),
@@ -211,7 +213,7 @@ class PedantsModel:
     def to_dict(self) -> dict:
         return {
             "format_version": self.format_version,
-            "config": self.config.to_dict(),
+            "config": linear.config_dict(self.seed),
             "fingerprint": self.fingerprint,
             "type_extractor": {
                 "vectorizer": self.type_vectorizer.to_dict(),
@@ -240,7 +242,7 @@ class PedantsModel:
                 rule_model=LinearModel.from_dict(data["rule_extractor"]["model"]),
                 judge_vectorizer=TfidfModel.from_dict(data["final_judge"]["vectorizer"]),
                 judge_model=LinearModel.from_dict(data["final_judge"]["model"]),
-                config=TrainConfig.from_dict(data["config"]),
+                seed=linear.config_seed(data["config"]),
                 fingerprint=data.get("fingerprint", {}),
                 format_version=version,
             )
@@ -349,18 +351,18 @@ def _judge_input(prefix: np.ndarray, triple: Encoding) -> Encoding:
 
 
 def _fit_extractor(
-    texts: list[str], labels: list[int], n_classes: int, config: TrainConfig
+    texts: list[str], labels: list[int], n_classes: int, seed: int
 ) -> tuple[TfidfModel, LinearModel, list[Encoding]]:
     """Fit a vocabulary on ``texts``, encode each text once, and train on
     the encodings; returns the vocabulary, the model and the encodings."""
     tfidf = vectorizer.fit(texts)
     vectors = [vectorizer.transform(text, tfidf) for text in texts]
-    model = linear.train(list(zip(vectors, labels)), config, n_classes=n_classes)
+    model = linear.train(list(zip(vectors, labels)), seed, n_classes=n_classes)
     return tfidf, model, [(v.indices, v.values) for v in vectors]
 
 
 def train_type_extractor(
-    examples: Sequence[tuple[str, str, QuestionType]], config: TrainConfig = TrainConfig()
+    examples: Sequence[tuple[str, str, QuestionType]], seed: int = DEFAULT_SEED
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a) pair texts and train the 7-class
     question-type classifier."""
@@ -368,12 +370,12 @@ def train_type_extractor(
         [vectorizer.build_pair_text(q, a) for q, a, _ in examples],
         [qtype.code for _, _, qtype in examples],
         N_TYPES,
-        config,
+        seed,
     )[:2]
 
 
 def train_rule_extractor(
-    examples: Sequence[tuple[str, str, str, RuleLabel]], config: TrainConfig = TrainConfig()
+    examples: Sequence[tuple[str, str, str, RuleLabel]], seed: int = DEFAULT_SEED
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a, candidate) triple texts and train
     the 7-class correctness-rule classifier."""
@@ -381,7 +383,7 @@ def train_rule_extractor(
         [vectorizer.build_triple_text(q, a, cand) for q, a, cand, _ in examples],
         [rule.code for _, _, _, rule in examples],
         N_RULES,
-        config,
+        seed,
     )[:2]
 
 
@@ -394,20 +396,18 @@ def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
     return SparseVector(dim, *_judge_input(prefix[0], triples[0]))
 
 
-def _corpus_fingerprint(examples: Sequence[QAExample], config: TrainConfig) -> dict:
+def _corpus_fingerprint(examples: Sequence[QAExample], seed: int) -> dict:
     digest = hashlib.sha256()
     for ex in examples:
         digest.update(json.dumps(ex.to_dict(), sort_keys=True).encode("utf-8"))
         digest.update(b"\n")
-    return {"seed": config.seed, "corpus_sha256": digest.hexdigest()}
+    return {"seed": seed, "corpus_sha256": digest.hexdigest()}
 
 
-def train_pedants(
-    train_set: Sequence[QAExample], config: TrainConfig = TrainConfig()
-) -> PedantsModel:
+def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> PedantsModel:
     """Train the full bundle on examples annotated with label, rule, and type.
 
-    Deterministic given (data, config): retraining yields a byte-identical
+    Deterministic given (data, seed): retraining yields a byte-identical
     serialized bundle.
     """
     missing = [
@@ -422,10 +422,10 @@ def train_pedants(
     # one triple vectorizer serves the rule extractor and the judge, and each
     # pair and triple is encoded once, for the fits and the judge's inputs
     type_vec, type_model, pairs = _fit_extractor(
-        [p.pair for p in prepared], [ex.qtype.code for ex in train_set], N_TYPES, config
+        [p.pair for p in prepared], [ex.qtype.code for ex in train_set], N_TYPES, seed
     )
     triple_vec, rule_model, triples = _fit_extractor(
-        [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, config
+        [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, seed
     )
 
     # The judge's inputs come from the batch kernel that judging uses.
@@ -438,7 +438,7 @@ def train_pedants(
     ]
     # the texts and encodings are not needed by the judge's fit, where memory peaks
     del prepared, pairs, triples, prefix, weights
-    judge_model = linear.train(data, config, n_classes=2)
+    judge_model = linear.train(data, seed, n_classes=2)
 
     return PedantsModel(
         type_vectorizer=type_vec,
@@ -447,8 +447,8 @@ def train_pedants(
         rule_model=rule_model,
         judge_vectorizer=triple_vec,
         judge_model=judge_model,
-        config=config,
-        fingerprint=_corpus_fingerprint(train_set, config),
+        seed=seed,
+        fingerprint=_corpus_fingerprint(train_set, seed),
     )
 
 

@@ -29,6 +29,28 @@ _NO_INDICES = np.empty(0, dtype=np.intp)
 _NO_VALUES = np.empty(0, dtype=np.float64)
 
 
+# Idf smoothing, L2 normalization and keeping every token (min_df 1) are
+# fixed; a bundle states all three.
+_CONFIG = {"smooth_idf": True, "l2_normalize": True, "min_df": 1}
+
+
+def check_fixed(config: dict, constants: dict, what: str) -> None:
+    """Reject a bundle setting that is not its fixed value in ``constants``,
+    naming it. A bool is not a number: ``1`` is not ``True``, nor ``True`` 1."""
+    for name, constant in constants.items():
+        value = config[name]
+        if isinstance(value, bool) != isinstance(constant, bool) or value != constant:
+            raise ValueError(f"{what}: {name} must be {constant!r}, got {value!r}")
+
+
+def check_count(value, what: str) -> int:
+    """A bundle's integer field: a JSON integer of at least 0, not a bool or
+    a float such as 2.0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"malformed {what}: must be an integer of at least 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SparseVector:
     """Sorted (index, weight) pairs in a fixed-dimension space.
@@ -93,9 +115,7 @@ class TfidfModel:
             vocab[col] = tok
         return {
             "version": FORMAT_VERSION,
-            # idf smoothing, L2 normalization and keeping every token are
-            # fixed; the bundle states all three
-            "config": {"smooth_idf": True, "l2_normalize": True, "min_df": 1},
+            "config": dict(_CONFIG),
             "vocab": vocab,
             "idf": list(self.idf),
             "doc_count": self.doc_count,
@@ -110,18 +130,13 @@ class TfidfModel:
         vocab = data["vocab"]
         if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
             raise ValueError("vectorizer vocabulary must be an array of strings")
+        what = "vectorizer config (smoothed idf, L2 normalization, every token kept)"
         try:
-            cfg = data["config"]
+            check_fixed(data["config"], _CONFIG, what)
             idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
-            doc_count = int(data["doc_count"])
-            min_df = cfg["min_df"]
-            fixed = cfg["smooth_idf"] is True and cfg["l2_normalize"] is True
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
-        if not fixed:
-            raise ValueError("vectorizer must use smoothed idf and L2 normalization")
-        if isinstance(min_df, bool) or min_df != 1:
-            raise ValueError(f"vectorizer config min_df must be 1, got {min_df!r}")
+        doc_count = check_count(data["doc_count"], "vectorizer doc_count")
         if idf.shape != (len(vocab),):
             raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
         vocabulary = {tok: i for i, tok in enumerate(vocab)}

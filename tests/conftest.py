@@ -1,7 +1,6 @@
 import pytest
 
 from pedants.io import load_seed_corpus
-from pedants.linear import TrainConfig
 from pedants.pipeline import train_pedants
 
 
@@ -12,7 +11,7 @@ def seed_corpus():
 
 @pytest.fixture(scope="session")
 def seed_model(seed_corpus):
-    return train_pedants(seed_corpus, TrainConfig())
+    return train_pedants(seed_corpus)
 
 
 @pytest.fixture(scope="session")

@@ -95,9 +95,10 @@ def reference_mean_loss(weights, bias, data, labels, l2_penalty) -> float:
     return total / len(data) + 0.5 * l2_penalty * float(np.sum(weights * weights))
 
 
-def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> linear.LinearModel:
+def reference_train(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
     """The trainer with class-major weights, a dense decay and a scatter per
-    step, and the epoch loss one example at a time."""
+    step, and the epoch loss one example at a time; it reads the trainer's
+    fixed settings."""
     if not examples:
         raise ValueError("no training examples")
     dim = examples[0][0].dimension
@@ -117,14 +118,14 @@ def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> li
     weights = np.zeros((n_classes, dim), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
-    rng = np.random.default_rng(config.seed)
-    prev_loss = reference_mean_loss(weights, bias, data, labels, config.l2_penalty)
+    rng = np.random.default_rng(seed)
+    prev_loss = reference_mean_loss(weights, bias, data, labels, linear.L2_PENALTY)
     best_loss = prev_loss
     best_weights, best_bias = weights.copy(), bias.copy()
 
-    for epoch in range(config.max_epochs):
-        eta = config.eta0 / (1.0 + epoch) ** config.lr_power
-        decay = max(0.0, 1.0 - eta * config.l2_penalty)
+    for epoch in range(linear.MAX_EPOCHS):
+        eta = linear.ETA0 / (1.0 + epoch) ** linear.LR_POWER
+        decay = max(0.0, 1.0 - eta * linear.L2_PENALTY)
         for i in rng.permutation(len(data)):
             idx, vals = data[i]
             scores = weights[:, idx] @ vals + bias
@@ -133,15 +134,15 @@ def reference_train(examples, config=linear.TrainConfig(), n_classes=None) -> li
             weights *= decay
             weights[:, idx] -= eta * grad[:, None] * vals[None, :]
             bias -= eta * grad
-        loss = reference_mean_loss(weights, bias, data, labels, config.l2_penalty)
+        loss = reference_mean_loss(weights, bias, data, labels, linear.L2_PENALTY)
         if loss < best_loss:
             best_loss = loss
             best_weights, best_bias = weights.copy(), bias.copy()
-        if prev_loss - loss < config.tolerance:
+        if prev_loss - loss < linear.TOLERANCE:
             break
         prev_loss = loss
 
-    return linear.LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, config=config)
+    return linear.LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
 
 
 def batch_gd_predict(W, b, features) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from oracles import batch_gd_predict, batch_gd_train, pairwise_agreement
 from pedants.cli import main
 from pedants.harness import RankingInput, likert_to_binary, pairwise_ranking_accuracy, threshold_sweep
-from pedants.linear import LinearModel, TrainConfig, predict, predict_proba, train
+from pedants.linear import LinearModel, predict, predict_proba, train
 from pedants.metrics import PrfScores, Threshold, exact_match, threshold_judge, token_prf
 from pedants.pipeline import QAExample, QuestionType, RuleLabel, judge, train_pedants
 from pedants.vectorizer import SparseVector
@@ -116,7 +116,7 @@ def test_criterion_5_linear_model_oracle_equivalence():
         X = np.vstack([pos, neg])
         y = np.array([1] * 10 + [0] * 10)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-        model = train(data, TrainConfig())
+        model = train(data)
         ours = [predict(model, x) for x, _ in data]
         W, b = batch_gd_train(X, y)
         assert ours == batch_gd_predict(W, b, X).tolist()
@@ -125,7 +125,7 @@ def test_criterion_5_linear_model_oracle_equivalence():
     rng = np.random.default_rng(668)
     dim, n_inputs = 16, 100_000
     weights = rng.normal(scale=50.0, size=(7, dim))
-    proba_model = LinearModel(7, weights, rng.normal(size=7), TrainConfig())
+    proba_model = LinearModel(7, weights, rng.normal(size=7))
     for _ in range(n_inputs):
         nnz = rng.integers(0, dim) + 1
         idx = np.sort(rng.choice(dim, size=nnz, replace=False))
@@ -138,15 +138,15 @@ def test_criterion_5_linear_model_oracle_equivalence():
     # bit-exact determinism across two seeded runs
     X, y = np.vstack([pos, neg]), y
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    run1 = json.dumps(train(data, TrainConfig(seed=668)).to_dict(), sort_keys=True)
-    run2 = json.dumps(train(data, TrainConfig(seed=668)).to_dict(), sort_keys=True)
+    run1 = json.dumps(train(data, seed=668).to_dict(), sort_keys=True)
+    run2 = json.dumps(train(data, seed=668).to_dict(), sort_keys=True)
     assert run1 == run2
     _report("5 linear-model oracle equivalence, probability sums, determinism")
 
 
 def test_criterion_6_pipeline_regression(seed_corpus):
     started = time.perf_counter()
-    model = train_pedants(seed_corpus, TrainConfig())
+    model = train_pedants(seed_corpus)
 
     judged = [judge(ex, model) for ex in seed_corpus]
     accuracy = sum(j.correct == ex.human_label for j, ex in zip(judged, seed_corpus)) / len(

@@ -186,6 +186,17 @@ def test_eval_requires_labels(tmp_path, seed_bundle_path, capsys):
     assert "human label" in capsys.readouterr().err
 
 
+def test_eval_empty_metric_list_rejected(tmp_path, dataset, capsys):
+    prejudged = tmp_path / "judged.jsonl"
+    row = {"question": "q", "references": ["a"], "candidate": "a", "label": 1,
+           "verdicts": {"em": True}}
+    prejudged.write_text(json.dumps(row) + "\n")
+    for path in (dataset, prejudged):
+        for spec in ("", " , "):
+            assert main(["eval", "--dataset", str(path), "--metric", spec]) == 1
+            assert "pedants: error: no metrics given" in capsys.readouterr().err
+
+
 def test_eval_prejudged_records(tmp_path, capsys):
     rows = [
         {"question": "q1", "references": ["a"], "candidate": "a", "label": 1,
@@ -399,6 +410,25 @@ def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, ca
         ("judge_vectorizer", "min_df", float("inf")),
         ("rule_vectorizer", "min_df", float("nan")),
         ("type_vectorizer", "min_df", 2),
+        # in range, but not the trainer's fixed value
+        ("config", "eta0", 0.25),
+        ("rule_model", "lr_power", 1.0),
+        ("judge_model", "tolerance", 0.01),
+        ("judge_model", "max_epochs", 1000.5),
+        ("config", "l2_penalty", "0.0001"),
+        # an integer field holding a bool, a fraction or a string
+        ("config", "seed", 1.5),
+        ("config", "seed", True),
+        ("rule_model", "seed", "668"),
+        ("final_judge.model", "classes", 2.5),
+        pytest.param(
+            "final_judge.model", "dim", lambda d: d + 0.5, id="final_judge.model-dim-frac"
+        ),
+        pytest.param(
+            "type_extractor.vectorizer", "doc_count", lambda n: n + 0.5,
+            id="type_extractor.vectorizer-doc_count-frac",
+        ),
+        ("type_extractor.vectorizer", "doc_count", True),
     ],
 )
 def test_bundle_config_out_of_range_rejected_at_load(
@@ -412,8 +442,10 @@ def test_bundle_config_out_of_range_rejected_at_load(
         "type_vectorizer": bundle["type_extractor"]["vectorizer"]["config"],
         "rule_vectorizer": bundle["rule_extractor"]["vectorizer"]["config"],
         "judge_vectorizer": bundle["final_judge"]["vectorizer"]["config"],
+        "final_judge.model": bundle["final_judge"]["model"],
+        "type_extractor.vectorizer": bundle["type_extractor"]["vectorizer"],
     }[section]
-    part[field] = value
+    part[field] = value(part[field]) if callable(value) else value
     bad = tmp_path / "bad-bundle.json"
     bad.write_text(json.dumps(bundle))
     out = tmp_path / "out.jsonl"
@@ -423,6 +455,18 @@ def test_bundle_config_out_of_range_rejected_at_load(
     assert err.startswith("pedants: error: ") and field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["judge", "eval", "rank", "sweep"])
+def test_seed_is_a_train_flag_only(command, dataset, capsys):
+    argv = [command, "--dataset", str(dataset)]
+    if command != "sweep":
+        argv += ["--metric", "em"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 1
+    assert "pedants: error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(argv) == 0
 
 
 def test_workers_accepts_one_to_cpu_count(dataset):
@@ -470,6 +514,8 @@ def test_console_entry_point_runs():
         lambda b: b["final_judge"]["vectorizer"]["idf"].__setitem__(
             0, 2 * b["final_judge"]["vectorizer"]["idf"][0]
         ),
+        lambda b: b.__setitem__("fingerprint", 5),
+        lambda b: b.__setitem__("fingerprint", ["seed", 668]),
     ],
     ids=[
         "truncated-idf",
@@ -484,6 +530,8 @@ def test_console_entry_point_runs():
         "unsmoothed-idf",
         "unnormalized-tfidf",
         "judge-vectorizer-differs",
+        "number-fingerprint",
+        "list-fingerprint",
     ],
 )
 def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):

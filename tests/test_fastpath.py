@@ -105,7 +105,7 @@ def _restricted(tfidf, keep):
 
 def _linear(model, cols, prefix=0):
     keep = list(range(prefix)) + [prefix + c for c in cols]
-    return LinearModel(model.classes, model.weights[:, keep].copy(), model.bias, model.config)
+    return LinearModel(model.classes, model.weights[:, keep].copy(), model.bias, model.seed)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def sparse_model(seed_model):
         rule_model=_linear(seed_model.rule_model, triple_cols),
         judge_vectorizer=triple_vec,
         judge_model=_linear(seed_model.judge_model, triple_cols, DENSE_DIM),
-        config=seed_model.config,
+        seed=seed_model.seed,
     )
 
 

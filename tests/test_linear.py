@@ -7,8 +7,8 @@ from oracles import batch_gd_predict, batch_gd_train, reference_mean_loss, refer
 from pedants.errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
 from pedants.linear import (
     LOGIT_CLAMP,
+    L2_PENALTY,
     LinearModel,
-    TrainConfig,
     _flatten,
     _mean_loss,
     predict,
@@ -40,15 +40,15 @@ def test_separable_two_points():
         (_dense_to_sparse([1.0, 0.0]), 0),
         (_dense_to_sparse([0.0, 1.0]), 1),
     ]
-    model = train(data, TrainConfig())
+    model = train(data)
     assert [predict(model, x) for x, _ in data] == [0, 1]
 
 
 def test_training_is_deterministic():
     X, y = _make_blobs()
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    first = train(data, TrainConfig(seed=668))
-    second = train(data, TrainConfig(seed=668))
+    first = train(data, seed=668)
+    second = train(data, seed=668)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
     )
@@ -58,7 +58,7 @@ def test_agrees_with_batch_gd_oracle_on_blobs():
     for seed in (99, 100, 101):
         X, y = _make_blobs(seed=seed)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-        model = train(data, TrainConfig())
+        model = train(data)
         ours = [predict(model, x) for x, _ in data]
         W, b = batch_gd_train(X, y)
         oracle = batch_gd_predict(W, b, X).tolist()
@@ -66,18 +66,16 @@ def test_agrees_with_batch_gd_oracle_on_blobs():
 
 
 def test_zero_model_probabilities():
-    cfg = TrainConfig()
-    two = LinearModel(2, np.zeros((2, 3)), np.zeros(2), cfg)
+    two = LinearModel(2, np.zeros((2, 3)), np.zeros(2))
     x = _dense_to_sparse([1.0, 2.0, 0.0])
     assert predict_proba(two, x) == pytest.approx([0.5, 0.5], abs=1e-12)
-    seven = LinearModel(7, np.zeros((7, 3)), np.zeros(7), cfg)
+    seven = LinearModel(7, np.zeros((7, 3)), np.zeros(7))
     assert predict_proba(seven, x) == pytest.approx([1 / 7] * 7, abs=1e-12)
 
 
 def test_softmax_hand_oracle_on_one_hot_input():
-    cfg = TrainConfig()
     weights = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-    model = LinearModel(3, weights, np.zeros(3), cfg)
+    model = LinearModel(3, weights, np.zeros(3))
     probs = predict_proba(model, _dense_to_sparse([1.0, 0.0]))
     import math
 
@@ -87,10 +85,9 @@ def test_softmax_hand_oracle_on_one_hot_input():
 
 
 def test_predict_tie_break_and_argmax():
-    cfg = TrainConfig()
-    uniform = LinearModel(3, np.zeros((3, 2)), np.zeros(3), cfg)
+    uniform = LinearModel(3, np.zeros((3, 2)), np.zeros(3))
     assert predict(uniform, _dense_to_sparse([1.0, 1.0])) == 0  # ties -> lowest index
-    biased = LinearModel(2, np.zeros((2, 2)), np.array([0.0, 2.1972245773362196]), cfg)
+    biased = LinearModel(2, np.zeros((2, 2)), np.array([0.0, 2.1972245773362196]))
     x = _dense_to_sparse([0.0, 0.0])
     probs = predict_proba(biased, x)
     assert probs[1] == pytest.approx(0.9, abs=1e-9)
@@ -98,10 +95,9 @@ def test_predict_tie_break_and_argmax():
 
 
 def test_seven_class_dominant_input():
-    cfg = TrainConfig()
     weights = np.zeros((7, 7))
     np.fill_diagonal(weights, 5.0)
-    model = LinearModel(7, weights, np.zeros(7), cfg)
+    model = LinearModel(7, weights, np.zeros(7))
     for cls in range(7):
         one_hot = [0.0] * 7
         one_hot[cls] = 1.0
@@ -109,8 +105,7 @@ def test_seven_class_dominant_input():
 
 
 def test_probabilities_no_nan_even_for_huge_inputs():
-    cfg = TrainConfig()
-    model = LinearModel(2, np.array([[1e6, -1e6], [-1e6, 1e6]]), np.zeros(2), cfg)
+    model = LinearModel(2, np.array([[1e6, -1e6], [-1e6, 1e6]]), np.zeros(2))
     probs = predict_proba(model, _dense_to_sparse([1e6, 1e6]))
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -120,17 +115,17 @@ def test_probabilities_no_nan_even_for_huge_inputs():
 def test_single_class_corpus_rejected():
     data = [(_dense_to_sparse([1.0, 0.0]), 1), (_dense_to_sparse([0.0, 1.0]), 1)]
     with pytest.raises(SingleClassCorpus):
-        train(data, TrainConfig())
+        train(data)
 
 
 def test_inconsistent_dimensions_rejected():
     data = [(_dense_to_sparse([1.0, 0.0]), 0), (_dense_to_sparse([1.0, 0.0, 3.0]), 1)]
     with pytest.raises(InconsistentDimensions):
-        train(data, TrainConfig())
+        train(data)
 
 
 def test_dimension_mismatch_on_predict():
-    model = LinearModel(2, np.zeros((2, 3)), np.zeros(2), TrainConfig())
+    model = LinearModel(2, np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(DimensionMismatch):
         predict_proba(model, _dense_to_sparse([1.0]))
 
@@ -138,19 +133,19 @@ def test_dimension_mismatch_on_predict():
 def test_serialization_round_trip_bit_exact():
     X, y = _make_blobs(seed=123)
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    model = train(data, TrainConfig())
+    model = train(data)
     clone = LinearModel.from_dict(model.to_dict())
     assert np.array_equal(clone.weights, model.weights)
     assert np.array_equal(clone.bias, model.bias)
-    assert clone.config == model.config
+    assert clone.seed == model.seed
 
 
 def test_feature_scaling_keeps_argmax_on_separable_data():
     X, y = _make_blobs(seed=7)
     base = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
     scaled = [(_dense_to_sparse(row * 3.0), int(label)) for row, label in zip(X, y)]
-    model_base = train(base, TrainConfig())
-    model_scaled = train(scaled, TrainConfig())
+    model_base = train(base)
+    model_scaled = train(scaled)
     labels_base = [predict(model_base, x) for x, _ in base]
     labels_scaled = [predict(model_scaled, x) for x, _ in scaled]
     assert labels_base == labels_scaled
@@ -162,13 +157,13 @@ def test_final_loss_never_exceeds_initial():
         (_dense_to_sparse([1.0, 1.0]), 0),
         (_dense_to_sparse([1.0, 1.0]), 1),
     ]
-    model = train(data, TrainConfig())
+    model = train(data)
     batch = _flatten([(x.indices, x.values) for x, _ in data])
     labels = np.array([y for _, y in data])
-    final = _mean_loss(model.weights, model.bias, batch, labels, model.config.l2_penalty)
+    final = _mean_loss(model.weights, model.bias, batch, labels, L2_PENALTY)
     initial = _mean_loss(
         np.zeros_like(model.weights), np.zeros_like(model.bias), batch, labels,
-        model.config.l2_penalty,
+        L2_PENALTY,
     )
     assert final <= initial + 1e-12
 
@@ -199,12 +194,14 @@ def test_train_matches_reference_trainer_bit_for_bit(n_classes, n_labels, signal
     rng = np.random.default_rng(seed)
     examples = _random_examples(rng, 80, 40, n_labels, signal)
     assert any(x.nnz == 0 for x, _ in examples)
-    config = TrainConfig(seed=seed)
-    model = train(examples, config, n_classes=n_classes)
-    assert model.to_dict() == reference_train(examples, config, n_classes=n_classes).to_dict()
-    # judging gathers weights[:, idx]; its layout, and so BLAS's rounding,
-    # follows from the layout of weights
-    assert model.weights.flags["C_CONTIGUOUS"]
+    model = train(examples, seed=seed, n_classes=n_classes)
+    assert model.to_dict() == reference_train(examples, seed=seed, n_classes=n_classes).to_dict()
+    # scoring reads its own copy of the weights, so their layout cannot move
+    # a probability's bits
+    fortran = LinearModel(model.classes, np.asfortranarray(model.weights), model.bias, seed)
+    assert not fortran.weights.flags["C_CONTIGUOUS"]
+    for x, _ in examples:
+        assert predict_proba(fortran, x).tobytes() == predict_proba(model, x).tobytes()
     if signal:  # the trained model scores past the clamp
         scores = [model.weights[:, x.indices] @ x.values + model.bias for x, _ in examples]
         assert np.abs(scores).max() > LOGIT_CLAMP

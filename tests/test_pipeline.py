@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pedants.errors import EmptyReferences, MissingAnnotations
-from pedants.linear import TrainConfig
 from pedants.pipeline import (
     DENSE_DIM,
     PedantsModel,
@@ -76,7 +75,7 @@ def test_type_extractor_separable_first_token(seed_corpus):
         ("where is it", "a place", QuestionType.WHERE),
         ("where was it built", "a city", QuestionType.WHERE),
     ]
-    tfidf, model = train_type_extractor(examples, TrainConfig())
+    tfidf, model = train_type_extractor(examples)
     for q, a, qtype in examples:
         probs = linear.predict_proba(model, encode_pair(q, a, tfidf))
         assert QuestionType.from_code(int(np.argmax(probs))) is qtype
@@ -89,7 +88,7 @@ def test_rule_extractor_separable_set():
         ("when was it", "Jan 20, 2021", "2021", RuleLabel.R2),
         ("when did it end", "1945", "about 1945", RuleLabel.R2),
     ]
-    tfidf, model = train_rule_extractor(examples, TrainConfig())
+    tfidf, model = train_rule_extractor(examples)
     for q, a, cand, rule in examples:
         probs = linear.predict_proba(model, encode_triple(q, a, cand, tfidf))
         assert RuleLabel.from_code(int(np.argmax(probs))) is rule
@@ -155,7 +154,7 @@ def test_assemble_features_layout(seed_model):
 def test_train_requires_annotations():
     bare = QAExample(question="q", references=("a",), candidate="c")
     with pytest.raises(MissingAnnotations) as exc:
-        train_pedants([bare], TrainConfig())
+        train_pedants([bare])
     assert exc.value.records == [0]
 
 
@@ -178,7 +177,7 @@ def test_degenerate_two_example_training():
             qtype=QuestionType.WHEN,
         ),
     ]
-    model = train_pedants(examples, TrainConfig())
+    model = train_pedants(examples)
     assert [judge(ex, model).correct for ex in examples] == [True, False]
 
 
@@ -188,8 +187,8 @@ def test_seed_training_accuracy(seed_corpus, seed_model):
 
 
 def test_training_is_byte_deterministic(seed_corpus):
-    a = train_pedants(seed_corpus, TrainConfig()).to_json()
-    b = train_pedants(seed_corpus, TrainConfig()).to_json()
+    a = train_pedants(seed_corpus).to_json()
+    b = train_pedants(seed_corpus).to_json()
     assert a == b
 
 
@@ -316,7 +315,7 @@ def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
         return tfidf(tokens, model)
 
     monkeypatch.setattr(vectorizer, "_tfidf", counted)
-    model = train_pedants(seed_corpus, TrainConfig())
+    model = train_pedants(seed_corpus)
     assert len(calls) == 2 * len(seed_corpus)
     calls.clear()
     for ex in seed_corpus:
