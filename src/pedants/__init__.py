@@ -6,50 +6,66 @@ import os
 # CPU; this must run before numpy loads, and a value the caller set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import (
-    DatasetError,
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyRecords,
-    EmptyReferences,
-    InconsistentDimensions,
-    MissingAnnotations,
-    OutOfRangeScore,
-    PedantsError,
-    SingleClassCorpus,
-    TooFewModels,
-)
-from .harness import (
-    ConfusionCounts,
-    RankingInput,
-    SweepRow,
-    likert_to_binary,
-    pairwise_ranking_accuracy,
-    threshold_sweep,
-)
-from .linear import LinearModel, predict, predict_proba, train
-from .metrics import (
-    PrfScores,
-    Threshold,
-    best_reference,
-    exact_match,
-    threshold_judge,
-    token_prf,
-)
-from .pipeline import (
-    Judgment,
-    PedantsModel,
-    QAExample,
-    QuestionType,
-    RuleLabel,
-    assemble_features,
-    judge,
-    judge_batch,
-    train_pedants,
-    train_rule_extractor,
-    train_type_extractor,
-)
-from .textnorm import EM_POLICY, PEDANTS_POLICY, POLICY_PRESETS, NormPolicy, normalize, tokenize
-from .vectorizer import SparseVector, TfidfModel, encode_pair, encode_triple
+import importlib
 
+# Each exported name and the submodule that defines it. The names of the
+# numpy-free modules are bound now; those of linear, pipeline and vectorizer
+# load with their module on first access, so the string metrics start
+# without numpy.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": (
+            "DatasetError", "DimensionMismatch", "EmptyCorpus", "EmptyRecords", "EmptyReferences",
+            "InconsistentDimensions", "MissingAnnotations", "OutOfRangeScore", "PedantsError",
+            "SingleClassCorpus", "TooFewModels",
+        ),
+        "harness": (
+            "ConfusionCounts", "RankingInput", "SweepRow", "likert_to_binary",
+            "pairwise_ranking_accuracy", "threshold_sweep",
+        ),
+        "io": ("QAExample", "QuestionType", "RuleLabel"),
+        "metrics": (
+            "PrfScores", "Threshold", "best_reference", "exact_match", "threshold_judge",
+            "token_prf",
+        ),
+        "textnorm": (
+            "EM_POLICY", "PEDANTS_POLICY", "POLICY_PRESETS", "NormPolicy", "normalize", "tokenize",
+        ),
+        "linear": ("LinearModel", "predict", "predict_proba", "train"),
+        "pipeline": (
+            "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch",
+            "train_pedants", "train_rule_extractor", "train_type_extractor",
+        ),
+        "vectorizer": ("SparseVector", "TfidfModel", "encode_pair", "encode_triple"),
+    }.items()
+    for name in names
+}
+_ON_ACCESS = ("linear", "pipeline", "vectorizer")
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Bind an exported name from its module, importing the module first if
+    need be; ``pedants.linear``, ``pedants.pipeline`` and
+    ``pedants.vectorizer`` import their submodule. Any other name is an
+    AttributeError."""
+    if name in _ON_ACCESS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+for _name, _module in _EXPORTS.items():
+    if _module not in _ON_ACCESS:
+        __getattr__(_name)
+del _name, _module

@@ -13,21 +13,24 @@ import argparse
 import contextlib
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import io
 from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
-from .linear import DEFAULT_SEED
+from .io import DEFAULT_SEED, QAExample
 from .metrics import _best_bag, best_reference
-from .pipeline import PedantsModel, QAExample, judge_batch, train_pedants
 from .textnorm import POLICY_PRESETS, normalize, tokenize
+
+# pipeline loads numpy, so only the pedants metric and train import it; the
+# string metrics, pre-judged eval, sweep and rank --rates start without it
+if TYPE_CHECKING:
+    from .pipeline import PedantsModel
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_THRESHOLD = 0.5
@@ -58,6 +61,8 @@ class Judger:
     def __call__(self, examples: list[QAExample]) -> list[dict[str, dict]]:
         out = [self._string_records(example) for example in examples]
         if "pedants" in self.metrics:
+            from .pipeline import judge_batch
+
             for records, judgment in zip(out, judge_batch(examples, self.model)):
                 records["pedants"] = judgment.to_dict()
         return out
@@ -110,6 +115,8 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
         for block in blocks:
             yield from zip(block, fn(block))
         return
+    import multiprocessing
+
     with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
         for block in blocks:
             size = -(-len(block) // (4 * workers))  # Pool.map's default chunk size
@@ -136,6 +143,8 @@ def _resolve_model_path(args) -> str:
 def _build_judger(metrics: list[str], args) -> Judger:
     model = None
     if "pedants" in metrics:
+        from .pipeline import PedantsModel
+
         model = PedantsModel.load(_resolve_model_path(args))
     return Judger(metrics, args.norm, args.threshold, model)
 
@@ -219,6 +228,8 @@ def _labeled_records(
 
 
 def cmd_train(args) -> int:
+    from .pipeline import train_pedants
+
     if args.corpus:
         corpus = io.read_examples(args.corpus, skip_bad=args.skip_bad, on_skip=_report_skip)
         source = args.corpus

@@ -1,4 +1,5 @@
-"""JSONL dataset ingestion, result emission, and report writing.
+"""The record types, JSONL dataset ingestion, result emission, and report
+writing.
 
 Dataset files hold one JSON object per line. Lines starting with "#" are
 schema/version comments and are skipped. A record needs "question",
@@ -15,15 +16,121 @@ import csv
 import importlib.resources
 import json
 import os
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .errors import DatasetError
+from .errors import DatasetError, EmptyReferences
 from .harness import likert_to_binary
-from .pipeline import QAExample
 
 JSONL_HEADER = "# pedants-jsonl v1"
 LIKERT_CUTOFF = 4
+# The seed of training's shuffle when none is given; with the bundled seed
+# corpus it makes the default model.
+DEFAULT_SEED = 668
+
+
+class QuestionType(Enum):
+    """The seven wh-categories a question can fall into. Codes 0..6 follow
+    declaration order."""
+
+    WHO = "who"
+    WHY = "why"
+    HOW = "how"
+    WHAT = "what"
+    WHEN = "when"
+    WHERE = "where"
+    WHICH = "which"
+
+    @property
+    def code(self) -> int:
+        return _TYPE_CODE[self]
+
+    @classmethod
+    def from_code(cls, code: int) -> "QuestionType":
+        return _TYPE_ORDER[code]
+
+
+_TYPE_ORDER = list(QuestionType)
+_TYPE_CODE = {t: i for i, t in enumerate(_TYPE_ORDER)}
+
+
+class RuleLabel(Enum):
+    """The seven answer-correctness rules. Codes 0..6 follow declaration
+    order (R1..R7)."""
+
+    R1 = "R1"  # entity aliasing
+    R2 = "R2"  # numerical information
+    R3 = "R3"  # less details
+    R4 = "R4"  # more details
+    R5 = "R5"  # semantic equivalence
+    R6 = "R6"  # irrelevant information
+    R7 = "R7"  # other possible answers
+
+    @property
+    def code(self) -> int:
+        return _RULE_CODE[self]
+
+    @classmethod
+    def from_code(cls, code: int) -> "RuleLabel":
+        return _RULE_ORDER[code]
+
+
+_RULE_ORDER = list(RuleLabel)
+_RULE_CODE = {r: i for i, r in enumerate(_RULE_ORDER)}
+
+
+@dataclass
+class QAExample:
+    """One judging instance: a question, reference answer(s), a candidate."""
+
+    question: str
+    references: tuple[str, ...]
+    candidate: str
+    human_label: bool | None = None
+    rule: RuleLabel | None = None
+    qtype: QuestionType | None = None
+    model_id: str | None = None
+    dataset_id: str | None = None
+
+    def __post_init__(self):
+        self.references = tuple(self.references)
+        if not self.references:
+            raise EmptyReferences("a QAExample needs at least one reference answer")
+
+    def to_dict(self) -> dict:
+        out: dict = {
+            "question": self.question,
+            "references": list(self.references),
+            "candidate": self.candidate,
+        }
+        if self.human_label is not None:
+            out["label"] = int(self.human_label)
+        if self.rule is not None:
+            out["rule"] = self.rule.value
+        if self.qtype is not None:
+            out["qtype"] = self.qtype.value
+        if self.model_id is not None:
+            out["model_id"] = self.model_id
+        if self.dataset_id is not None:
+            out["dataset_id"] = self.dataset_id
+        return out
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "QAExample":
+        label = obj.get("label")
+        return cls(
+            question=obj["question"],
+            references=tuple(obj["references"]),
+            candidate=obj["candidate"],
+            human_label=None if label is None else bool(label),
+            rule=None if obj.get("rule") is None else RuleLabel(obj["rule"]),
+            qtype=None if obj.get("qtype") is None else QuestionType(obj["qtype"]),
+            model_id=obj.get("model_id"),
+            dataset_id=obj.get("dataset_id"),
+        )
+
 
 
 def example_from_dict(obj: dict) -> QAExample:

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
-from .vectorizer import SparseVector, check_count, check_fixed
+from .io import DEFAULT_SEED
+from .vectorizer import SparseVector, check_count, check_fixed, check_numbers
 
 # Numerical guard: scores are clamped here before exponentiation, so no
 # NaN/Inf can ever leave the softmax.
@@ -29,13 +30,14 @@ LOGIT_CLAMP = 30.0
 # The trainer's fixed SGD settings. The learning rate at 0-based epoch e is
 # ETA0 / (1 + e)**LR_POWER, each step decays the weights by L2_PENALTY, and
 # training stops once an epoch improves the regularized mean log loss by less
-# than TOLERANCE, or after MAX_EPOCHS. Only the seed of the shuffle is chosen.
+# than TOLERANCE, or after MAX_EPOCHS. Only the seed of the shuffle is chosen;
+# its default, DEFAULT_SEED, is defined in io, where the CLI reads it without
+# loading numpy.
 L2_PENALTY = 1e-4
 TOLERANCE = 1e-3
 MAX_EPOCHS = 1000
 ETA0 = 0.5
 LR_POWER = 0.5
-DEFAULT_SEED = 668
 _FIXED = {
     "l2_penalty": L2_PENALTY,
     "tolerance": TOLERANCE,
@@ -83,10 +85,12 @@ class LinearModel:
         """Load a trained model, rejecting misshapen or non-finite parameters."""
         classes = check_count(data["classes"], "linear model classes")
         dim = check_count(data["dim"], "linear model dim")
+        weights = check_numbers(data["weights"], "linear model weights")
+        bias = check_numbers(data["bias"], "linear model bias")
         try:
-            weights = np.array(data["weights"], dtype=np.float64)
-            bias = np.array(data["bias"], dtype=np.float64)
-        except (TypeError, OverflowError) as exc:
+            weights = np.array(weights, dtype=np.float64)
+            bias = np.array(bias, dtype=np.float64)
+        except OverflowError as exc:  # an integer past float64's range
             raise ValueError(f"malformed linear model: {exc}") from exc
         if weights.shape != (classes * dim,):
             raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")

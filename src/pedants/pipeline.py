@@ -21,14 +21,14 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linear, vectorizer
-from .errors import EmptyReferences, MissingAnnotations
+from .errors import MissingAnnotations
+from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_bag
 from .textnorm import PEDANTS_POLICY, normalize, tokenize
@@ -42,107 +42,7 @@ N_TOKEN_SCORES = 3
 # Dense prefix of every assembled vector: type probs, rule probs, (f1, p, r).
 DENSE_DIM = N_TYPES + N_RULES + N_TOKEN_SCORES
 
-
-class QuestionType(Enum):
-    """The seven wh-categories a question can fall into. Codes 0..6 follow
-    declaration order."""
-
-    WHO = "who"
-    WHY = "why"
-    HOW = "how"
-    WHAT = "what"
-    WHEN = "when"
-    WHERE = "where"
-    WHICH = "which"
-
-    @property
-    def code(self) -> int:
-        return _TYPE_CODE[self]
-
-    @classmethod
-    def from_code(cls, code: int) -> "QuestionType":
-        return _TYPE_ORDER[code]
-
-
-_TYPE_ORDER = list(QuestionType)
-_TYPE_CODE = {t: i for i, t in enumerate(_TYPE_ORDER)}
 _WH_LOOKUP = {t.value: t for t in QuestionType}
-
-
-class RuleLabel(Enum):
-    """The seven answer-correctness rules. Codes 0..6 follow declaration
-    order (R1..R7)."""
-
-    R1 = "R1"  # entity aliasing
-    R2 = "R2"  # numerical information
-    R3 = "R3"  # less details
-    R4 = "R4"  # more details
-    R5 = "R5"  # semantic equivalence
-    R6 = "R6"  # irrelevant information
-    R7 = "R7"  # other possible answers
-
-    @property
-    def code(self) -> int:
-        return _RULE_CODE[self]
-
-    @classmethod
-    def from_code(cls, code: int) -> "RuleLabel":
-        return _RULE_ORDER[code]
-
-
-_RULE_ORDER = list(RuleLabel)
-_RULE_CODE = {r: i for i, r in enumerate(_RULE_ORDER)}
-
-
-@dataclass
-class QAExample:
-    """One judging instance: a question, reference answer(s), a candidate."""
-
-    question: str
-    references: tuple[str, ...]
-    candidate: str
-    human_label: bool | None = None
-    rule: RuleLabel | None = None
-    qtype: QuestionType | None = None
-    model_id: str | None = None
-    dataset_id: str | None = None
-
-    def __post_init__(self):
-        self.references = tuple(self.references)
-        if not self.references:
-            raise EmptyReferences("a QAExample needs at least one reference answer")
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "question": self.question,
-            "references": list(self.references),
-            "candidate": self.candidate,
-        }
-        if self.human_label is not None:
-            out["label"] = int(self.human_label)
-        if self.rule is not None:
-            out["rule"] = self.rule.value
-        if self.qtype is not None:
-            out["qtype"] = self.qtype.value
-        if self.model_id is not None:
-            out["model_id"] = self.model_id
-        if self.dataset_id is not None:
-            out["dataset_id"] = self.dataset_id
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "QAExample":
-        label = obj.get("label")
-        return cls(
-            question=obj["question"],
-            references=tuple(obj["references"]),
-            candidate=obj["candidate"],
-            human_label=None if label is None else bool(label),
-            rule=None if obj.get("rule") is None else RuleLabel(obj["rule"]),
-            qtype=None if obj.get("qtype") is None else QuestionType(obj["qtype"]),
-            model_id=obj.get("model_id"),
-            dataset_id=obj.get("dataset_id"),
-        )
 
 
 @dataclass(frozen=True)
@@ -235,7 +135,7 @@ class PedantsModel:
         if version != BUNDLE_FORMAT_VERSION:
             raise ValueError(f"unsupported bundle format_version: {version!r}")
         try:
-            return cls(
+            model = cls(
                 type_vectorizer=TfidfModel.from_dict(data["type_extractor"]["vectorizer"]),
                 type_model=LinearModel.from_dict(data["type_extractor"]["model"]),
                 rule_vectorizer=TfidfModel.from_dict(data["rule_extractor"]["vectorizer"]),
@@ -248,14 +148,24 @@ class PedantsModel:
             )
         except TypeError as exc:  # a section that is not an object
             raise ValueError(f"malformed bundle: {exc}") from exc
+        # every seed a bundle states is the one it was trained with
+        seeds = {
+            "type_extractor.model.config": model.type_model.seed,
+            "rule_extractor.model.config": model.rule_model.seed,
+            "final_judge.model.config": model.judge_model.seed,
+        }
+        if "seed" in model.fingerprint:
+            seeds["fingerprint"] = model.fingerprint["seed"]
+        for section, seed in seeds.items():
+            if type(seed) is not int or seed != model.seed:
+                raise ValueError(f"{section}: seed {seed!r} differs from config seed {model.seed}")
+        return model
 
     def to_json(self) -> str:
         # sort_keys + compact separators keep serialization byte-reproducible
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
-        from .io import open_atomic  # io imports this module
-
         with open_atomic(path) as handle:
             handle.write(self.to_json() + "\n")
 
@@ -492,7 +402,7 @@ def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judg
         Judgment(
             correct=negative < positive,  # the argmax; a tie is the negative class
             confidence=positive,
-            predicted_rule=_RULE_ORDER[_argmax(row[N_TYPES : N_TYPES + N_RULES])],
+            predicted_rule=RuleLabel.from_code(_argmax(row[N_TYPES : N_TYPES + N_RULES])),
             predicted_type=_question_type(p.question, row[:N_TYPES]),
             token_scores=p.scores,
             chosen_reference=p.ref_index,

@@ -51,6 +51,19 @@ def check_count(value, what: str) -> int:
     return value
 
 
+def check_numbers(values, what: str) -> list:
+    """A bundle's array of numbers: a JSON array of JSON numbers only, not
+    strings, bools, nulls or nested values, which numpy would parse or
+    coerce. One C-level pass over the items."""
+    if not isinstance(values, list):
+        raise ValueError(f"malformed {what}: must be an array, got {type(values).__name__}")
+    other = set(map(type, values)) - {int, float}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise ValueError(f"malformed {what}: must be numbers, got {names}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SparseVector:
     """Sorted (index, weight) pairs in a fixed-dimension space.
@@ -133,7 +146,7 @@ class TfidfModel:
         what = "vectorizer config (smoothed idf, L2 normalization, every token kept)"
         try:
             check_fixed(data["config"], _CONFIG, what)
-            idf = np.array(data["idf"], dtype=np.float64)  # a null reads as NaN
+            idf = np.array(check_numbers(data["idf"], "vectorizer idf"), dtype=np.float64)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
         doc_count = check_count(data["doc_count"], "vectorizer doc_count")

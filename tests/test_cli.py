@@ -497,44 +497,79 @@ def test_console_entry_point_runs():
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, named",
     [
-        lambda b: b["final_judge"]["vectorizer"]["idf"].pop(),
-        lambda b: b["final_judge"]["model"]["weights"].__setitem__(3, float("nan")),
-        lambda b: b["final_judge"]["model"].__setitem__("classes", None),
-        lambda b: b["config"].__setitem__("seed", None),
-        lambda b: b["type_extractor"]["model"]["config"].__setitem__("eta0", [0.1]),
-        lambda b: b["final_judge"]["vectorizer"]["vocab"].__setitem__(0, 5),
-        lambda b: b["rule_extractor"]["vectorizer"].__setitem__("vocab", None),
-        lambda b: b["rule_extractor"]["vectorizer"]["config"].__setitem__("min_df", None),
-        lambda b: b.__setitem__("type_extractor", None),
-        lambda b: b["final_judge"]["vectorizer"]["config"].__setitem__("smooth_idf", False),
-        lambda b: b["type_extractor"]["vectorizer"]["config"].__setitem__("l2_normalize", False),
-        # valid on its own, but not the rule extractor's triple vectorizer
-        lambda b: b["final_judge"]["vectorizer"]["idf"].__setitem__(
-            0, 2 * b["final_judge"]["vectorizer"]["idf"][0]
+        pytest.param(lambda b: b["final_judge"]["vectorizer"]["idf"].pop(), "idf",
+                     id="truncated-idf"),
+        pytest.param(lambda b: b["final_judge"]["model"]["weights"].__setitem__(3, float("nan")),
+                     "weights", id="nan-weight"),
+        pytest.param(lambda b: b["final_judge"]["model"].__setitem__("classes", None), "classes",
+                     id="null-classes"),
+        pytest.param(lambda b: b["config"].__setitem__("seed", None), "seed", id="null-seed"),
+        pytest.param(
+            lambda b: b["type_extractor"]["model"]["config"].__setitem__("eta0", [0.1]), "eta0",
+            id="list-eta0",
         ),
-        lambda b: b.__setitem__("fingerprint", 5),
-        lambda b: b.__setitem__("fingerprint", ["seed", 668]),
-    ],
-    ids=[
-        "truncated-idf",
-        "nan-weight",
-        "null-classes",
-        "null-seed",
-        "list-eta0",
-        "int-vocab-token",
-        "null-vocab",
-        "null-min-df",
-        "null-section",
-        "unsmoothed-idf",
-        "unnormalized-tfidf",
-        "judge-vectorizer-differs",
-        "number-fingerprint",
-        "list-fingerprint",
+        pytest.param(lambda b: b["final_judge"]["vectorizer"]["vocab"].__setitem__(0, 5),
+                     "vocabulary", id="int-vocab-token"),
+        pytest.param(lambda b: b["rule_extractor"]["vectorizer"].__setitem__("vocab", None),
+                     "vocabulary", id="null-vocab"),
+        pytest.param(
+            lambda b: b["rule_extractor"]["vectorizer"]["config"].__setitem__("min_df", None),
+            "min_df", id="null-min-df",
+        ),
+        pytest.param(lambda b: b.__setitem__("type_extractor", None), "malformed bundle",
+                     id="null-section"),
+        pytest.param(
+            lambda b: b["final_judge"]["vectorizer"]["config"].__setitem__("smooth_idf", False),
+            "smooth_idf", id="unsmoothed-idf",
+        ),
+        pytest.param(
+            lambda b: b["type_extractor"]["vectorizer"]["config"].__setitem__(
+                "l2_normalize", False
+            ),
+            "l2_normalize", id="unnormalized-tfidf",
+        ),
+        # valid on its own, but not the rule extractor's triple vectorizer
+        pytest.param(
+            lambda b: b["final_judge"]["vectorizer"]["idf"].__setitem__(
+                0, 2 * b["final_judge"]["vectorizer"]["idf"][0]
+            ),
+            "vectorizers differ", id="judge-vectorizer-differs",
+        ),
+        pytest.param(lambda b: b.__setitem__("fingerprint", 5), "fingerprint",
+                     id="number-fingerprint"),
+        pytest.param(lambda b: b.__setitem__("fingerprint", ["seed", 668]), "fingerprint",
+                     id="list-fingerprint"),
+        # JSON numbers only: numpy would parse a string and read a bool as 0 or 1
+        pytest.param(
+            lambda b: b["final_judge"]["model"].__setitem__(
+                "weights", [repr(w) for w in b["final_judge"]["model"]["weights"]]
+            ),
+            "weights", id="string-weights",
+        ),
+        pytest.param(
+            lambda b: b["type_extractor"]["vectorizer"]["idf"].__setitem__(
+                2, repr(b["type_extractor"]["vectorizer"]["idf"][2])
+            ),
+            "idf", id="string-idf",
+        ),
+        pytest.param(lambda b: b["rule_extractor"]["model"]["weights"].__setitem__(1, True),
+                     "weights", id="bool-weight"),
+        pytest.param(lambda b: b["final_judge"]["model"].__setitem__("bias", [True, False]),
+                     "bias", id="bool-biases"),
+        # each part's seed, and the fingerprint's, is the bundle's config seed
+        pytest.param(
+            lambda b: b["type_extractor"]["model"]["config"].__setitem__("seed", 5),
+            "type_extractor.model", id="model-seed-differs",
+        ),
+        pytest.param(lambda b: b["fingerprint"].__setitem__("seed", 9), "fingerprint",
+                     id="fingerprint-seed-differs"),
     ],
 )
-def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, corrupt, capsys):
+def test_corrupt_bundle_rejected_at_load(
+    tmp_path, dataset, seed_bundle_path, corrupt, named, capsys
+):
     bundle = json.loads(seed_bundle_path.read_text())
     corrupt(bundle)
     bad = tmp_path / "bad-bundle.json"
@@ -543,7 +578,7 @@ def test_corrupt_bundle_rejected_at_load(tmp_path, dataset, seed_bundle_path, co
     rc = main(["judge", "--dataset", str(dataset), "--model", str(bad), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("pedants: error: ")
+    assert err.startswith("pedants: error: ") and named in err
     assert "Traceback" not in err
     assert not out.exists()  # rejected before judging anything
 

@@ -165,7 +165,7 @@ def test_random_documents_norms():
         (lambda d: d["idf"].__setitem__(0, 0.0), "finite and positive"),
         (lambda d: d["idf"].__setitem__(0, float("inf")), "finite and positive"),
         (lambda d: d["idf"].__setitem__(0, float("nan")), "finite and positive"),
-        (lambda d: d["idf"].__setitem__(0, None), "finite and positive"),
+        (lambda d: d["idf"].__setitem__(0, None), "idf: must be numbers"),
         (lambda d: d["config"].__setitem__("smooth_idf", False), "smoothed idf"),
         (lambda d: d["config"].__setitem__("l2_normalize", False), "L2 normalization"),
         (lambda d: d["config"].__setitem__("l2_normalize", 1), "L2 normalization"),
