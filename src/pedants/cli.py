@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -338,18 +339,17 @@ def cmd_rank(args) -> int:
             raise PedantsError("rank needs --rates or --dataset")
         names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
-        human: dict[str, list[int]] = {}
-        auto: dict[str, dict[str, list[int]]] = {name: {} for name in names}
+        # per model: its records, and how many humans and each metric judge correct
+        records: Counter[str] = Counter()
+        correct = {name: Counter() for name in ("human", *names)}
         examples = _ranked_examples(args.dataset, args.skip_bad)
         for example, verdicts in _map_ordered(judger.verdicts, examples, workers=1):
-            human.setdefault(example.model_id, []).append(int(example.human_label))
+            records[example.model_id] += 1
+            correct["human"][example.model_id] += example.human_label
             for name in names:
-                auto[name].setdefault(example.model_id, []).append(int(verdicts[name]))
-        human_rates = {m: sum(v) / len(v) for m, v in human.items()}
-        metric_rates = {
-            name: {m: sum(v) / len(v) for m, v in auto[name].items()} for name in names
-        }
-        ranking = RankingInput(human_rates=human_rates, metric_rates=metric_rates)
+                correct[name][example.model_id] += verdicts[name]
+        rates = {name: {m: c[m] / n for m, n in records.items()} for name, c in correct.items()}
+        ranking = RankingInput(human_rates=rates.pop("human"), metric_rates=rates)
 
     rows = [
         {

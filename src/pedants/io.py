@@ -169,17 +169,21 @@ def iter_raw(
 ) -> Iterator[tuple[int, dict]]:
     """Stream (line_no, json object) pairs from a JSONL file.
 
-    Malformed lines raise DatasetError with their 1-based line number; with
-    ``skip_bad`` they are reported through ``on_skip`` and skipped. Memory
-    use is one line at a time.
+    Malformed lines, invalid UTF-8 among them, raise DatasetError with their
+    1-based line number; with ``skip_bad`` they are reported through
+    ``on_skip`` and skipped. Memory use is one line at a time.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 read as lone surrogates, so a bad line does not
+    # end the file; decoding the line again raises the codec's error for it
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             try:
+                if not stripped.isascii():
+                    stripped.encode("utf-8", "surrogateescape").decode("utf-8")
                 obj = json.loads(stripped)
                 if not isinstance(obj, dict):
                     raise ValueError(f"expected a JSON object, got {type(obj).__name__}")

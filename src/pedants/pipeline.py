@@ -7,8 +7,9 @@ candidate) to feed a binary logistic-regression judge. A trained bundle is
 immutable and safe to share across concurrent judging workers.
 
 Judging and training share one feature path: each example is prepared once
-(every string normalized once, the best reference chosen), its pair and
-triple are tf-idf-encoded once each (one triple vectorizer serves the rule
+(every string normalized once and held once, the best reference chosen),
+its pair and triple token lists are built from those strings where they are
+encoded, each is tf-idf-encoded once (one triple vectorizer serves the rule
 extractor and the judge), and the three linear models score a whole batch
 with one kernel (``linear._scores``). ``judge`` is ``judge_batch`` of one
 example, with the same bits, and ``assemble_features`` and the judge's
@@ -22,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,6 +149,8 @@ class PedantsModel:
             )
         except TypeError as exc:  # a section that is not an object
             raise ValueError(f"malformed bundle: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
         # every seed a bundle states is the one it was trained with
         seeds = {
             "type_extractor.model.config": model.type_model.seed,
@@ -171,18 +174,21 @@ class PedantsModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PedantsModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 class _Prepared(NamedTuple):
-    """One example with each string normalized once (PEDANTS_POLICY), and
-    the texts its encoders read."""
+    """One example with each string normalized once (PEDANTS_POLICY) and
+    held once; its encoders' token lists are built where they are encoded."""
 
     question: str
+    reference: str  # the best-F1 reference
+    candidate: str
     ref_index: int
-    scores: PrfScores  # token scores against the best-F1 reference
-    pair: str  # "[CLS] q [SEP] ref"
-    triple: str  # "[CLS] q [SEP] ref [SEP] candidate"
+    scores: PrfScores  # token scores against that reference
 
 
 def _prepare(example: QAExample) -> _Prepared:
@@ -190,14 +196,17 @@ def _prepare(example: QAExample) -> _Prepared:
     candidate = normalize(example.candidate, PEDANTS_POLICY)
     references = [normalize(ref, PEDANTS_POLICY) for ref in example.references]
     ref_idx, scores = _best_bag(tokenize(candidate), [tokenize(ref) for ref in references])
-    ref = references[ref_idx]
-    return _Prepared(
-        question,
-        ref_idx,
-        scores,
-        vectorizer._pair_text(question, ref),
-        vectorizer._triple_text(question, ref, candidate),
-    )
+    return _Prepared(question, references[ref_idx], candidate, ref_idx, scores)
+
+
+def _pairs(rows: Sequence[Sequence[str]]) -> Iterator[list[str]]:
+    """The pair tokens of (question, reference, ...) normalized rows."""
+    return (vectorizer._pair(row[0], row[1]) for row in rows)
+
+
+def _triples(rows: Sequence[Sequence[str]]) -> Iterator[list[str]]:
+    """The triple tokens of (question, reference, candidate, ...) normalized rows."""
+    return (vectorizer._triple(vectorizer._pair(row[0], row[1]), row[2]) for row in rows)
 
 
 Encoding = tuple[np.ndarray, np.ndarray]  # indices and values, as _tfidf gives them
@@ -248,8 +257,10 @@ def _encode_and_prefix(
     extractor and the judge."""
     pairs, triples = [], []
     for p in prepared:
-        pairs.append(vectorizer._tfidf(p.pair.split(), model.type_vectorizer))
-        triples.append(vectorizer._tfidf(p.triple.split(), model.judge_vectorizer))
+        pair = vectorizer._pair(p.question, p.reference)
+        pairs.append(vectorizer._tfidf(pair, model.type_vectorizer))
+        triple = vectorizer._triple(pair, p.candidate)
+        triples.append(vectorizer._tfidf(triple, model.judge_vectorizer))
     return *_prefix([p.scores for p in prepared], pairs, triples, model._kernel), triples
 
 
@@ -261,12 +272,13 @@ def _judge_input(prefix: np.ndarray, triple: Encoding) -> Encoding:
 
 
 def _fit_extractor(
-    texts: list[str], labels: list[int], n_classes: int, seed: int
+    docs: Callable, rows: Sequence, labels: list[int], n_classes: int, seed: int
 ) -> tuple[TfidfModel, LinearModel, list[Encoding]]:
-    """Fit a vocabulary on ``texts``, encode each text once, and train on
-    the encodings; returns the vocabulary, the model and the encodings."""
-    tfidf = vectorizer.fit(texts)
-    vectors = [vectorizer.transform(text, tfidf) for text in texts]
+    """Fit a vocabulary on the token lists ``docs(rows)`` yields, build them
+    again to encode each once, and train on the encodings; returns the
+    vocabulary, the model and the encodings."""
+    tfidf = vectorizer.fit(docs(rows))
+    vectors = [SparseVector(tfidf.dimension, *vectorizer._tfidf(doc, tfidf)) for doc in docs(rows)]
     model = linear.train(list(zip(vectors, labels)), seed, n_classes=n_classes)
     return tfidf, model, [(v.indices, v.values) for v in vectors]
 
@@ -274,27 +286,19 @@ def _fit_extractor(
 def train_type_extractor(
     examples: Sequence[tuple[str, str, QuestionType]], seed: int = DEFAULT_SEED
 ) -> tuple[TfidfModel, LinearModel]:
-    """Fit a tf-idf vocabulary on (q, a) pair texts and train the 7-class
+    """Fit a tf-idf vocabulary on (q, a) pairs and train the 7-class
     question-type classifier."""
-    return _fit_extractor(
-        [vectorizer.build_pair_text(q, a) for q, a, _ in examples],
-        [qtype.code for _, _, qtype in examples],
-        N_TYPES,
-        seed,
-    )[:2]
+    rows = [[normalize(text, PEDANTS_POLICY) for text in ex[:2]] for ex in examples]
+    return _fit_extractor(_pairs, rows, [qtype.code for *_, qtype in examples], N_TYPES, seed)[:2]
 
 
 def train_rule_extractor(
     examples: Sequence[tuple[str, str, str, RuleLabel]], seed: int = DEFAULT_SEED
 ) -> tuple[TfidfModel, LinearModel]:
-    """Fit a tf-idf vocabulary on (q, a, candidate) triple texts and train
-    the 7-class correctness-rule classifier."""
-    return _fit_extractor(
-        [vectorizer.build_triple_text(q, a, cand) for q, a, cand, _ in examples],
-        [rule.code for _, _, _, rule in examples],
-        N_RULES,
-        seed,
-    )[:2]
+    """Fit a tf-idf vocabulary on (q, a, candidate) triples and train the
+    7-class correctness-rule classifier."""
+    rows = [[normalize(text, PEDANTS_POLICY) for text in ex[:3]] for ex in examples]
+    return _fit_extractor(_triples, rows, [rule.code for *_, rule in examples], N_RULES, seed)[:2]
 
 
 def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
@@ -332,10 +336,10 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     # one triple vectorizer serves the rule extractor and the judge, and each
     # pair and triple is encoded once, for the fits and the judge's inputs
     type_vec, type_model, pairs = _fit_extractor(
-        [p.pair for p in prepared], [ex.qtype.code for ex in train_set], N_TYPES, seed
+        _pairs, prepared, [ex.qtype.code for ex in train_set], N_TYPES, seed
     )
     triple_vec, rule_model, triples = _fit_extractor(
-        [p.triple for p in prepared], [ex.rule.code for ex in train_set], N_RULES, seed
+        _triples, prepared, [ex.rule.code for ex in train_set], N_RULES, seed
     )
 
     # The judge's inputs come from the batch kernel that judging uses.

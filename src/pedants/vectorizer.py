@@ -2,10 +2,10 @@
 
 Vocabulary fitting is deterministic (tokens sorted lexicographically) and
 keeps every token it sees, idf uses the smoothed form ln((1+N)/(1+df)) + 1,
-and encoded vectors are L2-normalized. The build/encode helpers normalize
-their strings with PEDANTS_POLICY and join question/answer segments with
-literal "[CLS]" and "[SEP]" marker tokens, which live in the vocabulary like
-any other token.
+and encoded vectors are L2-normalized. Fitting and encoding read token
+lists: ``_pair`` and ``_triple`` build the "[CLS] q [SEP] a [SEP] candidate"
+tokens of normalized strings where they are encoded. The "[CLS]" and "[SEP]"
+markers live in the vocabulary like any other token.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,18 +160,16 @@ class TfidfModel:
         return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count)
 
 
-def fit(corpus: list[str]) -> TfidfModel:
-    """Fit vocabulary and idf weights on whitespace-tokenized documents.
-
-    Documents are expected to be normalized already (see the encode helpers);
-    fitting itself only splits on whitespace.
-    """
-    if not corpus:
-        raise EmptyCorpus("cannot fit a tf-idf model on an empty corpus")
+def fit(corpus: Iterable[Sequence[str]]) -> TfidfModel:
+    """Fit vocabulary and idf weights on documents given as token lists,
+    already normalized; the corpus is read once, so a generator will do."""
     df: Counter[str] = Counter()
-    for doc in corpus:
-        df.update(set(doc.split()))
-    n_docs = len(corpus)
+    n_docs = 0
+    for tokens in corpus:
+        df.update(set(tokens))
+        n_docs += 1
+    if not n_docs:
+        raise EmptyCorpus("cannot fit a tf-idf model on an empty corpus")
     tokens = sorted(df)
     vocabulary = {tok: i for i, tok in enumerate(tokens)}
     idf = [math.log((1 + n_docs) / (1 + df[tok])) + 1.0 for tok in tokens]
@@ -211,33 +209,22 @@ def transform(text: str, model: TfidfModel) -> SparseVector:
     return SparseVector(model.dimension, *_tfidf(text.split(), model))
 
 
-def _pair_text(question: str, answer: str) -> str:
-    """The "[CLS] q [SEP] a" text of already normalized strings."""
-    return f"{CLS_TOKEN} {question} {SEP_TOKEN} {answer}"
+def _pair(question: str, answer: str) -> list[str]:
+    """The "[CLS] q [SEP] a" tokens of already normalized strings."""
+    return [CLS_TOKEN, *question.split(), SEP_TOKEN, *answer.split()]
 
 
-def _triple_text(question: str, answer: str, candidate: str) -> str:
-    """The "[CLS] q [SEP] a [SEP] candidate" text of already normalized strings."""
-    return f"{_pair_text(question, answer)} {SEP_TOKEN} {candidate}"
-
-
-def build_pair_text(question: str, answer: str) -> str:
-    """Normalized "[CLS] q [SEP] a" string for question-type features."""
-    return _pair_text(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
-
-
-def build_triple_text(question: str, answer: str, candidate: str) -> str:
-    """Normalized "[CLS] q [SEP] a [SEP] candidate" string."""
-    return _triple_text(
-        normalize(question, PEDANTS_POLICY),
-        normalize(answer, PEDANTS_POLICY),
-        normalize(candidate, PEDANTS_POLICY),
-    )
+def _triple(pair: list[str], candidate: str) -> list[str]:
+    """A pair's tokens extended with "[SEP] candidate", normalized already."""
+    return [*pair, SEP_TOKEN, *candidate.split()]
 
 
 def encode_pair(question: str, answer: str, model: TfidfModel) -> SparseVector:
-    return transform(build_pair_text(question, answer), model)
+    pair = _pair(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
+    return SparseVector(model.dimension, *_tfidf(pair, model))
 
 
 def encode_triple(question: str, answer: str, candidate: str, model: TfidfModel) -> SparseVector:
-    return transform(build_triple_text(question, answer, candidate), model)
+    pair = _pair(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
+    triple = _triple(pair, normalize(candidate, PEDANTS_POLICY))
+    return SparseVector(model.dimension, *_tfidf(triple, model))

@@ -286,6 +286,32 @@ def test_rank_from_dataset(dataset, seed_bundle_path, capsys):
     assert "pairwise_ranking_accuracy=1.0000" in capsys.readouterr().out
 
 
+def test_rank_from_dataset_equals_rank_of_its_rates(tmp_path, seed_corpus, capsys):
+    # rank counts each model's records and correct verdicts; the report must
+    # be the one of the rate table computed from the judged records
+    rows = [dict(ex.to_dict(), model_id=f"m{i % 5}") for i, ex in enumerate(seed_corpus)]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    rates = {"human": {}, "metrics": {}}
+    for metric in ("em", "f1"):
+        out = tmp_path / f"{metric}.jsonl"
+        assert main(["judge", "--metric", metric, "--dataset", str(data), "--out", str(out)]) == 0
+        verdicts = [json.loads(line)["correct"] for line in _judgment_lines(out)]
+        for table, values in ((rates["human"], [r["label"] for r in rows]),
+                              (rates["metrics"].setdefault(metric, {}), verdicts)):
+            for model in sorted({r["model_id"] for r in rows}):
+                mine = [v for v, r in zip(values, rows) if r["model_id"] == model]
+                table[model] = sum(mine) / len(mine)
+    (tmp_path / "rates.json").write_text(json.dumps(rates))
+    for args, out in ((["--dataset", str(data), "--metric", "em,f1"], "from-dataset"),
+                      (["--rates", str(tmp_path / "rates.json")], "from-rates")):
+        assert main(["rank", *args, "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    for name in ("ranking.json", "ranking.csv"):
+        expected = (tmp_path / "from-rates" / name).read_bytes()
+        assert (tmp_path / "from-dataset" / name).read_bytes() == expected
+
+
 def test_sweep_outputs_rows(tmp_path, dataset, capsys):
     out_dir = tmp_path / "sweep"
     rc = main(
@@ -565,20 +591,31 @@ def test_console_entry_point_runs():
         ),
         pytest.param(lambda b: b["fingerprint"].__setitem__("seed", 9), "fingerprint",
                      id="fingerprint-seed-differs"),
+        # a case that returns bytes writes them in place of the edited bundle
+        pytest.param(lambda b: json.dumps(b).encode()[:3000], "line 1 column 3001",
+                     id="truncated-file"),
+        pytest.param(lambda b: b.pop("final_judge"), "missing field 'final_judge'",
+                     id="missing-section"),
+        pytest.param(lambda b: b["final_judge"]["model"].pop("bias"), "missing field 'bias'",
+                     id="missing-bias"),
+        pytest.param(
+            lambda b: json.dumps(b).encode().replace(b'"fingerprint"', b'"finger\xffprint"'),
+            "can't decode byte 0xff", id="invalid-utf8",
+        ),
     ],
 )
 def test_corrupt_bundle_rejected_at_load(
     tmp_path, dataset, seed_bundle_path, corrupt, named, capsys
 ):
     bundle = json.loads(seed_bundle_path.read_text())
-    corrupt(bundle)
+    data = corrupt(bundle)
     bad = tmp_path / "bad-bundle.json"
-    bad.write_text(json.dumps(bundle))
+    bad.write_bytes(data if isinstance(data, bytes) else json.dumps(bundle).encode())
     out = tmp_path / "out.jsonl"
     rc = main(["judge", "--dataset", str(dataset), "--model", str(bad), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("pedants: error: ") and named in err
+    assert err.startswith(f"pedants: error: {bad}: ") and named in err
     assert "Traceback" not in err
     assert not out.exists()  # rejected before judging anything
 
@@ -609,6 +646,31 @@ def test_mistyped_record_names_its_line(tmp_path, seed_bundle_path, field, value
     assert rc == 0
     assert f"skipping bad line: {path}:2: " in capsys.readouterr().err
     assert len(_judgment_lines(out)) == 2
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_invalid_utf8_line_names_its_line(tmp_path, seed_bundle_path, newline, capsys):
+    lines = [json.dumps(r, ensure_ascii=False).encode() for r in ROWS]
+    lines[1] = lines[1].replace(b"Joe", b"Jo\xffe")
+    lines[3] = lines[3].replace(b"Sydney", "Sydney — café".encode())  # valid UTF-8
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(newline.encode().join([b"# pedants-jsonl v1", *lines, b""]))
+    out = tmp_path / "out.jsonl"
+    model = ["--model", str(seed_bundle_path)]
+    for args in (["judge", *model, "--out", str(out)], ["eval", *model], ["eval", "--metric", "f1"]):
+        assert main(args + ["--dataset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pedants: error: {path}:3: ") and "byte 0xff" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    rc = main(["judge", "--dataset", str(path), *model, "--out", str(out), "--skip-bad"])
+    assert rc == 0
+    assert f"skipping bad line: {path}:3: " in capsys.readouterr().err
+    assert len(_judgment_lines(out)) == 3
+    assert main(["eval", "--dataset", str(path), *model, "--skip-bad"]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping bad line: {path}:3: " in captured.err
+    assert captured.out.count("n=3") == 3
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

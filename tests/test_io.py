@@ -113,6 +113,22 @@ def test_skip_bad_collects_errors(tmp_path):
     assert [err.line_no for err in seen] == [1, 3]
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_invalid_utf8_is_an_error_of_its_line(tmp_path, newline):
+    record = {"question": "q", "references": ["a"], "candidate": "café"}
+    good = json.dumps(record, ensure_ascii=False).encode()
+    lines = [b"# comment", good, good.replace(b"caf", b"c\xe9f"), b"", b"\xff", good, b""]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(DatasetError, match=r":3: 'utf-8' codec can't decode byte 0xe9"):
+        list(io.iter_raw(path))
+    seen = []
+    read = list(io.iter_raw(path, skip_bad=True, on_skip=seen.append))
+    assert [line_no for line_no, _ in read] == [2, 6]
+    assert [obj for _, obj in read] == [record, record]
+    assert [err.line_no for err in seen] == [3, 5]
+
+
 def test_rating_converts_to_label(tmp_path):
     rows = [
         {"question": "q", "references": ["a"], "candidate": "c", "rating": 4},

@@ -4,23 +4,38 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pedants.errors import EmptyCorpus
+from pedants.textnorm import PEDANTS_POLICY, normalize
 from pedants.vectorizer import (
     CLS_TOKEN,
     SEP_TOKEN,
     SparseVector,
     TfidfModel,
-    build_triple_text,
+    _pair,
+    _triple,
     encode_pair,
     encode_triple,
     fit,
     transform,
 )
+from test_fastpath import SETTINGS, field
+
+
+def docs(*texts: str) -> list[list[str]]:
+    """Token lists, as fit reads them, of whitespace-separated documents."""
+    return [text.split() for text in texts]
+
+
+def triple_tokens(question: str, answer: str, candidate: str) -> list[str]:
+    norm = [normalize(text, PEDANTS_POLICY) for text in (question, answer, candidate)]
+    return _triple(_pair(norm[0], norm[1]), norm[2])
 
 
 def test_fit_document_frequencies_and_idf():
-    model = fit(["a b", "b c"])
+    model = fit(docs("a b", "b c"))
     # df(b)=2=N so idf collapses to 1; df(a)=df(c)=1
     assert model.doc_count == 2
     assert model.idf[model.vocabulary["b"]] == pytest.approx(1.0, abs=1e-12)
@@ -30,7 +45,7 @@ def test_fit_document_frequencies_and_idf():
 
 
 def test_vocabulary_is_sorted_bijection():
-    model = fit(["delta alpha", "charlie bravo alpha"])
+    model = fit(docs("delta alpha", "charlie bravo alpha"))
     tokens = sorted(model.vocabulary)
     assert [model.vocabulary[t] for t in tokens] == list(range(len(tokens)))
     assert all(w > 0 and math.isfinite(w) for w in model.idf)
@@ -39,17 +54,35 @@ def test_vocabulary_is_sorted_bijection():
 def test_fit_empty_corpus():
     with pytest.raises(EmptyCorpus):
         fit([])
+    with pytest.raises(EmptyCorpus):
+        fit(iter([]))
+
+
+def test_fit_reads_a_one_shot_generator_like_a_list():
+    corpus = docs("zeta alpha alpha", "beta gamma", "alpha beta", "", "gamma")
+    from_list = fit(corpus)
+    from_generator = fit(tokens for tokens in corpus)
+    assert from_generator.to_dict() == from_list.to_dict()
+    assert from_generator.doc_count == 5
+
+
+def test_fit_reads_token_lists_not_strings():
+    # a token may hold any character but whitespace, and a document's
+    # tokens are counted once each for document frequency
+    model = fit([["a", "b", "a"], ["ab"]])
+    assert sorted(model.vocabulary) == ["a", "ab", "b"]
+    assert model.idf[model.vocabulary["a"]] == model.idf[model.vocabulary["ab"]]
 
 
 def test_fit_deterministic_serialization():
-    corpus = ["zeta alpha alpha", "beta gamma", "alpha beta"]
+    corpus = docs("zeta alpha alpha", "beta gamma", "alpha beta")
     first = json.dumps(fit(corpus).to_dict(), sort_keys=True)
     second = json.dumps(fit(corpus).to_dict(), sort_keys=True)
     assert first == second
 
 
 def test_serialization_round_trip():
-    model = fit(["a b", "b c"])
+    model = fit(docs("a b", "b c"))
     clone = TfidfModel.from_dict(model.to_dict())
     assert clone.vocabulary == model.vocabulary
     assert clone.idf == model.idf
@@ -58,7 +91,7 @@ def test_serialization_round_trip():
 
 def test_transform_unit_norm_and_nonzero_for_fitting_docs():
     corpus = ["alpha beta", "beta gamma gamma", "delta"]
-    model = fit(corpus)
+    model = fit(docs(*corpus))
     for doc in corpus:
         vec = transform(doc, model)
         assert vec.nnz > 0
@@ -66,7 +99,7 @@ def test_transform_unit_norm_and_nonzero_for_fitting_docs():
 
 
 def test_transform_all_oov_is_zero_vector():
-    model = fit(["alpha beta"])
+    model = fit(docs("alpha beta"))
     vec = transform("missing tokens only", model)
     assert vec.nnz == 0
     assert vec.norm() == 0.0
@@ -74,26 +107,36 @@ def test_transform_all_oov_is_zero_vector():
 
 def test_transform_drops_oov_but_keeps_direction():
     # adding OOV tokens must not change the encoded vector
-    model = fit(["alpha beta", "beta gamma"])
+    model = fit(docs("alpha beta", "beta gamma"))
     base = transform("alpha beta", model)
     noisy = transform("alpha zzz beta qqq", model)
     assert base == noisy
 
 
+def test_pair_and_triple_tokens():
+    assert _pair("who is it", "joe biden") == ["[CLS]", "who", "is", "it", "[SEP]", "joe", "biden"]
+    pair = _pair("q", "")
+    assert pair == ["[CLS]", "q", "[SEP]"]
+    assert _triple(pair, "c d") == ["[CLS]", "q", "[SEP]", "[SEP]", "c", "d"]
+    assert pair == ["[CLS]", "q", "[SEP]"]  # the pair is not extended in place
+    assert _triple(_pair("", ""), "") == ["[CLS]", "[SEP]", "[SEP]"]
+
+
 def test_encode_triple_matches_bag_of_words_oracle():
     corpus = [
-        build_triple_text("Who is the president of the US in 2023?", "Joe Biden", "Joseph Biden"),
-        build_triple_text("Where is the Eiffel Tower located?", "Paris", "France"),
+        triple_tokens("Who is the president of the US in 2023?", "Joe Biden", "Joseph Biden"),
+        triple_tokens("Where is the Eiffel Tower located?", "Paris", "France"),
     ]
     model = fit(corpus)
     vec = encode_triple(
         "Who is the president of the US in 2023?", "Joe Biden", "Joseph Biden", model
     )
-    # hand-built oracle: count tokens of the normalized concatenation, weight
-    # by idf, then L2-normalize
-    text = corpus[0]
+    # hand-built oracle: count the tokens of the normalized concatenation,
+    # weight by idf, then L2-normalize
+    tokens = "[CLS] who is the president of the us in 2023 [SEP] joe biden [SEP] joseph biden"
+    assert corpus[0] == tokens.split()
     expected_counts: dict[str, int] = {}
-    for tok in text.split():
+    for tok in tokens.split():
         expected_counts[tok] = expected_counts.get(tok, 0) + 1
     weights = {
         model.vocabulary[tok]: count * model.idf[model.vocabulary[tok]]
@@ -107,7 +150,7 @@ def test_encode_triple_matches_bag_of_words_oracle():
 
 
 def test_separators_are_ordinary_vocabulary_tokens():
-    model = fit([build_triple_text("q one", "a one", "c one")])
+    model = fit([triple_tokens("q one", "a one", "c one")])
     assert CLS_TOKEN in model.vocabulary
     assert SEP_TOKEN in model.vocabulary
     vec = encode_pair("totally new question", "unseen answer", model)
@@ -152,7 +195,7 @@ def test_random_documents_norms():
     corpus = [
         " ".join(rng.choice(vocab_pool) for _ in range(rng.randint(1, 12))) for _ in range(40)
     ]
-    model = fit(corpus)
+    model = fit(docs(*corpus))
     for doc in corpus:
         assert transform(doc, model).norm() == pytest.approx(1.0, abs=1e-9)
 
@@ -187,8 +230,22 @@ def test_random_documents_norms():
     ],
 )
 def test_from_dict_rejects_corrupt_models(damage, message):
-    data = json.loads(json.dumps(fit(["a b", "b c", "c d"]).to_dict()))
+    data = json.loads(json.dumps(fit(docs("a b", "b c", "c d")).to_dict()))
     assert TfidfModel.from_dict(data).to_dict() == data
     damage(data)
     with pytest.raises(ValueError, match=message):
         TfidfModel.from_dict(data)
+
+
+@SETTINGS
+@given(question=field, answer=field, candidate=field)
+def test_encoders_equal_transform_of_the_joined_text(seed_model, question, answer, candidate):
+    # the encoders build token lists; the text they stand for is the
+    # "[CLS] q [SEP] a [SEP] c" string of the normalized fields, fields that
+    # normalize to nothing included
+    q, a, c = (normalize(text, PEDANTS_POLICY) for text in (question, answer, candidate))
+    pair_text = f"{CLS_TOKEN} {q} {SEP_TOKEN} {a}"
+    triple_text = f"{pair_text} {SEP_TOKEN} {c}"
+    for model in (seed_model.type_vectorizer, seed_model.judge_vectorizer):
+        assert encode_pair(question, answer, model) == transform(pair_text, model)
+        assert encode_triple(question, answer, candidate, model) == transform(triple_text, model)
