@@ -32,7 +32,7 @@ _EXPORTS = {
         "textnorm": (
             "EM_POLICY", "PEDANTS_POLICY", "POLICY_PRESETS", "NormPolicy", "normalize", "tokenize",
         ),
-        "linear": ("LinearModel", "predict", "predict_proba", "train"),
+        "linear": ("LinearModel", "predict_proba", "train"),
         "pipeline": (
             "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch",
             "train_pedants", "train_rule_extractor", "train_type_extractor",

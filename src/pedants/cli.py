@@ -191,48 +191,54 @@ def _write_report(out: str | None, stem: str, rows: list[dict]) -> None:
         io.write_report_json(out_dir / f"{stem}.json", rows)
 
 
-def _labeled_records(
-    path: str, skip_bad: bool, prejudged: bool | None = None
-) -> Iterator[tuple[int, QAExample, dict | None]]:
-    """Stream (line_no, example, verdicts) of records that carry a human label.
+def _read_labeled(
+    path: str, skip_bad: bool, required: tuple[str, ...] = (), one_kind: bool = False
+) -> Iterator[tuple[QAExample, dict | None]]:
+    """Stream (example, verdicts) of the records of a dataset, each of which
+    must carry a human label and every QAExample field named in ``required``;
+    one that does not is a bad line.
 
-    With ``prejudged`` True or False, every record must be of that kind:
-    pre-judged records carry a "verdicts" map of metric names to booleans,
-    plain ones carry none, and a file does not mix the two. ``verdicts`` is
-    None unless ``prejudged`` is True.
+    With ``one_kind``, every record must be of the kind of the first one
+    read: pre-judged records carry a "verdicts" map of metric names to
+    booleans, plain ones carry none, and a file does not mix the two.
+    ``verdicts`` is None unless the record is pre-judged and ``one_kind`` set.
     """
-    for line_no, obj in io.iter_raw(path, skip_bad=skip_bad, on_skip=_report_skip):
-        try:
-            example = io.example_from_dict(obj)
-            if example.human_label is None:
-                raise ValueError("record has no human label")
-            if prejudged is not None and ("verdicts" in obj) != prejudged:
-                has = "has no" if prejudged else "has"
-                raise ValueError(
-                    f"record {has} 'verdicts', unlike the first record: a file holds "
-                    "pre-judged or plain records, not both"
-                )
-            verdicts = obj["verdicts"] if prejudged else None
-            if prejudged and not (
-                isinstance(verdicts, dict)
-                and verdicts
-                and all(isinstance(v, bool) for v in verdicts.values())
-            ):
-                raise ValueError("'verdicts' must map metric names to booleans")
-        except Exception as exc:
-            err = DatasetError(str(exc), path=path, line_no=line_no)
-            if not skip_bad:
-                raise err from exc
-            _report_skip(err)
-            continue
-        yield line_no, example, verdicts
+    first_prejudged = None
+
+    def parse(obj: dict) -> tuple[QAExample, dict | None]:
+        nonlocal first_prejudged
+        example = io.example_from_dict(obj)
+        if example.human_label is None:
+            raise ValueError("record has no human label")
+        for field in required:
+            if getattr(example, field) is None:
+                raise ValueError(f"record has no {field}")
+        if not one_kind:
+            return example, None
+        prejudged = "verdicts" in obj
+        if first_prejudged is not None and prejudged != first_prejudged:
+            raise ValueError(
+                f"record {'has' if prejudged else 'has no'} 'verdicts', unlike the first "
+                "record: a file holds pre-judged or plain records, not both"
+            )
+        verdicts = obj["verdicts"] if prejudged else None
+        if prejudged and not (
+            isinstance(verdicts, dict)
+            and verdicts
+            and all(isinstance(v, bool) for v in verdicts.values())
+        ):
+            raise ValueError("'verdicts' must map metric names to booleans")
+        first_prejudged = prejudged
+        return example, verdicts
+
+    return (parsed for _, parsed in io.iter_raw(path, skip_bad, _report_skip, parse))
 
 
 def cmd_train(args) -> int:
     from .pipeline import train_pedants
 
     if args.corpus:
-        corpus = io.read_examples(args.corpus, skip_bad=args.skip_bad, on_skip=_report_skip)
+        corpus = [ex for ex, _ in _read_labeled(args.corpus, args.skip_bad, ("rule", "qtype"))]
         source = args.corpus
     else:
         corpus = io.load_seed_corpus()
@@ -258,19 +264,19 @@ def cmd_judge(args) -> int:
     return 0
 
 
-def _dataset_is_prejudged(path: str, skip_bad: bool) -> bool:
-    for _, obj in io.iter_raw(path, skip_bad=skip_bad, on_skip=lambda _err: None):
-        return "verdicts" in obj
-    raise PedantsError(f"no records in {path}")
-
-
 def cmd_eval(args) -> int:
-    if _dataset_is_prejudged(args.dataset, args.skip_bad):
+    # the first good record sets the kind of the file, pre-judged or plain
+    records = _read_labeled(args.dataset, args.skip_bad, one_kind=True)
+    first = next(records, None)
+    if first is None:
+        raise PedantsError(f"no records in {args.dataset}")
+    records = itertools.chain([first], records)
+    if first[1] is not None:
         # verdicts were computed elsewhere, possibly by metrics this package
         # does not implement; filter by name only
         requested = None if args.metric is None else set(_metric_names(args.metric))
         counts: dict[str, ConfusionCounts] = {}
-        for _, example, verdicts in _labeled_records(args.dataset, args.skip_bad, True):
+        for example, verdicts in records:
             for name, verdict in verdicts.items():
                 if requested is not None and name not in requested:
                     continue
@@ -284,7 +290,7 @@ def cmd_eval(args) -> int:
         names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
         counts = {name: ConfusionCounts() for name in names}
-        labeled = (ex for _, ex, _ in _labeled_records(args.dataset, args.skip_bad, False))
+        labeled = (ex for ex, _ in records)
         for example, verdicts in _map_ordered(judger.verdicts, labeled, args.workers):
             for name in names:
                 counts[name].update(bool(example.human_label), verdicts[name])
@@ -318,14 +324,6 @@ def _read_rates(path: str) -> RankingInput:
         raise PedantsError(f"{path}: {exc}") from exc
 
 
-def _ranked_examples(path: str, skip_bad: bool) -> Iterator[QAExample]:
-    """The labeled examples of a rank dataset, each of which names its model."""
-    for line_no, example, _ in _labeled_records(path, skip_bad):
-        if example.model_id is None:
-            raise DatasetError("record has no model_id", path=path, line_no=line_no)
-        yield example
-
-
 def cmd_rank(args) -> int:
     if args.rates:
         flags = {"--dataset": args.dataset, "--metric": args.metric, "--model": args.model}
@@ -342,7 +340,7 @@ def cmd_rank(args) -> int:
         # per model: its records, and how many humans and each metric judge correct
         records: Counter[str] = Counter()
         correct = {name: Counter() for name in ("human", *names)}
-        examples = _ranked_examples(args.dataset, args.skip_bad)
+        examples = (ex for ex, _ in _read_labeled(args.dataset, args.skip_bad, ("model_id",)))
         for example, verdicts in _map_ordered(judger.verdicts, examples, workers=1):
             records[example.model_id] += 1
             correct["human"][example.model_id] += example.human_label
@@ -373,7 +371,7 @@ def cmd_sweep(args) -> int:
     policy = POLICY_PRESETS[args.norm]
     scored = [
         (best_reference(ex.candidate, ex.references, policy)[1].f1, bool(ex.human_label))
-        for _, ex, _ in _labeled_records(args.dataset, args.skip_bad)
+        for ex, _ in _read_labeled(args.dataset, args.skip_bad)
     ]
     rows = threshold_sweep(scored, thresholds)
     table = [

@@ -7,6 +7,14 @@ schema/version comments and are skipped. A record needs "question",
 "label" (0/1), "rating" (Likert 1-5, converted to a label at the cutoff
 when "label" is absent), "rule", "qtype", "model_id", "dataset_id", and
 "verdicts" (metric name -> bool, for pre-judged evaluation files).
+
+``QAExample.from_dict`` is the one parser of a record, and
+``example_from_dict`` names it for the readers. ``iter_raw`` is the one loop
+over a file's lines: a line that is not UTF-8, not a JSON object, or that
+the caller's parse rejects is a DatasetError naming ``file:line``, or is
+reported and skipped with ``skip_bad``. The other readers here, the bundled
+seed corpus's among them, are ``iter_raw`` with ``example_from_dict``; the
+CLI's parse adds the fields each command requires.
 """
 
 from __future__ import annotations
@@ -119,59 +127,63 @@ class QAExample:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QAExample":
+        """Parse one dataset record, checking it against the rules in the
+        module docstring; a record that breaks one raises ValueError saying
+        which. A "rating" gives the label when "label" is absent."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        for key in ("question", "references", "candidate"):
+            if key not in obj:
+                raise ValueError(f"missing required field {key!r}")
+        for key in ("question", "candidate"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
+        refs = obj["references"]
+        if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
+            raise ValueError("'references' must be a non-empty array of strings")
+        for key in ("model_id", "dataset_id"):
+            if obj.get(key) is not None and not isinstance(obj[key], str):
+                raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
         label = obj.get("label")
+        if label is not None and label not in (0, 1, True, False):
+            raise ValueError(f"'label' must be 0 or 1, got {label!r}")
+        rating = obj.get("rating")
+        if rating is not None and (
+            isinstance(rating, bool) or not isinstance(rating, (int, float)) or not 1 <= rating <= 5
+        ):
+            raise ValueError(f"'rating' must be a number from 1 to 5, got {rating!r}")
+        if label is None and rating is not None:
+            label = likert_to_binary(rating, LIKERT_CUTOFF)
+        rule, qtype = obj.get("rule"), obj.get("qtype")
         return cls(
             question=obj["question"],
-            references=tuple(obj["references"]),
+            references=refs,
             candidate=obj["candidate"],
             human_label=None if label is None else bool(label),
-            rule=None if obj.get("rule") is None else RuleLabel(obj["rule"]),
-            qtype=None if obj.get("qtype") is None else QuestionType(obj["qtype"]),
+            rule=None if rule is None else RuleLabel(rule),
+            qtype=None if qtype is None else QuestionType(qtype),
             model_id=obj.get("model_id"),
             dataset_id=obj.get("dataset_id"),
         )
 
 
-
-def example_from_dict(obj: dict) -> QAExample:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in ("question", "references", "candidate"):
-        if key not in obj:
-            raise ValueError(f"missing required field {key!r}")
-    for key in ("question", "candidate"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
-    refs = obj["references"]
-    if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
-        raise ValueError("'references' must be a non-empty array of strings")
-    for key in ("model_id", "dataset_id"):
-        if obj.get(key) is not None and not isinstance(obj[key], str):
-            raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
-    label = obj.get("label")
-    if label is not None and label not in (0, 1, True, False):
-        raise ValueError(f"'label' must be 0 or 1, got {label!r}")
-    rating = obj.get("rating")
-    if rating is not None and (isinstance(rating, bool) or not isinstance(rating, (int, float))):
-        raise ValueError(f"'rating' must be a number, got {rating!r}")
-    if label is None and rating is not None:
-        label = likert_to_binary(rating, LIKERT_CUTOFF)
-    parsed = dict(obj)
-    parsed["label"] = label
-    parsed.pop("rating", None)
-    return QAExample.from_dict(parsed)
+# the record parser under the name the dataset readers use
+example_from_dict = QAExample.from_dict
 
 
 def iter_raw(
     path: str | Path,
     skip_bad: bool = False,
     on_skip: Callable[[DatasetError], None] | None = None,
-) -> Iterator[tuple[int, dict]]:
-    """Stream (line_no, json object) pairs from a JSONL file.
+    parse: Callable[[dict], object] | None = None,
+) -> Iterator[tuple[int, object]]:
+    """Stream (line_no, record) pairs from a JSONL file: each line's JSON
+    object, or what ``parse`` makes of it.
 
-    Malformed lines, invalid UTF-8 among them, raise DatasetError with their
-    1-based line number; with ``skip_bad`` they are reported through
-    ``on_skip`` and skipped. Memory use is one line at a time.
+    A line that is malformed (invalid UTF-8 among them), not an object, or
+    that ``parse`` rejects raises DatasetError with its 1-based line number;
+    with ``skip_bad`` it is reported through ``on_skip`` and skipped. Memory
+    use is one line at a time.
     """
     path = Path(path)
     # bytes that are not UTF-8 read as lone surrogates, so a bad line does not
@@ -187,6 +199,8 @@ def iter_raw(
                 obj = json.loads(stripped)
                 if not isinstance(obj, dict):
                     raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                if parse is not None:
+                    obj = parse(obj)
             except Exception as exc:
                 err = DatasetError(str(exc), path=str(path), line_no=line_no)
                 if not skip_bad:
@@ -203,17 +217,7 @@ def iter_examples(
     on_skip: Callable[[DatasetError], None] | None = None,
 ) -> Iterator[tuple[int, QAExample]]:
     """Stream validated (line_no, QAExample) pairs from a JSONL file."""
-    for line_no, obj in iter_raw(path, skip_bad=skip_bad, on_skip=on_skip):
-        try:
-            example = example_from_dict(obj)
-        except Exception as exc:
-            err = DatasetError(str(exc), path=str(path), line_no=line_no)
-            if not skip_bad:
-                raise err from exc
-            if on_skip is not None:
-                on_skip(err)
-            continue
-        yield line_no, example
+    return iter_raw(path, skip_bad, on_skip, example_from_dict)
 
 
 def read_examples(
@@ -236,9 +240,6 @@ class DatasetFile:
         on_skip: Callable[[DatasetError], None] | None = None,
     ) -> Iterator[tuple[int, QAExample]]:
         yield from iter_examples(self.path, skip_bad=skip_bad, on_skip=on_skip)
-
-    def __iter__(self) -> Iterator[QAExample]:
-        return (example for _, example in self.records())
 
 
 @contextlib.contextmanager
@@ -270,13 +271,8 @@ def write_jsonl(handle: TextIO, records: Iterable[dict]) -> int:
 def load_seed_corpus() -> list[QAExample]:
     """The bundled hand-labeled training corpus (>= 5 examples per rule)."""
     resource = importlib.resources.files("pedants").joinpath("data/seed_corpus.jsonl")
-    examples = []
-    for line_no, line in enumerate(resource.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        examples.append(example_from_dict(json.loads(stripped)))
-    return examples
+    with importlib.resources.as_file(resource) as path:
+        return read_examples(path)
 
 
 def write_report_csv(path: str | Path, rows: list[dict]) -> None:

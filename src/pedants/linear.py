@@ -265,7 +265,3 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
     batch = _flatten([(x.indices, x.values)])
     return _softmax(_scores(_kernel_weights(model.weights, model.bias), batch))[0]
 
-
-def predict(model: LinearModel, x: SparseVector) -> int:
-    """Argmax class; ties resolve to the lowest class index."""
-    return int(np.argmax(predict_proba(model, x)))

