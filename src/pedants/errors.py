@@ -21,10 +21,6 @@ class SingleClassCorpus(PedantsError):
     """Training data contains fewer than two distinct class labels."""
 
 
-class InconsistentDimensions(PedantsError):
-    """Training vectors do not share a single feature dimension."""
-
-
 class DimensionMismatch(PedantsError):
     """An input vector's dimension does not match the model's."""
 

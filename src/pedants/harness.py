@@ -79,6 +79,8 @@ class RankingInput:
             for model, rate in rates.items():
                 if not 0.0 <= rate <= 1.0:
                     raise ValueError(f"rate for {model!r} out of [0, 1]: {rate}")
+        if not self.metric_rates:
+            raise ValueError("metric rates must name at least one metric")
 
     @property
     def n_models(self) -> int:

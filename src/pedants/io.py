@@ -246,15 +246,18 @@ class DatasetFile:
 def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """Open a temp file beside ``path`` for writing text; when the block
     ends it replaces ``path``, and when the block raises it is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. An error in creating, writing or moving the
+    temp file names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline=newline) as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
+from .errors import DimensionMismatch, SingleClassCorpus
 from .io import DEFAULT_SEED
 from .vectorizer import SparseVector, check_count, check_fixed, check_numbers
 
@@ -164,11 +164,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _mean_loss(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    batch: tuple[np.ndarray, ...],
-    labels: np.ndarray,
-    l2_penalty: float,
+    weights: np.ndarray, bias: np.ndarray, batch: tuple[np.ndarray, ...], labels: np.ndarray
 ) -> float:
     """Regularized mean log loss of class-major (C, D) weights on a batch
     from ``_flatten``, in one pass; temporaries are O(classes x entries),
@@ -177,39 +173,40 @@ def _mean_loss(
     n = len(labels)
     return (
         -float(np.sum(np.log(probs[np.arange(n), labels]))) / n
-        + 0.5 * l2_penalty * float(np.sum(weights * weights))
+        + 0.5 * L2_PENALTY * float(np.sum(weights * weights))
     )
 
 
 def train(
-    examples: Sequence[tuple[SparseVector, int]],
+    encodings: Sequence[tuple[np.ndarray, np.ndarray]],
+    labels: Sequence[int],
+    dim: int,
+    n_classes: int,
     seed: int = DEFAULT_SEED,
-    n_classes: int | None = None,
 ) -> LinearModel:
-    """Train a C-class logistic regression with seeded, reproducible SGD.
+    """Train an ``n_classes``-class logistic regression on ``dim`` features
+    with seeded, reproducible SGD.
 
-    Returns the lowest-loss iterate observed (including the zero
-    initialization), so the final training loss never exceeds the initial
-    one. Raises SingleClassCorpus when fewer than two labels are present and
-    InconsistentDimensions when feature dimensions disagree.
+    ``encodings`` holds one (indices, values) pair of arrays per example, as
+    the tf-idf encoders give them, and ``labels`` the class of each. The
+    arrays are trusted, as ``_scores`` trusts them: intp indices in
+    [0, dim), each once, and finite float64 values. Returns the lowest-loss iterate observed
+    (including the zero initialization), so the final training loss never
+    exceeds the initial one. Raises SingleClassCorpus when fewer than two
+    labels are present and ValueError when a label is out of range.
     """
-    if not examples:
+    if not encodings:
         raise ValueError("no training examples")
-    dim = examples[0][0].dimension
-    for x, _ in examples:
-        if x.dimension != dim:
-            raise InconsistentDimensions(f"expected dimension {dim}, got {x.dimension}")
-    labels = np.array([y for _, y in examples], dtype=np.intp)
-    present = set(int(y) for y in labels)
+    if len(labels) != len(encodings):
+        raise ValueError(f"{len(labels)} labels for {len(encodings)} examples")
+    labels = np.array(labels, dtype=np.intp)
+    present = set(labels.tolist())
     if len(present) < 2:
         raise SingleClassCorpus(f"need at least 2 classes, got labels {sorted(present)}")
-    if n_classes is None:
-        n_classes = max(2, max(present) + 1)
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    data = [(x.indices, x.values) for x, _ in examples]
-    batch = _flatten(data)
+    batch = _flatten(encodings)
     # Feature-major weights: an example's rows are one gather and one
     # scatter. rows.T is (C, nnz) and F-ordered, the layout weights[:, idx]
     # has, so BLAS scores it with the same rounding.
@@ -217,7 +214,7 @@ def train(
     bias = np.zeros(n_classes, dtype=np.float64)
 
     rng = np.random.default_rng(seed)
-    prev_loss = _mean_loss(wt.T, bias, batch, labels, L2_PENALTY)
+    prev_loss = _mean_loss(wt.T, bias, batch, labels)
     best_loss = prev_loss
     best_weights, best_bias = wt.T.copy(), bias.copy()  # copies are C-ordered (C, D)
 
@@ -227,8 +224,8 @@ def train(
     for epoch in range(MAX_EPOCHS):
         eta = ETA0 / (1.0 + epoch) ** LR_POWER
         decay = max(0.0, 1.0 - eta * L2_PENALTY)
-        for i in rng.permutation(len(data)).tolist():
-            idx, vals = data[i]
+        for i in rng.permutation(len(encodings)).tolist():
+            idx, vals = encodings[i]
             rows = wt.take(idx, axis=0)
             # the softmax, in place on preallocated buffers
             np.matmul(rows.T, vals, out=scores)
@@ -245,7 +242,7 @@ def train(
             rows -= np.multiply.outer(vals, step)
             wt[idx] = rows
             bias -= step
-        loss = _mean_loss(wt.T, bias, batch, labels, L2_PENALTY)
+        loss = _mean_loss(wt.T, bias, batch, labels)
         if loss < best_loss:
             best_loss = loss
             best_weights, best_bias = wt.T.copy(), bias.copy()

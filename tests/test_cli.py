@@ -265,18 +265,24 @@ def test_rank_rates_rejects_dataset_flags(tmp_path, flag, value, capsys):
         {"human": {"m1": 0.9, "m2": 0.5}, "metrics": {"em": {"m1": None, "m2": 0.5}}},
         {"human": {"m1": 0.9, "m2": True}, "metrics": {}},
         {"human": {"m1": 0.9, "m2": 0.5}, "metrics": [1]},
+        {"human": {"m1": 0.9, "m2": 0.5}, "metrics": {}},
     ],
-    ids=["list-human", "top-level-list", "string-rate", "null-rate", "bool-rate", "list-metrics"],
+    ids=[
+        "list-human", "top-level-list", "string-rate", "null-rate", "bool-rate", "list-metrics",
+        "empty-metrics",
+    ],
 )
 def test_malformed_rates_file_names_the_file(tmp_path, rates, capsys):
     path = tmp_path / "rates.json"
     path.write_text(json.dumps(rates))
     out_dir = tmp_path / "rank"
-    assert main(["rank", "--rates", str(path), "--out", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"pedants: error: {path}: ")
-    assert "Traceback" not in err
-    assert not out_dir.exists()
+    for out in ([], ["--out", str(out_dir)]):
+        assert main(["rank", "--rates", str(path), *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"pedants: error: {path}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 def test_rank_from_dataset(dataset, seed_bundle_path, capsys):
@@ -696,6 +702,18 @@ def test_failed_judge_leaves_existing_out_unchanged(tmp_path, seed_bundle_path, 
     assert f"{path}:3:" in capsys.readouterr().err
     assert out.read_text() == "previous run\n"
     assert [p.name for p in out_dir.iterdir()] == ["judged.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["train", "judge"])
+def test_unwritable_out_is_named_as_given(tmp_path, dataset, seed_bundle_path, command, capsys):
+    # the error names the --out path, not the temp file written beside it
+    out = tmp_path / "missing" / "out.json"
+    inputs = {"train": [], "judge": ["--model", str(seed_bundle_path), "--dataset", str(dataset)]}
+    assert main([command, *inputs[command], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pedants: error: ") and str(out) in err
+    assert ".tmp" not in err.replace(str(out), "")
+    assert not out.parent.exists()
 
 
 def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):

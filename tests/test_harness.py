@@ -130,6 +130,8 @@ def test_pairwise_validation():
         RankingInput(human_rates=[0.5, 0.6], metric_rates={})
     with pytest.raises(ValueError, match="metric rates must map"):
         RankingInput(human_rates={"a": 0.5, "b": 0.6}, metric_rates=[{"a": 0.5}])
+    with pytest.raises(ValueError, match="at least one metric"):
+        RankingInput(human_rates={"a": 0.5, "b": 0.6}, metric_rates={})
     for bad in ("0.5", None, True):
         with pytest.raises(ValueError, match="must be a number"):
             RankingInput(human_rates={"only": bad}, metric_rates={})

@@ -18,8 +18,8 @@ import pedants
 EXPORTS = {
     "errors": [
         "DatasetError", "DimensionMismatch", "EmptyCorpus", "EmptyRecords", "EmptyReferences",
-        "InconsistentDimensions", "MissingAnnotations", "OutOfRangeScore", "PedantsError",
-        "SingleClassCorpus", "TooFewModels",
+        "MissingAnnotations", "OutOfRangeScore", "PedantsError", "SingleClassCorpus",
+        "TooFewModels",
     ],
     "harness": [
         "ConfusionCounts", "RankingInput", "SweepRow", "likert_to_binary",
@@ -32,7 +32,7 @@ EXPORTS = {
     "textnorm": [
         "EM_POLICY", "PEDANTS_POLICY", "POLICY_PRESETS", "NormPolicy", "normalize", "tokenize",
     ],
-    "linear": ["LinearModel", "predict_proba", "train"],
+    "linear": ["LinearModel", "predict_proba"],
     "pipeline": [
         "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch", "train_pedants",
         "train_rule_extractor", "train_type_extractor",

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from oracles import batch_gd_predict, batch_gd_train, reference_mean_loss, reference_train
-from pedants.errors import DimensionMismatch, InconsistentDimensions, SingleClassCorpus
+from oracles import (
+    batch_gd_predict,
+    batch_gd_train,
+    reference_mean_loss,
+    reference_train,
+    train_vectors,
+)
+from pedants.errors import DimensionMismatch, SingleClassCorpus
 from pedants.linear import (
     LOGIT_CLAMP,
     L2_PENALTY,
@@ -44,15 +50,15 @@ def test_separable_two_points():
         (_dense_to_sparse([1.0, 0.0]), 0),
         (_dense_to_sparse([0.0, 1.0]), 1),
     ]
-    model = train(data)
+    model = train_vectors(data)
     assert [_label(model, x) for x, _ in data] == [0, 1]
 
 
 def test_training_is_deterministic():
     X, y = _make_blobs()
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    first = train(data, seed=668)
-    second = train(data, seed=668)
+    first = train_vectors(data, seed=668)
+    second = train_vectors(data, seed=668)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
     )
@@ -62,7 +68,7 @@ def test_agrees_with_batch_gd_oracle_on_blobs():
     for seed in (99, 100, 101):
         X, y = _make_blobs(seed=seed)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-        model = train(data)
+        model = train_vectors(data)
         ours = [_label(model, x) for x, _ in data]
         W, b = batch_gd_train(X, y)
         oracle = batch_gd_predict(W, b, X).tolist()
@@ -119,13 +125,21 @@ def test_probabilities_no_nan_even_for_huge_inputs():
 def test_single_class_corpus_rejected():
     data = [(_dense_to_sparse([1.0, 0.0]), 1), (_dense_to_sparse([0.0, 1.0]), 1)]
     with pytest.raises(SingleClassCorpus):
-        train(data)
+        train_vectors(data)
 
 
-def test_inconsistent_dimensions_rejected():
-    data = [(_dense_to_sparse([1.0, 0.0]), 0), (_dense_to_sparse([1.0, 0.0, 3.0]), 1)]
-    with pytest.raises(InconsistentDimensions):
-        train(data)
+def test_train_checks_its_labels():
+    # the trainer trusts its arrays, but not its labels
+    encodings = [(np.array([0], dtype=np.intp), np.array([1.0]))] * 2
+    with pytest.raises(ValueError, match="out of range for 2 classes"):
+        train(encodings, [0, 2], 1, 2)
+    with pytest.raises(ValueError, match="3 labels for 2 examples"):
+        train(encodings, [0, 1, 1], 1, 2)
+    with pytest.raises(ValueError, match="no training examples"):
+        train([], [], 1, 2)
+    with pytest.raises(SingleClassCorpus):
+        train(encodings, [1, 1], 1, 2)
+    assert train(encodings, [0, 1], 1, 7).classes == 7
 
 
 def test_dimension_mismatch_on_predict():
@@ -137,7 +151,7 @@ def test_dimension_mismatch_on_predict():
 def test_serialization_round_trip_bit_exact():
     X, y = _make_blobs(seed=123)
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    model = train(data)
+    model = train_vectors(data)
     clone = LinearModel.from_dict(model.to_dict())
     assert np.array_equal(clone.weights, model.weights)
     assert np.array_equal(clone.bias, model.bias)
@@ -148,8 +162,8 @@ def test_feature_scaling_keeps_argmax_on_separable_data():
     X, y = _make_blobs(seed=7)
     base = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
     scaled = [(_dense_to_sparse(row * 3.0), int(label)) for row, label in zip(X, y)]
-    model_base = train(base)
-    model_scaled = train(scaled)
+    model_base = train_vectors(base)
+    model_scaled = train_vectors(scaled)
     labels_base = [_label(model_base, x) for x, _ in base]
     labels_scaled = [_label(model_scaled, x) for x, _ in scaled]
     assert labels_base == labels_scaled
@@ -161,14 +175,11 @@ def test_final_loss_never_exceeds_initial():
         (_dense_to_sparse([1.0, 1.0]), 0),
         (_dense_to_sparse([1.0, 1.0]), 1),
     ]
-    model = train(data)
+    model = train_vectors(data)
     batch = _flatten([(x.indices, x.values) for x, _ in data])
     labels = np.array([y for _, y in data])
-    final = _mean_loss(model.weights, model.bias, batch, labels, L2_PENALTY)
-    initial = _mean_loss(
-        np.zeros_like(model.weights), np.zeros_like(model.bias), batch, labels,
-        L2_PENALTY,
-    )
+    final = _mean_loss(model.weights, model.bias, batch, labels)
+    initial = _mean_loss(np.zeros_like(model.weights), np.zeros_like(model.bias), batch, labels)
     assert final <= initial + 1e-12
 
 
@@ -198,7 +209,7 @@ def test_train_matches_reference_trainer_bit_for_bit(n_classes, n_labels, signal
     rng = np.random.default_rng(seed)
     examples = _random_examples(rng, 80, 40, n_labels, signal)
     assert any(x.nnz == 0 for x, _ in examples)
-    model = train(examples, seed=seed, n_classes=n_classes)
+    model = train_vectors(examples, seed=seed, n_classes=n_classes)
     assert model.to_dict() == reference_train(examples, seed=seed, n_classes=n_classes).to_dict()
     # scoring reads its own copy of the weights, so their layout cannot move
     # a probability's bits
@@ -222,8 +233,8 @@ def test_batched_loss_matches_per_example_loss(empty_share):
         labels = np.array([y for _, y in examples], dtype=np.intp)
         weights = rng.normal(0.0, scale, (n_classes, 25))
         bias = rng.normal(0.0, scale, n_classes)
-        batched = _mean_loss(weights, bias, _flatten(arrays), labels, 1e-4)
-        per_example = reference_mean_loss(weights, bias, arrays, labels, 1e-4)
+        batched = _mean_loss(weights, bias, _flatten(arrays), labels)
+        per_example = reference_mean_loss(weights, bias, arrays, labels, L2_PENALTY)
         assert batched == pytest.approx(per_example, rel=1e-12, abs=0)
 
 
@@ -242,7 +253,7 @@ def test_batched_loss_matches_per_example_loss(empty_share):
 )
 def test_from_dict_rejects_corrupt_models(damage, message):
     X, y = _make_blobs()
-    model = train([(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)])
+    model = train_vectors([(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)])
     data = json.loads(json.dumps(model.to_dict()))
     assert LinearModel.from_dict(data).to_dict() == data
     damage(data)

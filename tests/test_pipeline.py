@@ -323,3 +323,12 @@ def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
     assert len(calls) == 2 * len(seed_corpus)
     assert calls[0] is model.type_vectorizer and calls[1] is model.judge_vectorizer
 
+
+def test_training_builds_no_sparse_vector(seed_corpus, seed_model, monkeypatch):
+    # the trainer reads the encoders' arrays as they are
+    def refuse(self):
+        raise AssertionError("training built a SparseVector")
+
+    monkeypatch.setattr(SparseVector, "__post_init__", refuse)
+    assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
+

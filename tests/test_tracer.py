@@ -43,6 +43,12 @@ def test_traced_train_judge_eval_run_and_trace_normalize(tmp_path):
     # three fits, each with a loss pass before its first epoch and after each
     assert train["counts"]["sgd_steps"] > 0
     assert train["counts"]["loss_passes"] >= 6
+    # each fit takes one SGD step per example and epoch: the tracer counts
+    # the examples as the length of linear.train's first argument
+    epochs = sum(n for key, n in train["counts"].items() if key.startswith("epochs."))
+    records = len(SEED_CORPUS.read_text().splitlines()) - 1  # after the header
+    assert records == 57
+    assert train["counts"]["sgd_steps"] == records * epochs
     assert any(name.startswith("linear.train.") for name in train["names"])
     judge = ["judge", "--model", bundle, "--dataset", seed, "--out", str(tmp_path / "judged.jsonl")]
     assert _normalize_spans(_traced(tmp_path, "judge", judge)) > 0
