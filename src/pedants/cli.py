@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -26,12 +27,12 @@ from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .io import DEFAULT_SEED, QAExample
 from .metrics import _best_bag, best_reference
-from .textnorm import POLICY_PRESETS, normalize, tokenize
+from .textnorm import PEDANTS_POLICY, POLICY_PRESETS, bag, normalize
 
 # pipeline loads numpy, so only the pedants metric and train import it; the
 # string metrics, pre-judged eval, sweep and rank --rates start without it
 if TYPE_CHECKING:
-    from .pipeline import PedantsModel
+    from .pipeline import PedantsModel, _Prepared
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_THRESHOLD = 0.5
@@ -48,9 +49,11 @@ class Judger:
     Instances are picklable so worker processes can share one immutable
     configuration.
 
-    em and f1 read one normalization of the candidate and of each reference
+    em and f1 read one token list of the candidate and of each reference
     under the --norm policy. The references are normalized as em reaches
-    them, so em alone still stops at the first one that matches.
+    them, so em alone still stops at the first one that matches. Beside the
+    pedants metric under its own policy (--norm pedants), em and f1 read the
+    token lists, best reference and scores the judge prepared.
     """
 
     def __init__(self, metrics: list[str], norm: str, threshold: float, model: PedantsModel | None):
@@ -60,37 +63,45 @@ class Judger:
         self.model = model
 
     def __call__(self, examples: list[QAExample]) -> list[dict[str, dict]]:
-        out = [self._string_records(example) for example in examples]
-        if "pedants" in self.metrics:
-            from .pipeline import judge_batch
+        if "pedants" not in self.metrics:
+            return [self._string_records(example) for example in examples]
+        from .pipeline import _judgments, _prepare
 
-            for records, judgment in zip(out, judge_batch(examples, self.model)):
-                records["pedants"] = judgment.to_dict()
+        prepared = [_prepare(example) for example in examples]
+        out = [self._string_records(example, p) for example, p in zip(examples, prepared)]
+        for records, judgment in zip(out, _judgments(prepared, self.model)):
+            records["pedants"] = judgment.to_dict()
         return out
 
     def verdicts(self, examples: list[QAExample]) -> list[dict[str, bool]]:
         """Each metric's verdict alone, so a worker sends back little."""
         return [{name: r["correct"] for name, r in records.items()} for records in self(examples)]
 
-    def _string_records(self, example: QAExample) -> dict[str, dict]:
-        records = {}
-        if "em" in self.metrics or "f1" in self.metrics:
-            candidate = normalize(example.candidate, self.policy)
-            references = (normalize(ref, self.policy) for ref in example.references)
-            if "f1" in self.metrics:
-                references = list(references)
-            if "em" in self.metrics:
-                records["em"] = {"correct": candidate in references}
-            if "f1" in self.metrics:
-                idx, scores = _best_bag(tokenize(candidate), [tokenize(r) for r in references])
-                records["f1"] = {
-                    "correct": scores.f1 >= self.threshold,
-                    "f1": scores.f1,
-                    "precision": scores.precision,
-                    "recall": scores.recall,
-                    "threshold": self.threshold,
-                    "reference_index": idx,
-                }
+    def _string_records(self, example: QAExample, prepared: _Prepared | None = None) -> dict:
+        """em and f1, when asked for; from the judge's ``prepared`` example
+        when it was prepared under the --norm policy."""
+        records: dict[str, dict] = {}
+        best = None
+        if prepared is not None and self.policy == PEDANTS_POLICY:
+            candidate, references = prepared.candidate, prepared.references
+            best = prepared.ref_index, prepared.scores
+        elif "em" in self.metrics or "f1" in self.metrics:
+            candidate = normalize(example.candidate, self.policy).split()
+            references = (normalize(ref, self.policy).split() for ref in example.references)
+        if "f1" in self.metrics:
+            references = list(references)
+        if "em" in self.metrics:  # token lists are equal where their joins are
+            records["em"] = {"correct": candidate in references}
+        if "f1" in self.metrics:
+            idx, scores = best or _best_bag(bag(candidate), [bag(ref) for ref in references])
+            records["f1"] = {
+                "correct": scores.f1 >= self.threshold,
+                "f1": scores.f1,
+                "precision": scores.precision,
+                "recall": scores.recall,
+                "threshold": self.threshold,
+                "reference_index": idx,
+            }
         return records
 
 
@@ -235,6 +246,8 @@ def _read_labeled(
 
 
 def cmd_train(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the fit, not after
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     from .pipeline import train_pedants
 
     if args.corpus:

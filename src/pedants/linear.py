@@ -132,11 +132,9 @@ def _kernel_weights(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.vstack((weights.T, bias)))
 
 
-def _scores(
-    weights: np.ndarray, batch: tuple[np.ndarray, ...], out: np.ndarray | None = None
-) -> np.ndarray:
-    """The (rows, C) class scores of a batch from ``_flatten``, given
-    weights from ``_kernel_weights``.
+def _scores(weights: np.ndarray, batch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The (rows, C) class scores of a batch from ``_flatten`` or
+    ``vectorizer._encode``, given weights laid out by ``_kernel_weights``.
 
     Each row is summed alone, by one ``reduceat`` whatever the batch size,
     so a row's bits do not depend on the batch it sits in. Trusts the
@@ -146,7 +144,7 @@ def _scores(
     indices, values, starts = batch
     terms = weights.take(indices, axis=0)
     terms *= values[:, None]
-    return np.add.reduceat(terms, starts, axis=0, out=out)
+    return np.add.reduceat(terms, starts, axis=0)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

@@ -7,13 +7,13 @@ candidate) to feed a binary logistic-regression judge. A trained bundle is
 immutable and safe to share across concurrent judging workers.
 
 Judging and training share one feature path: each example is prepared once
-(every string normalized once and held once, the best reference chosen),
-its pair and triple token lists are built from those strings where they are
-encoded, each is tf-idf-encoded once (one triple vectorizer serves the rule
-extractor and the judge), and the three linear models score a whole batch
-with one kernel (``linear._scores``). ``judge`` is ``judge_batch`` of one
-example, with the same bits, and ``assemble_features`` and the judge's
-training inputs come from the same batch code.
+(each string normalized once into its token list, the best reference
+chosen), and its pair and triple are built from those lists and encoded
+once (one triple vectorizer serves the rule extractor and the judge). A
+block's pairs, then its triples, are one flat batch, scored by one gather
+and one ``reduceat`` against one stacked kernel (``_stack``). ``judge`` is
+``judge_batch`` of one example, with the same bits, and ``assemble_features``
+and the judge's training inputs come from the same block code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .errors import MissingAnnotations
 from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_bag
-from .textnorm import PEDANTS_POLICY, normalize, tokenize
-from .vectorizer import SparseVector, TfidfModel
+from .textnorm import PEDANTS_POLICY, bag, tokens
+from .vectorizer import Batch, SparseVector, TfidfModel
 
 BUNDLE_FORMAT_VERSION = "1"
 
@@ -106,10 +106,11 @@ class PedantsModel:
         self.judge_vectorizer = self.rule_vectorizer
 
     @functools.cached_property
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weights in the layout judge_batch reads, built on first use,
-        so a bundle that is only trained and saved holds no copy."""
-        return _weights(self.type_model, self.rule_model, self.judge_model)
+    def _kernel(self) -> np.ndarray:
+        """The stacked weights judging gathers from (``_stack``), built on
+        first use, so a bundle that is only loaded, or trained and saved,
+        holds no copy."""
+        return _stack(self.type_model, self.rule_model, self.judge_model)
 
     def to_dict(self) -> dict:
         return {
@@ -181,90 +182,68 @@ class PedantsModel:
 
 
 class _Prepared(NamedTuple):
-    """One example with each string normalized once (PEDANTS_POLICY) and
-    held once; its encoders' token lists are built where they are encoded."""
+    """One example with each string normalized once (PEDANTS_POLICY) into
+    its token list, and its best reference chosen; its encoders' token lists
+    are built from these where they are encoded."""
 
-    question: str
-    reference: str  # the best-F1 reference
-    candidate: str
-    ref_index: int
+    question: list[str]
+    references: list[list[str]]
+    candidate: list[str]
+    ref_index: int  # the best-F1 reference
     scores: PrfScores  # token scores against that reference
 
 
 def _prepare(example: QAExample) -> _Prepared:
-    question = normalize(example.question, PEDANTS_POLICY)
-    candidate = normalize(example.candidate, PEDANTS_POLICY)
-    references = [normalize(ref, PEDANTS_POLICY) for ref in example.references]
-    ref_idx, scores = _best_bag(tokenize(candidate), [tokenize(ref) for ref in references])
-    return _Prepared(question, references[ref_idx], candidate, ref_idx, scores)
+    question = tokens(example.question, PEDANTS_POLICY)
+    candidate = tokens(example.candidate, PEDANTS_POLICY)
+    references = [tokens(ref, PEDANTS_POLICY) for ref in example.references]
+    ref_idx, scores = _best_bag(bag(candidate), [bag(ref) for ref in references])
+    return _Prepared(question, references, candidate, ref_idx, scores)
 
 
-def _pairs(rows: Sequence[Sequence[str]]) -> Iterator[list[str]]:
-    """The pair tokens of (question, reference, ...) normalized rows."""
-    return (vectorizer._pair(row[0], row[1]) for row in rows)
-
-
-def _triples(rows: Sequence[Sequence[str]]) -> Iterator[list[str]]:
-    """The triple tokens of (question, reference, candidate, ...) normalized rows."""
-    return (vectorizer._triple(vectorizer._pair(row[0], row[1]), row[2]) for row in rows)
-
-
-Encoding = tuple[np.ndarray, np.ndarray]  # indices and values, as _tfidf gives them
-
-
-def _weights(
+def _stack(
     type_model: LinearModel, rule_model: LinearModel, judge_model: LinearModel | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weights ``_prefix`` gathers from, as ``linear._kernel_weights``
-    lays them out: the type extractor's, and the rule extractor's with, when
-    given, the judge's triple columns beside them, so one gather of a
-    triple's columns serves both."""
-    triple, bias = rule_model.weights, rule_model.bias
+) -> np.ndarray:
+    """The weights a block of pairs, then triples, is scored with: the
+    ``linear._kernel_weights`` rows of the type extractor, then those of the
+    rule extractor with, when given, the judge's triple columns and bias
+    beside them (zero beside the type extractor's). Written in place, so
+    building it takes no more memory than it holds."""
+    split = type_model.feature_dim + 1
+    cols = N_RULES if judge_model is None else N_RULES + judge_model.classes
+    kernel = np.zeros((split + rule_model.feature_dim + 1, cols))
+    kernel[: split - 1, :N_TYPES] = type_model.weights.T
+    kernel[split - 1, :N_TYPES] = type_model.bias
+    kernel[split:-1, :N_RULES] = rule_model.weights.T
+    kernel[-1, :N_RULES] = rule_model.bias
     if judge_model is not None:
-        triple = np.vstack((triple, judge_model.weights[:, DENSE_DIM:]))
-        bias = np.concatenate((bias, judge_model.bias))
-    return (
-        linear._kernel_weights(type_model.weights, type_model.bias),
-        linear._kernel_weights(triple, bias),
-    )
+        kernel[split:-1, N_RULES:] = judge_model.weights[:, DENSE_DIM:].T
+        kernel[-1, N_RULES:] = judge_model.bias
+    return kernel
 
 
-def _prefix(
-    scores: Sequence[PrfScores],
-    pairs: Sequence[Encoding],
-    triples: Sequence[Encoding],
-    weights: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's dense prefix, (rows, 17): type probs, rule probs and
-    (f1, p, r); and the triples' scores past the rule extractor's columns
-    (the judge's text scores, its bias included, when ``weights`` holds
-    them)."""
-    type_weights, triple_weights = weights
-    prefix = np.empty((len(scores), DENSE_DIM))
-    linear._scores(type_weights, linear._flatten(pairs), out=prefix[:, :N_TYPES])
-    triple_scores = linear._scores(triple_weights, linear._flatten(triples))
-    prefix[:, N_TYPES : N_TYPES + N_RULES] = triple_scores[:, :N_RULES]
-    linear._softmax(prefix[:, : N_TYPES + N_RULES].reshape(len(scores), 2, N_TYPES))
-    prefix[:, N_TYPES + N_RULES :] = [(s.f1, s.precision, s.recall) for s in scores]
-    return prefix, triple_scores[:, N_RULES:]
+def _prefix(scores: np.ndarray, token_scores: Sequence[PrfScores]) -> np.ndarray:
+    """The (rows, 17) dense prefix of a block from its pairs' and then its
+    triples' scores: type probs, rule probs and (f1, p, r)."""
+    n = len(token_scores)
+    prefix = np.empty((n, DENSE_DIM))
+    prefix[:, :N_TYPES] = scores[:n, :N_TYPES]
+    prefix[:, N_TYPES : N_TYPES + N_RULES] = scores[n:, :N_RULES]
+    linear._softmax(prefix[:, : N_TYPES + N_RULES].reshape(n, 2, N_TYPES))
+    prefix[:, N_TYPES + N_RULES :] = [(s.f1, s.precision, s.recall) for s in token_scores]
+    return prefix
 
 
-def _encode_and_prefix(
-    prepared: Sequence[_Prepared], model: PedantsModel
-) -> tuple[np.ndarray, np.ndarray, list[Encoding]]:
-    """``_prefix`` of prepared examples, and their triples' encodings. Each
-    pair and each triple is encoded once; the triple serves the rule
-    extractor and the judge."""
-    pairs, triples = [], []
-    for p in prepared:
-        pair = vectorizer._pair(p.question, p.reference)
-        pairs.append(vectorizer._tfidf(pair, model.type_vectorizer))
-        triple = vectorizer._triple(pair, p.candidate)
-        triples.append(vectorizer._tfidf(triple, model.judge_vectorizer))
-    return *_prefix([p.scores for p in prepared], pairs, triples, model._kernel), triples
+def _score(prepared: Sequence[_Prepared], model: PedantsModel) -> tuple[Batch, np.ndarray]:
+    """The block of prepared examples' pairs, then triples, and its scores
+    under the model's stacked kernel."""
+    pairs = [vectorizer._pair(p.question, p.references[p.ref_index]) for p in prepared]
+    triples = [vectorizer._triple(pair, p.candidate) for pair, p in zip(pairs, prepared)]
+    block = vectorizer._encode((pairs, model.type_vectorizer), (triples, model.judge_vectorizer))
+    return block, linear._scores(model._kernel, block)
 
 
-def _judge_input(prefix: np.ndarray, triple: Encoding) -> Encoding:
+def _judge_input(prefix: np.ndarray, triple: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The judge's input: the nonzero entries of the dense prefix, then the
     triple's block shifted past it."""
     cols = np.flatnonzero(prefix)
@@ -272,14 +251,14 @@ def _judge_input(prefix: np.ndarray, triple: Encoding) -> Encoding:
 
 
 def _fit_extractor(
-    docs: Callable, rows: Sequence, labels: list[int], n_classes: int, seed: int
-) -> tuple[TfidfModel, LinearModel, list[Encoding]]:
-    """Fit a vocabulary on the token lists ``docs(rows)`` yields, build them
-    again to encode each once, and train on those encodings as they are;
-    returns the vocabulary, the model and the encodings."""
-    tfidf = vectorizer.fit(docs(rows))
-    encodings = [vectorizer._tfidf(doc, tfidf) for doc in docs(rows)]
-    return tfidf, linear.train(encodings, labels, tfidf.dimension, n_classes, seed), encodings
+    docs: list[list[str]], labels: list[int], n_classes: int, seed: int
+) -> tuple[TfidfModel, LinearModel, Batch]:
+    """Fit a vocabulary on token lists, encode them in one block and train
+    on views of its rows; returns the vocabulary, the model and the block."""
+    tfidf = vectorizer.fit(docs)
+    block = vectorizer._encode((docs, tfidf))
+    model = linear.train(vectorizer._rows(block), labels, tfidf.dimension, n_classes, seed)
+    return tfidf, model, block
 
 
 def train_type_extractor(
@@ -287,8 +266,9 @@ def train_type_extractor(
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a) pairs and train the 7-class
     question-type classifier."""
-    rows = [[normalize(text, PEDANTS_POLICY) for text in ex[:2]] for ex in examples]
-    return _fit_extractor(_pairs, rows, [qtype.code for *_, qtype in examples], N_TYPES, seed)[:2]
+    rows = ([tokens(text, PEDANTS_POLICY) for text in ex[:2]] for ex in examples)
+    docs = [vectorizer._pair(q, a) for q, a in rows]
+    return _fit_extractor(docs, [qtype.code for *_, qtype in examples], N_TYPES, seed)[:2]
 
 
 def train_rule_extractor(
@@ -296,17 +276,22 @@ def train_rule_extractor(
 ) -> tuple[TfidfModel, LinearModel]:
     """Fit a tf-idf vocabulary on (q, a, candidate) triples and train the
     7-class correctness-rule classifier."""
-    rows = [[normalize(text, PEDANTS_POLICY) for text in ex[:3]] for ex in examples]
-    return _fit_extractor(_triples, rows, [rule.code for *_, rule in examples], N_RULES, seed)[:2]
+    rows = ([tokens(text, PEDANTS_POLICY) for text in ex[:3]] for ex in examples)
+    docs = [vectorizer._triple(vectorizer._pair(q, a), c) for q, a, c in rows]
+    return _fit_extractor(docs, [rule.code for *_, rule in examples], N_RULES, seed)[:2]
 
 
 def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
     """The judge's input for one example: 7 type probs, 7 rule probs and the
     token scores (f1, p, r) against the best-F1 reference, then the tf-idf
     triple encoding."""
-    prefix, _, triples = _encode_and_prefix([_prepare(example)], model)
+    prepared = _prepare(example)
+    (indices, values, starts), scores = _score([prepared], model)
+    # the triple's entries, without its bias entry, in its vectorizer's columns
+    shift = model.type_vectorizer.dimension + 1
+    triple = indices[starts[1] : -1] - shift, values[starts[1] : -1]
     dim = DENSE_DIM + model.judge_vectorizer.dimension
-    return SparseVector(dim, *_judge_input(prefix[0], triples[0]))
+    return SparseVector(dim, *_judge_input(_prefix(scores, [prepared.scores])[0], triple))
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], seed: int) -> dict:
@@ -331,22 +316,33 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     if missing:
         raise MissingAnnotations(missing)
 
-    prepared = [_prepare(ex) for ex in train_set]
+    # one object per distinct token keeps the corpus's documents small
+    canon: dict[str, str] = {}
+    pairs, triples, token_scores = [], [], []
+    for p in map(_prepare, train_set):
+        chosen = (p.question, p.references[p.ref_index], p.candidate)
+        question, reference, candidate = ([canon.setdefault(t, t) for t in f] for f in chosen)
+        pairs.append(vectorizer._pair(question, reference))
+        triples.append(vectorizer._triple(pairs[-1], candidate))
+        token_scores.append(p.scores)
+    del canon
     # one triple vectorizer serves the rule extractor and the judge, and each
     # pair and triple is encoded once, for the fits and the judge's inputs
-    type_vec, type_model, pairs = _fit_extractor(
-        _pairs, prepared, [ex.qtype.code for ex in train_set], N_TYPES, seed
-    )
-    triple_vec, rule_model, triples = _fit_extractor(
-        _triples, prepared, [ex.rule.code for ex in train_set], N_RULES, seed
-    )
+    labels = [ex.qtype.code for ex in train_set]
+    type_vec, type_model, pairs = _fit_extractor(pairs, labels, N_TYPES, seed)
+    labels = [ex.rule.code for ex in train_set]
+    triple_vec, rule_model, triples = _fit_extractor(triples, labels, N_RULES, seed)
 
-    # The judge's inputs come from the batch kernel that judging uses.
-    weights = _weights(type_model, rule_model)
-    prefix, _ = _prefix([p.scores for p in prepared], pairs, triples, weights)
-    inputs = [_judge_input(row, triple) for row, triple in zip(prefix, triples)]
-    # the texts and encodings are not needed by the judge's fit, where memory peaks
-    del prepared, pairs, triples, prefix, weights
+    # The judge's inputs come from the stacked kernel that judging uses: the
+    # pairs' block reads its leading rows, the triples' block those after.
+    kernel = _stack(type_model, rule_model)
+    scores = np.concatenate(
+        (linear._scores(kernel, pairs), linear._scores(kernel[type_vec.dimension + 1 :], triples))
+    )
+    prefix = _prefix(scores, token_scores)
+    inputs = [_judge_input(row, triple) for row, triple in zip(prefix, vectorizer._rows(triples))]
+    # the encodings are not needed by the judge's fit, where memory peaks
+    del pairs, triples, kernel, scores, prefix
     labels = [int(ex.human_label) for ex in train_set]
     judge_model = linear.train(inputs, labels, DENSE_DIM + triple_vec.dimension, 2, seed)
 
@@ -367,37 +363,36 @@ def _argmax(values: Sequence[float]) -> int:
     return max(range(len(values)), key=values.__getitem__)
 
 
-def _question_type(question: str, type_probs: Sequence[float]) -> QuestionType:
+def _question_type(question: Sequence[str], type_probs: Sequence[float]) -> QuestionType:
     """Extractor argmax, with a wh-word fallback when the extractor is unsure.
 
-    When the top probability is below 0.5, the earliest wh-word in the
-    normalized question wins; a question with no wh-word defaults to "what".
-    The fallback affects only the reported type, never the judge's input.
+    When the top probability is below 0.5, the earliest wh-word among the
+    normalized question's tokens wins; a question with no wh-word defaults
+    to "what". The fallback affects only the reported type, never the
+    judge's input.
     """
     top = _argmax(type_probs)
     if type_probs[top] >= 0.5:
         return QuestionType.from_code(top)
-    for tok in question.split():
+    for tok in question:
         if tok in _WH_LOOKUP:
             return _WH_LOOKUP[tok]
     return QuestionType.WHAT
 
 
-def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judgment]:
-    """Run the full pipeline on a batch of examples.
-
-    Each example is prepared and encoded alone; the three linear models
-    score the whole batch at once, and each row gets the same bits as in a
-    batch of any other size.
-    """
-    if not examples:
+def _judgments(prepared: Sequence[_Prepared], model: PedantsModel) -> list[Judgment]:
+    """The judgments of prepared examples: one block, encoded once and
+    scored by one gather, and each row gets the same bits as in a block of
+    any other size."""
+    if not prepared:
         return []
-    prepared = [_prepare(ex) for ex in examples]
-    prefix, text_scores, _ = _encode_and_prefix(prepared, model)
+    block, scores = _score(prepared, model)
+    prefix = _prefix(scores, [p.scores for p in prepared])
     # the judge's scores: its prefix terms summed along each row, then the text
-    scores = np.add.reduce(prefix[:, None, :] * model.judge_model.weights[:, :DENSE_DIM], axis=2)
-    scores += text_scores
-    probs = linear._softmax(scores)
+    dense = prefix[:, None, :] * model.judge_model.weights[:, :DENSE_DIM]
+    judge_scores = np.add.reduce(dense, axis=2)
+    judge_scores += scores[len(prepared) :, N_RULES:]
+    probs = linear._softmax(judge_scores)
     return [
         Judgment(
             correct=negative < positive,  # the argmax; a tie is the negative class
@@ -409,6 +404,12 @@ def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judg
         )
         for p, row, (negative, positive) in zip(prepared, prefix.tolist(), probs.tolist())
     ]
+
+
+def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judgment]:
+    """Run the full pipeline on a batch of examples: each is prepared alone,
+    and the three linear models score the whole batch at once."""
+    return _judgments([_prepare(ex) for ex in examples], model)
 
 
 def judge(example: QAExample, model: PedantsModel) -> Judgment:

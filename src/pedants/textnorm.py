@@ -3,7 +3,8 @@
 Every downstream metric and encoder funnels strings through this module so
 that reference and candidate answers are always processed identically.
 Normalization is idempotent: applying a policy twice gives the same string
-as applying it once.
+as applying it once. Metrics and encoders read ``tokens``, the list whose
+join by single spaces is ``normalize``'s string.
 
 Each step runs in C where it can. NFC and lowercasing run on the whole
 string, which is then split into tokens on whitespace: only a token that is
@@ -24,7 +25,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b", re.IGNORECASE)
 
@@ -187,7 +188,16 @@ def _drop_articles(tokens: Iterable[str]) -> list[str]:
     return kept
 
 
+def tokens(text: str, policy: NormPolicy) -> list[str]:
+    """``normalize``'s tokens, each non-empty and free of whitespace; every
+    normalization runs through ``normalize``, where it is timed and counted."""
+    return normalize(text, policy).split()
+
+
+def bag(token_list: Sequence[str]) -> TokenBag:
+    return TokenBag(tokens=tuple(token_list), counts=Counter(token_list))
+
+
 def tokenize(text: str) -> TokenBag:
     """Split a normalized string on whitespace runs into a token bag."""
-    tokens = tuple(text.split())
-    return TokenBag(tokens=tokens, counts=Counter(tokens))
+    return bag(text.split())

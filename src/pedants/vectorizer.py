@@ -4,8 +4,11 @@ Vocabulary fitting is deterministic (tokens sorted lexicographically) and
 keeps every token it sees, idf uses the smoothed form ln((1+N)/(1+df)) + 1,
 and encoded vectors are L2-normalized. Fitting and encoding read token
 lists: ``_pair`` and ``_triple`` build the "[CLS] q [SEP] a [SEP] candidate"
-tokens of normalized strings where they are encoded. The "[CLS]" and "[SEP]"
-markers live in the vocabulary like any other token.
+tokens of normalized token lists. The "[CLS]" and "[SEP]" markers live in
+the vocabulary like any other token. One encoder, ``_encode``, writes a
+block of token lists as the flat batch ``linear._scores`` reads: a judged
+block's pairs and triples, each fit's documents, or the one document of
+``transform``, ``encode_pair`` or ``encode_triple``.
 """
 
 from __future__ import annotations
@@ -18,15 +21,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus
-from .textnorm import PEDANTS_POLICY, normalize
+from .textnorm import PEDANTS_POLICY, tokens
 
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 
 FORMAT_VERSION = 1
-
-_NO_INDICES = np.empty(0, dtype=np.intp)
-_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 # Idf smoothing, L2 normalization and keeping every token (min_df 1) are
@@ -176,28 +176,50 @@ def fit(corpus: Iterable[Sequence[str]]) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
 
 
-def _tfidf(tokens: Sequence[str], model: TfidfModel) -> tuple[np.ndarray, np.ndarray]:
-    """tf x idf of a token list as sorted column indices and their weights.
+Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # indices, values, starts
 
-    Out-of-vocabulary tokens are dropped; with no in-vocabulary token both
-    arrays are empty (the zero vector, left unnormalized). The squared
-    weights are summed in index order, so a document always encodes to the
-    same bits.
-    """
-    vocab = model.vocabulary
-    counts: dict[int, int] = {}
-    for tok in tokens:
-        col = vocab.get(tok)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-    if not counts:
-        return _NO_INDICES, _NO_VALUES
-    indices = sorted(counts)
-    idf = model.idf
-    values = [counts[i] * idf[i] for i in indices]
-    norm = math.sqrt(sum(v * v for v in values))
-    values = [v / norm for v in values]
-    return np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64)
+
+def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
+    """tf x idf of token lists, L2-normalized, as one ``linear._scores``
+    batch: each document's sorted columns and weights, then its bias entry
+    (value 1), and the offset of each document's first entry. A segment's
+    columns and then its bias column follow the previous segment's, as its
+    model's ``linear._kernel_weights`` rows follow theirs when stacked.
+    Out-of-vocabulary tokens are dropped, and the squared weights are summed
+    in column order, so a document always encodes to the same bits."""
+    indices, values, starts = [], [], []
+    offset = 0
+    for docs, model in segments:
+        vocab, idf = model.vocabulary, model.idf
+        bias = offset + model.dimension
+        for doc in docs:
+            starts.append(len(indices))
+            counts: dict[int, int] = {}
+            for tok in doc:
+                col = vocab.get(tok)
+                if col is not None:
+                    counts[col] = counts.get(col, 0) + 1
+            if counts:
+                cols = sorted(counts)
+                weights = [counts[col] * idf[col] for col in cols]
+                norm = math.sqrt(sum(w * w for w in weights))
+                indices += [col + offset for col in cols] if offset else cols
+                values += [w / norm for w in weights]
+            indices.append(bias)
+            values.append(1.0)
+        offset = bias + 1
+    return np.array(indices, np.intp), np.array(values, np.float64), np.array(starts, np.intp)
+
+
+def _rows(batch: Batch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A one-segment batch's rows as views without their bias entries."""
+    indices, values, starts = batch
+    bounds = [*starts.tolist(), len(indices)]
+    return [(indices[s : e - 1], values[s : e - 1]) for s, e in zip(bounds, bounds[1:])]
+
+
+def _vector(doc: Sequence[str], model: TfidfModel) -> SparseVector:
+    return SparseVector(model.dimension, *_rows(_encode(([doc], model)))[0])
 
 
 def transform(text: str, model: TfidfModel) -> SparseVector:
@@ -206,25 +228,23 @@ def transform(text: str, model: TfidfModel) -> SparseVector:
     Out-of-vocabulary tokens are dropped; a document with no in-vocabulary
     tokens encodes to the zero vector, which is left unnormalized.
     """
-    return SparseVector(model.dimension, *_tfidf(text.split(), model))
+    return _vector(text.split(), model)
 
 
-def _pair(question: str, answer: str) -> list[str]:
-    """The "[CLS] q [SEP] a" tokens of already normalized strings."""
-    return [CLS_TOKEN, *question.split(), SEP_TOKEN, *answer.split()]
+def _pair(question: Sequence[str], answer: Sequence[str]) -> list[str]:
+    """The "[CLS] q [SEP] a" tokens of normalized token lists."""
+    return [CLS_TOKEN, *question, SEP_TOKEN, *answer]
 
 
-def _triple(pair: list[str], candidate: str) -> list[str]:
-    """A pair's tokens extended with "[SEP] candidate", normalized already."""
-    return [*pair, SEP_TOKEN, *candidate.split()]
+def _triple(pair: list[str], candidate: Sequence[str]) -> list[str]:
+    """A pair's tokens extended with "[SEP] candidate", a normalized token list."""
+    return [*pair, SEP_TOKEN, *candidate]
 
 
 def encode_pair(question: str, answer: str, model: TfidfModel) -> SparseVector:
-    pair = _pair(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
-    return SparseVector(model.dimension, *_tfidf(pair, model))
+    return _vector(_pair(tokens(question, PEDANTS_POLICY), tokens(answer, PEDANTS_POLICY)), model)
 
 
 def encode_triple(question: str, answer: str, candidate: str, model: TfidfModel) -> SparseVector:
-    pair = _pair(normalize(question, PEDANTS_POLICY), normalize(answer, PEDANTS_POLICY))
-    triple = _triple(pair, normalize(candidate, PEDANTS_POLICY))
-    return SparseVector(model.dimension, *_tfidf(triple, model))
+    pair = _pair(tokens(question, PEDANTS_POLICY), tokens(answer, PEDANTS_POLICY))
+    return _vector(_triple(pair, tokens(candidate, PEDANTS_POLICY)), model)

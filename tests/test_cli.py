@@ -716,6 +716,25 @@ def test_unwritable_out_is_named_as_given(tmp_path, dataset, seed_bundle_path, c
     assert not out.parent.exists()
 
 
+def test_train_out_checked_before_the_fit(tmp_path, monkeypatch, capsys):
+    import pedants.pipeline as pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train_pedants ran")
+
+    monkeypatch.setattr(pipeline, "train_pedants", refuse)
+    # the output's directory is checked before the corpus is read or the
+    # model fitted, and the error names --out as given
+    (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
+    for out in ("missing/x.json", str(tmp_path / "missing" / "x.json"), "file/x.json"):
+        for corpus in ([], ["--corpus", "no-such-corpus.jsonl"]):
+            assert main(["train", *corpus, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err == f"pedants: error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     seed = load_seed_corpus()
@@ -855,6 +874,41 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
     calls.clear()
     assert em_only.verdicts([ex]) == [{"em": True}]
     assert calls == ["paris", "Paris"]
+
+
+@pytest.mark.parametrize("norm, strings", [("pedants", 174), ("em", 291)])
+def test_string_metrics_share_the_judges_preparation(
+    norm, strings, seed_corpus, seed_bundle_path, tmp_path, monkeypatch, capsys
+):
+    # under --norm pedants, em and f1 read the token lists, best reference and
+    # scores the judge prepared, so each string is normalized once: 57
+    # questions, 57 candidates and 60 references; under --norm em the
+    # candidates and references are normalized again, under that policy
+    import pedants.cli as cli
+    import pedants.textnorm as textnorm
+
+    assert len(seed_corpus) == 57 and sum(len(ex.references) for ex in seed_corpus) == 60
+    calls = []
+
+    def counted(text, policy):
+        calls.append(text)
+        return normalize(text, policy)
+
+    monkeypatch.setattr(textnorm, "normalize", counted)
+    monkeypatch.setattr(cli, "normalize", counted)
+    dataset = tmp_path / "seed.jsonl"
+    dataset.write_text("".join(json.dumps(ex.to_dict()) + "\n" for ex in seed_corpus))
+    args = ["eval", "--model", str(seed_bundle_path), "--dataset", str(dataset), "--norm", norm]
+    assert main(args) == 0
+    assert len(calls) == strings
+    shared = capsys.readouterr().out
+    # the same verdicts as each metric computed on its own
+    model = PedantsModel.load(seed_bundle_path)
+    together = cli.Judger(["em", "f1", "pedants"], norm, 0.5, model)
+    apart = [cli.Judger([name], norm, 0.5, model) for name in ("em", "f1", "pedants")]
+    for ex in seed_corpus:
+        assert together([ex]) == [{k: v for j in apart for k, v in j([ex])[0].items()}]
+    assert "n=57" in shared
 
 
 def test_block_boundary_same_output_for_any_worker_count(tmp_path, seed_bundle_path, capsys):

@@ -7,20 +7,26 @@ import pytest
 from pedants.errors import EmptyReferences, MissingAnnotations
 from pedants.pipeline import (
     DENSE_DIM,
+    N_RULES,
+    N_TYPES,
     PedantsModel,
     QAExample,
     QuestionType,
     RuleLabel,
+    _prepare,
     _question_type,
+    _score,
     assemble_features,
     judge,
     train_pedants,
     train_rule_extractor,
     train_type_extractor,
 )
-from pedants.textnorm import PEDANTS_POLICY, normalize
+from pedants.textnorm import PEDANTS_POLICY, tokens
 from pedants.vectorizer import SparseVector, TfidfModel, encode_pair, encode_triple
 from pedants import linear, vectorizer
+from test_fastpath import EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE
+from test_fastpath import sparse_model  # noqa: F401 (a fixture)
 
 Q1 = QAExample(
     question="Who is the president of the US in 2023?",
@@ -266,7 +272,7 @@ def test_fingerprint_recorded(seed_model):
 
 def test_type_fallback_heuristic():
     def qtype(question, probs):
-        return _question_type(normalize(question, PEDANTS_POLICY), probs)
+        return _question_type(tokens(question, PEDANTS_POLICY), probs)
 
     uncertain = np.full(7, 1 / 7)
     assert qtype("When did it happen?", uncertain) is QuestionType.WHEN
@@ -307,14 +313,15 @@ def test_differing_vectorizers_rejected(seed_model):
 
 
 def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
-    calls = []
-    tfidf = vectorizer._tfidf
+    calls = []  # the vectorizer of each document encoded, in order
+    encode = vectorizer._encode
 
-    def counted(tokens, model):
-        calls.append(model)
-        return tfidf(tokens, model)
+    def counted(*segments):
+        segments = [(list(docs), model) for docs, model in segments]
+        calls.extend(model for docs, model in segments for _ in docs)
+        return encode(*segments)
 
-    monkeypatch.setattr(vectorizer, "_tfidf", counted)
+    monkeypatch.setattr(vectorizer, "_encode", counted)
     model = train_pedants(seed_corpus)
     assert len(calls) == 2 * len(seed_corpus)
     calls.clear()
@@ -332,3 +339,42 @@ def test_training_builds_no_sparse_vector(seed_corpus, seed_model, monkeypatch):
     monkeypatch.setattr(SparseVector, "__post_init__", refuse)
     assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
 
+
+def _own_kernel_scores(weights, bias, vectors):
+    """Scores of SparseVectors under one model's own kernel, one row each."""
+    batch = linear._flatten([(v.indices, v.values) for v in vectors])
+    return linear._scores(linear._kernel_weights(weights, bias), batch)
+
+
+@pytest.mark.parametrize("bundle", ["seed_model", "sparse_model"])
+def test_stacked_kernel_scores_like_a_kernel_per_model(bundle, request, seed_corpus):
+    # one gather of a block's pairs and triples against the stacked kernel
+    # gives the type extractor's, the rule extractor's and the judge's text
+    # scores the bits of each scored alone; the two vocabularies differ in
+    # size in both bundles, so the triples' columns start past the pairs'
+    model = request.getfixturevalue(bundle)
+    assert model.type_vectorizer.dimension != model.judge_vectorizer.dimension
+    examples = [*seed_corpus, EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE]
+    prepared = [_prepare(ex) for ex in examples]
+    _, scores = _score(prepared, model)
+    n = len(examples)
+    assert scores.shape == (2 * n, N_RULES + 2)
+    rows = [
+        (ex.question, ex.references[p.ref_index], ex.candidate)
+        for ex, p in zip(examples, prepared)
+    ]
+    pairs = [encode_pair(q, a, model.type_vectorizer) for q, a, _ in rows]
+    triples = [encode_triple(q, a, c, model.judge_vectorizer) for q, a, c in rows]
+    type_model, rule_model, judge_model = model.type_model, model.rule_model, model.judge_model
+    expected = [
+        (scores[:n, :N_TYPES], _own_kernel_scores(type_model.weights, type_model.bias, pairs)),
+        (scores[n:, :N_RULES], _own_kernel_scores(rule_model.weights, rule_model.bias, triples)),
+        (
+            scores[n:, N_RULES:],
+            _own_kernel_scores(judge_model.weights[:, DENSE_DIM:], judge_model.bias, triples),
+        ),
+    ]
+    for got, alone in expected:
+        assert got.shape == alone.shape
+        assert got.tobytes() == alone.tobytes()
+    assert not scores[:n, N_TYPES:].any()  # the pairs' judge columns are zero

@@ -18,6 +18,7 @@ from pedants.textnorm import (
     lemma,
     normalize,
     tokenize,
+    tokens,
 )
 
 ALL_POLICIES = [NormPolicy(*flags) for flags in itertools.product([False, True], repeat=2)]
@@ -194,6 +195,20 @@ def test_normalize_idempotent_on_arbitrary_unicode(text):
     for policy in ALL_POLICIES:
         once = normalize(text, policy)
         assert normalize(once, policy) == once, policy
+
+
+@pytest.mark.parametrize("policy", [EM_POLICY, PEDANTS_POLICY], ids=["em", "pedants"])
+@NORM_SETTINGS
+@given(text=texts)
+@example("  a\u2000b\u3000\x1c c\u0085 \t")
+@example("\u00a0the\u00a0\u2028cats\u2029")
+@example("\u200b\ufeff x")
+def test_normalize_is_the_join_of_its_tokens(policy, text):
+    # the token list is what the metrics and encoders read; the string is
+    # its join, so token lists are equal exactly where the strings are
+    toks = tokens(text, policy)
+    assert normalize(text, policy) == " ".join(toks)
+    assert all(tok.split() == [tok] for tok in toks)  # non-empty, no whitespace
 
 
 def test_caches_stop_growing_at_their_limits(monkeypatch):

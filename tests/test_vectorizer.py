@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pedants.errors import EmptyCorpus
-from pedants.textnorm import PEDANTS_POLICY, normalize
+from pedants.textnorm import PEDANTS_POLICY, normalize, tokens
 from pedants.vectorizer import (
     CLS_TOKEN,
     SEP_TOKEN,
     SparseVector,
     TfidfModel,
+    _encode,
     _pair,
     _triple,
     encode_pair,
@@ -21,7 +23,8 @@ from pedants.vectorizer import (
     fit,
     transform,
 )
-from test_fastpath import SETTINGS, field
+from test_fastpath import EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE, SETTINGS, field
+from test_fastpath import sparse_model  # noqa: F401 (a fixture)
 
 
 def docs(*texts: str) -> list[list[str]]:
@@ -30,7 +33,7 @@ def docs(*texts: str) -> list[list[str]]:
 
 
 def triple_tokens(question: str, answer: str, candidate: str) -> list[str]:
-    norm = [normalize(text, PEDANTS_POLICY) for text in (question, answer, candidate)]
+    norm = [tokens(text, PEDANTS_POLICY) for text in (question, answer, candidate)]
     return _triple(_pair(norm[0], norm[1]), norm[2])
 
 
@@ -114,12 +117,13 @@ def test_transform_drops_oov_but_keeps_direction():
 
 
 def test_pair_and_triple_tokens():
-    assert _pair("who is it", "joe biden") == ["[CLS]", "who", "is", "it", "[SEP]", "joe", "biden"]
-    pair = _pair("q", "")
+    who, biden = ["who", "is", "it"], ["joe", "biden"]
+    assert _pair(who, biden) == ["[CLS]", "who", "is", "it", "[SEP]", "joe", "biden"]
+    pair = _pair(["q"], [])
     assert pair == ["[CLS]", "q", "[SEP]"]
-    assert _triple(pair, "c d") == ["[CLS]", "q", "[SEP]", "[SEP]", "c", "d"]
+    assert _triple(pair, ["c", "d"]) == ["[CLS]", "q", "[SEP]", "[SEP]", "c", "d"]
     assert pair == ["[CLS]", "q", "[SEP]"]  # the pair is not extended in place
-    assert _triple(_pair("", ""), "") == ["[CLS]", "[SEP]", "[SEP]"]
+    assert _triple(_pair([], []), []) == ["[CLS]", "[SEP]", "[SEP]"]
 
 
 def test_encode_triple_matches_bag_of_words_oracle():
@@ -249,3 +253,69 @@ def test_encoders_equal_transform_of_the_joined_text(seed_model, question, answe
     for model in (seed_model.type_vectorizer, seed_model.judge_vectorizer):
         assert encode_pair(question, answer, model) == transform(pair_text, model)
         assert encode_triple(question, answer, candidate, model) == transform(triple_text, model)
+
+
+def _tfidf_oracle(doc: list[str], model: TfidfModel) -> tuple[list[int], list[float]]:
+    """tf x idf of one token list, written out: counts, sorted columns, the
+    squared weights summed in column order, then each weight divided."""
+    counts = Counter(model.vocabulary[tok] for tok in doc if tok in model.vocabulary)
+    cols = sorted(counts)
+    weights = [counts[col] * model.idf[col] for col in cols]
+    norm = math.sqrt(sum(w * w for w in weights))
+    return cols, [w / norm for w in weights]
+
+
+def _check_block(rows, model):
+    """The block encoder on the pairs, then the triples, of (q, a, c) rows
+    gives each document the bits of ``encode_pair``/``encode_triple`` and of
+    the oracle, in its segment's columns, closed by its segment's bias."""
+    norm = [[tokens(text, PEDANTS_POLICY) for text in row] for row in rows]
+    pairs = [_pair(q, a) for q, a, _ in norm]
+    triples = [_triple(pair, c) for pair, (*_, c) in zip(pairs, norm)]
+    pair_vec, triple_vec = model.type_vectorizer, model.judge_vectorizer
+    indices, values, starts = _encode((pairs, pair_vec), (triples, triple_vec))
+    n = len(rows)
+    assert starts.dtype == indices.dtype == np.intp and values.dtype == np.float64
+    assert len(starts) == 2 * n and starts[0] == 0
+    ends = [*starts[1:].tolist(), len(indices)]
+    offset = pair_vec.dimension + 1
+    for i, (start, end) in enumerate(zip(starts.tolist(), ends)):
+        row, (q, a, c) = i % n, rows[i % n]
+        if i < n:
+            vec, shift = encode_pair(q, a, pair_vec), 0
+            doc, vocab = pairs[row], pair_vec
+        else:
+            vec, shift = encode_triple(q, a, c, triple_vec), offset
+            doc, vocab = triples[row], triple_vec
+        # the bias entry closes the document, in its segment's bias row
+        assert indices[end - 1] == shift + vocab.dimension and values[end - 1] == 1.0
+        got_indices, got_values = indices[start : end - 1] - shift, values[start : end - 1]
+        assert got_indices.tolist() == vec.indices.tolist()
+        assert got_values.tobytes() == vec.values.tobytes()
+        cols, weights = _tfidf_oracle(doc, vocab)
+        assert got_indices.tolist() == cols
+        assert got_values.tobytes() == np.array(weights, dtype=np.float64).tobytes()
+
+
+REPEATS = ("Who who is is is it?", "Biden Biden biden", "the the cats cat")
+
+
+@pytest.mark.parametrize("bundle", ["seed_model", "sparse_model"])
+def test_block_encoder_equals_per_call_encoders_on_edge_rows(bundle, request):
+    # repeated tokens; all-OOV rows (the bias entry alone); a row whose pair
+    # is OOV while its triple is not, and the reverse (under sparse_model)
+    edge = [REPEATS, ("zzqx qqq", "xyzzy", "plugh")] + [
+        (ex.question, ex.references[0], ex.candidate)
+        for ex in (EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE)
+    ]
+    model = request.getfixturevalue(bundle)
+    _check_block(edge, model)
+    for row in edge:
+        _check_block([row], model)
+
+
+@SETTINGS
+@given(rows=st.lists(st.tuples(field, field, field), min_size=1, max_size=5))
+def test_block_encoder_equals_per_call_encoders(seed_model, sparse_model, rows):  # noqa: F811
+    for model in (seed_model, sparse_model):
+        _check_block(rows, model)
