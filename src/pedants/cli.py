@@ -248,6 +248,7 @@ def _read_labeled(
 def cmd_train(args) -> int:
     if not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the fit, not after
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    io.reject_directory(args.out)
     from .pipeline import train_pedants
 
     if args.corpus:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import importlib.resources
 import json
 import os
@@ -242,12 +243,21 @@ class DatasetFile:
         yield from iter_examples(self.path, skip_bad=skip_bad, on_skip=on_skip)
 
 
+def reject_directory(path: str | Path) -> None:
+    """Raise IsADirectoryError, naming ``path`` as given, if it is a
+    directory, which no output file can replace."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 @contextlib.contextmanager
 def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """Open a temp file beside ``path`` for writing text; when the block
     ends it replaces ``path``, and when the block raises it is removed and
-    ``path`` is left as it was. An error in creating, writing or moving the
+    ``path`` is left as it was. A ``path`` that is a directory is refused
+    before the block runs; an error in creating, writing or moving the
     temp file names ``path``."""
+    reject_directory(path)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -2,7 +2,9 @@
 
 Training is epoch-ordered SGD: one pass per epoch over a seed-shuffled
 permutation of the examples, inverse-scaling learning rate, L2 weight decay,
-and an epoch-loss stopping rule. (data, seed) fully determines the model;
+and an epoch-loss stopping rule. The weights are held as a scalar times an
+array and the decay shrinks only the scalar, so a step costs O(classes x
+entries) of its example. (data, seed) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
 pair of the score difference. The training loss, predict_proba and the
@@ -45,6 +47,9 @@ _FIXED = {
     "eta0": ETA0,
     "lr_power": LR_POWER,
 }
+# The trainer folds its weight scale into the weights once the scale falls
+# below this, before it can underflow.
+_MIN_SCALE = 1e-9
 
 
 def config_dict(seed: int) -> dict:
@@ -205,28 +210,32 @@ def train(
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
     batch = _flatten(encodings)
-    # Feature-major weights: an example's rows are one gather and one
-    # scatter. rows.T is (C, nnz) and F-ordered, the layout weights[:, idx]
-    # has, so BLAS scores it with the same rounding.
-    wt = np.zeros((dim, n_classes), dtype=np.float64)
+    # Feature-major weights w = scale * v (Bottou's lazy weight scale): the
+    # decay multiplies only the scalar, so a step touches just its
+    # example's rows of v, one gather and one scatter. rows.T is (C, nnz)
+    # and F-ordered, the layout weights[:, idx] has, so BLAS scores it with
+    # the same rounding; with no decay scale stays exactly 1.0 and every
+    # bit is the eager trainer's.
+    v = np.zeros((dim, n_classes), dtype=np.float64)
+    scale = 1.0
     bias = np.zeros(n_classes, dtype=np.float64)
 
     rng = np.random.default_rng(seed)
-    prev_loss = _mean_loss(wt.T, bias, batch, labels)
+    prev_loss = _mean_loss(v.T, bias, batch, labels)
     best_loss = prev_loss
-    best_weights, best_bias = wt.T.copy(), bias.copy()  # copies are C-ordered (C, D)
+    best_weights, best_bias = v.T.copy(), bias.copy()  # copies are C-ordered (C, D)
 
     ys = labels.tolist()
-    scores = np.empty(n_classes, dtype=np.float64)  # scores, then probabilities
-    step = np.empty(n_classes, dtype=np.float64)
+    scores = np.empty(n_classes, dtype=np.float64)  # scores, probabilities, then the step
     for epoch in range(MAX_EPOCHS):
         eta = ETA0 / (1.0 + epoch) ** LR_POWER
         decay = max(0.0, 1.0 - eta * L2_PENALTY)
         for i in rng.permutation(len(encodings)).tolist():
             idx, vals = encodings[i]
-            rows = wt.take(idx, axis=0)
-            # the softmax, in place on preallocated buffers
+            rows = v.take(idx, axis=0)
+            # the softmax, in place on a preallocated buffer
             np.matmul(rows.T, vals, out=scores)
+            np.multiply(scores, scale, out=scores)
             np.add(scores, bias, out=scores)
             np.maximum(scores, -LOGIT_CLAMP, out=scores)
             np.minimum(scores, LOGIT_CLAMP, out=scores)
@@ -234,12 +243,17 @@ def train(
             np.exp(scores, out=scores)
             np.divide(scores, np.add.reduce(scores), out=scores)
             scores[ys[i]] -= 1.0  # the gradient of the loss in the scores
-            np.multiply(eta, scores, out=step)
-            wt *= decay
-            rows *= decay
-            rows -= np.multiply.outer(vals, step)
-            wt[idx] = rows
-            bias -= step
+            np.multiply(eta, scores, out=scores)
+            bias -= scores
+            # w <- decay * w - eta * g x, as v under the decayed scale
+            scale *= decay
+            np.divide(scores, scale, out=scores)
+            rows -= np.multiply.outer(vals, scores)
+            v[idx] = rows
+            if scale < _MIN_SCALE:
+                v *= scale
+                scale = 1.0
+        wt = v * scale
         loss = _mean_loss(wt.T, bias, batch, labels)
         if loss < best_loss:
             best_loss = loss

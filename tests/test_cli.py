@@ -735,6 +735,26 @@ def test_train_out_checked_before_the_fit(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "judge"])
+def test_out_that_is_a_directory_fails_before_work(
+    tmp_path, dataset, seed_bundle_path, command, monkeypatch, capsys
+):
+    import pedants.pipeline as pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did its work")
+
+    monkeypatch.setattr(pipeline, {"train": "train_pedants", "judge": "_judgments"}[command], refuse)
+    inputs = {"train": [], "judge": ["--model", str(seed_bundle_path), "--dataset", str(dataset)]}
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for out in ("outdir", "outdir/", str(tmp_path / "outdir")):
+        assert main([command, *inputs[command], "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pedants: error: [Errno 21] Is a directory: '{out}'\n"
+    assert not any((tmp_path / "outdir").iterdir())
+
+
 def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     seed = load_seed_corpus()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     batch_gd_predict,
     batch_gd_train,
@@ -10,6 +11,7 @@ from oracles import (
     reference_train,
     train_vectors,
 )
+from pedants import linear
 from pedants.errors import DimensionMismatch, SingleClassCorpus
 from pedants.linear import (
     LOGIT_CLAMP,
@@ -200,12 +202,21 @@ def _random_examples(rng, n, dim, n_labels, signal=0.0, empty_share=0.15):
     return examples
 
 
-@pytest.mark.parametrize(
+_TRAINER_CASES = pytest.mark.parametrize(
     "n_classes, n_labels, signal, seed",
     [(2, 2, 0.0, 1), (7, 7, 0.0, 2), (2, 2, 20.0, 3), (7, 7, 20.0, 4), (7, 4, 0.0, 5)],
     ids=["2-class", "7-class", "2-class-clamped", "7-class-clamped", "unused-classes"],
 )
-def test_train_matches_reference_trainer_bit_for_bit(n_classes, n_labels, signal, seed):
+
+
+@_TRAINER_CASES
+def test_train_matches_reference_trainer_bit_for_bit(
+    n_classes, n_labels, signal, seed, monkeypatch
+):
+    # with no decay the weight scale stays exactly 1.0, so the lazy-scale
+    # trainer must give the eager oracle's bits (the oracle reads the same
+    # constant)
+    monkeypatch.setattr(linear, "L2_PENALTY", 0.0)
     rng = np.random.default_rng(seed)
     examples = _random_examples(rng, 80, 40, n_labels, signal)
     assert any(x.nnz == 0 for x, _ in examples)
@@ -220,6 +231,53 @@ def test_train_matches_reference_trainer_bit_for_bit(n_classes, n_labels, signal
     if signal:  # the trained model scores past the clamp
         scores = [model.weights[:, x.indices] @ x.values + model.bias for x, _ in examples]
         assert np.abs(scores).max() > LOGIT_CLAMP
+
+
+def _epoch_losses(monkeypatch, module, name):
+    """Record every loss ``module.name`` returns: one before the first epoch
+    and one after each."""
+    losses = []
+    loss = getattr(module, name)
+
+    def recorded(*args):
+        losses.append(loss(*args))
+        return losses[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return losses
+
+
+def _assert_tracks_reference(examples, seed, n_classes, monkeypatch):
+    """The lazy-scale trainer stays within 1e-9 of max |w| of the eager
+    oracle, and runs as many epochs and picks the same best one."""
+    ours = _epoch_losses(monkeypatch, linear, "_mean_loss")
+    theirs = _epoch_losses(monkeypatch, oracles, "reference_mean_loss")
+    model = train_vectors(examples, seed=seed, n_classes=n_classes)
+    reference = reference_train(examples, seed=seed, n_classes=n_classes)
+    bound = 1e-9 * np.abs(reference.weights).max()
+    assert bound > 0
+    assert np.abs(model.weights - reference.weights).max() <= bound
+    assert np.abs(model.bias - reference.bias).max() <= bound
+    assert len(ours) == len(theirs) > 2
+    assert np.argmin(ours) == np.argmin(theirs)
+
+
+@_TRAINER_CASES
+def test_train_tracks_eager_reference_with_decay(n_classes, n_labels, signal, seed, monkeypatch):
+    assert L2_PENALTY > 0
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    _assert_tracks_reference(examples, seed, n_classes, monkeypatch)
+
+
+@_TRAINER_CASES
+def test_train_folds_a_small_weight_scale(n_classes, n_labels, signal, seed, monkeypatch):
+    # the first epoch's 80 decays take the scale below this floor, so the
+    # trainer folds the scale into the weights within that epoch
+    floor = 0.999
+    assert (1.0 - linear.ETA0 * L2_PENALTY) ** 80 < floor
+    monkeypatch.setattr(linear, "_MIN_SCALE", floor)
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    _assert_tracks_reference(examples, seed, n_classes, monkeypatch)
 
 
 @pytest.mark.parametrize("empty_share", [0.0, 0.3, 1.0], ids=["full", "some-empty", "all-empty"])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import reference_train
 from pedants.errors import EmptyReferences, MissingAnnotations
 from pedants.pipeline import (
     DENSE_DIM,
@@ -18,6 +19,7 @@ from pedants.pipeline import (
     _score,
     assemble_features,
     judge,
+    judge_batch,
     train_pedants,
     train_rule_extractor,
     train_type_extractor,
@@ -378,3 +380,22 @@ def test_stacked_kernel_scores_like_a_kernel_per_model(bundle, request, seed_cor
         assert got.shape == alone.shape
         assert got.tobytes() == alone.tobytes()
     assert not scores[:n, N_TYPES:].any()  # the pairs' judge columns are zero
+
+
+def test_lazy_scale_trainer_judges_like_the_eager_oracle(seed_corpus, seed_model, monkeypatch):
+    # the seed bundle trained by linear.train and by the eager-decay oracle
+    # give the same verdicts on its own corpus
+    def eager(encodings, labels, dim, n_classes, seed):
+        examples = [(SparseVector(dim, idx, vals), y) for (idx, vals), y in zip(encodings, labels)]
+        return reference_train(examples, seed=seed, n_classes=n_classes)
+
+    monkeypatch.setattr(linear, "train", eager)
+    oracle = train_pedants(seed_corpus)
+    for ours, theirs in zip(
+        judge_batch(seed_corpus, seed_model), judge_batch(seed_corpus, oracle), strict=True
+    ):
+        assert ours.correct == theirs.correct
+        assert ours.predicted_rule == theirs.predicted_rule
+        assert ours.predicted_type == theirs.predicted_type
+        assert ours.chosen_reference == theirs.chosen_reference
+        assert ours.confidence == pytest.approx(theirs.confidence, abs=1e-12, rel=0)
