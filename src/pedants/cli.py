@@ -1,10 +1,12 @@
 """Command-line surface: train, judge, eval, rank, and sweep subcommands.
 
-Judging and evaluation stream their input line by line, so memory stays
-flat regardless of dataset size; with --workers > 1 records fan out over a
-process pool in bounded batches and are emitted in input order. The only
-randomness is training's, drawn from train's --seed. Exit codes: 0 success,
-1 validation failure, 2 unexpected runtime failure.
+Judging and evaluation stream their input line by line in blocks of
+POOL_BATCH records, so memory stays flat regardless of dataset size. With
+--workers N > 1 and more than one block, each block is one task of a
+process pool: up to 2N blocks are in flight while this process reads on,
+and results are emitted in input order; one block is judged in this
+process. The only randomness is training's, drawn from train's --seed.
+Exit codes: 0 success, 1 validation failure, 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import itertools
 import json
 import os
 import sys
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -36,8 +39,8 @@ if TYPE_CHECKING:
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_THRESHOLD = 0.5
-# Records per block: the judge scores a block at once, and a worker pool
-# takes one block at a time, which bounds in-flight records and keeps order.
+# Records per block: the judge scores a block at once, and a pool worker
+# takes a whole block as one task.
 POOL_BATCH = 256
 
 METRIC_CHOICES = ("em", "f1", "pedants")
@@ -120,21 +123,34 @@ def _apply_pool_fn(item):
 def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]:
     """Apply fn, which maps a list of items to a list of results, to blocks
     of POOL_BATCH items and yield (item, result) pairs in order. With
-    workers > 1 each block fans out over a process pool, in tasks of the
-    size ``Pool.map`` would cut it into; the items stay in this process."""
+    workers > 1 and a second block to read, each block is one task of a
+    process pool, and up to 2 x workers blocks are in flight while this
+    process reads on; the items stay in this process. One block is judged
+    here, since it would occupy one worker and the pool would cost its
+    start and stop besides."""
     blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
-    if workers <= 1:
-        for block in blocks:
+    head = list(itertools.islice(blocks, 2 if workers > 1 else 1))
+    if len(head) < 2:
+        for block in itertools.chain(head, blocks):
             yield from zip(block, fn(block))
         return
     import multiprocessing
 
-    with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
-        for block in blocks:
-            size = -(-len(block) // (4 * workers))  # Pool.map's default chunk size
-            tasks = [block[i : i + size] for i in range(0, len(block), size)]
-            for task, results in zip(tasks, pool.map(_apply_pool_fn, tasks, chunksize=1)):
-                yield from zip(task, results)
+    # the workers' collections then leave the parent's objects, and the
+    # memory pages they share with it, alone
+    gc.freeze()
+    try:
+        with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
+            pending = deque()
+            for block in itertools.chain(head, blocks):
+                pending.append((block, pool.apply_async(_apply_pool_fn, (block,))))
+                if len(pending) == 2 * workers:
+                    done, results = pending.popleft()
+                    yield from zip(done, results.get())
+            for done, results in pending:
+                yield from zip(done, results.get())
+    finally:
+        gc.unfreeze()
 
 
 def _report_skip(err: DatasetError) -> None:
@@ -193,13 +209,28 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
     return values
 
 
-def _write_report(out: str | None, stem: str, rows: list[dict]) -> None:
-    """Write rows as <out>/<stem>.csv and <out>/<stem>.json, if out is set."""
-    if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_report_csv(out_dir / f"{stem}.csv", rows)
-        io.write_report_json(out_dir / f"{stem}.json", rows)
+def _report_paths(out: str | None, stem: str) -> tuple[Path, ...]:
+    """<out>/<stem>.csv and <out>/<stem>.json, or none if out is unset.
+    Called before any work, so that an --out no report can be written to
+    stops the command at once: an existing path that is not a directory,
+    or a report path that is one. Nothing is created here."""
+    if not out:
+        return ()
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    paths = tuple(Path(out) / f"{stem}{suffix}" for suffix in (".csv", ".json"))
+    for path in paths:
+        io.reject_directory(path)
+    return paths
+
+
+def _write_report(paths: tuple[Path, ...], rows: list[dict]) -> None:
+    """Write rows to the report paths of ``_report_paths``, if any."""
+    if paths:
+        csv_path, json_path = paths
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        io.write_report_csv(csv_path, rows)
+        io.write_report_json(json_path, rows)
 
 
 def _read_labeled(
@@ -279,6 +310,7 @@ def cmd_judge(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    report = _report_paths(args.out, "report")
     # the first good record sets the kind of the file, pre-judged or plain
     records = _read_labeled(args.dataset, args.skip_bad, one_kind=True)
     first = next(records, None)
@@ -323,7 +355,7 @@ def cmd_eval(args) -> int:
             f"{row['metric']:>8}: accuracy={row['accuracy']:.4f} "
             f"macro_f1={row['macro_f1']:.4f} n={row['examples']}"
         )
-    _write_report(args.out, "report", rows)
+    _write_report(report, rows)
     return 0
 
 
@@ -339,6 +371,7 @@ def _read_rates(path: str) -> RankingInput:
 
 
 def cmd_rank(args) -> int:
+    report = _report_paths(args.out, "ranking")
     if args.rates:
         flags = {"--dataset": args.dataset, "--metric": args.metric, "--model": args.model}
         given = [flag for flag, value in flags.items() if value is not None]
@@ -376,11 +409,12 @@ def cmd_rank(args) -> int:
             f"{row['metric']:>8}: pairwise_ranking_accuracy="
             f"{row['pairwise_ranking_accuracy']:.4f} models={row['models']}"
         )
-    _write_report(args.out, "ranking", rows)
+    _write_report(report, rows)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    report = _report_paths(args.out, "sweep")
     thresholds = _parse_thresholds(args.threshold)
     policy = POLICY_PRESETS[args.norm]
     scored = [
@@ -402,7 +436,7 @@ def cmd_sweep(args) -> int:
             f"threshold={row['threshold']:.2f}: accuracy={row['accuracy']:.4f} "
             f"macro_f1={row['macro_f1']:.4f}"
         )
-    _write_report(args.out, "sweep", table)
+    _write_report(report, table)
     return 0
 
 

@@ -186,7 +186,8 @@ def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
     columns and then its bias column follow the previous segment's, as its
     model's ``linear._kernel_weights`` rows follow theirs when stacked.
     Out-of-vocabulary tokens are dropped, and the squared weights are summed
-    in column order, so a document always encodes to the same bits."""
+    left to right in column order, without compensation, so a document
+    encodes to the same bits under every CPython version."""
     indices, values, starts = [], [], []
     offset = 0
     for docs, model in segments:
@@ -202,7 +203,10 @@ def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
             if counts:
                 cols = sorted(counts)
                 weights = [counts[col] * idf[col] for col in cols]
-                norm = math.sqrt(sum(w * w for w in weights))
+                squares = 0.0
+                for w in weights:  # not sum(), which compensates from CPython 3.12
+                    squares += w * w
+                norm = math.sqrt(squares)
                 indices += [col + offset for col in cols] if offset else cols
                 values += [w / norm for w in weights]
             indices.append(bias)

@@ -1,12 +1,14 @@
+import gc
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from pedants.cli import POOL_BATCH, build_parser, main
+from pedants.cli import POOL_BATCH, _map_ordered, build_parser, main
 from pedants.io import load_seed_corpus
 from pedants.pipeline import PedantsModel, QAExample, judge
 from pedants.textnorm import normalize
@@ -47,6 +49,26 @@ ROWS = [
 def dataset(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in ROWS) + "\n", encoding="utf-8")
+    return path
+
+
+def _seed_rows(n):
+    """n labeled records cycling through the seed corpus, each pass with
+    one more filler word on the candidate, so the blocks differ."""
+    seed = load_seed_corpus()
+    rows = []
+    for i in range(n):
+        row = seed[i % len(seed)].to_dict()
+        row["candidate"] += " indeed" * (i // len(seed))
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture()
+def many(tmp_path):
+    """Records past two blocks, so a --workers 2 run starts a pool."""
+    path = tmp_path / "many.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in _seed_rows(2 * POOL_BATCH + 5)))
     return path
 
 
@@ -96,12 +118,14 @@ def test_judge_byte_identical_reruns(tmp_path, dataset, seed_bundle_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_judge_workers_preserve_output(tmp_path, dataset, seed_bundle_path):
+def test_judge_workers_preserve_output(tmp_path, dataset, many, seed_bundle_path):
+    # one block is judged in this process; past one, a pool judges them
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    base = ["judge", "--dataset", str(dataset), "--model", str(seed_bundle_path)]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    for data in (dataset, many):
+        base = ["judge", "--dataset", str(data), "--model", str(seed_bundle_path)]
+        assert main(base + ["--out", str(serial)]) == 0
+        assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_judge_em_and_f1_need_no_model(tmp_path, dataset, capsys):
@@ -170,12 +194,13 @@ def test_eval_reports(tmp_path, dataset, seed_bundle_path, capsys):
     assert (out_dir / "report.csv").read_text().startswith("metric,")
 
 
-def test_eval_workers_match_serial(tmp_path, dataset, seed_bundle_path, capsys):
-    base = ["eval", "--dataset", str(dataset), "--model", str(seed_bundle_path)]
-    assert main(base) == 0
-    serial = capsys.readouterr().out
-    assert main(base + ["--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
+def test_eval_workers_match_serial(tmp_path, dataset, many, seed_bundle_path, capsys):
+    for data in (dataset, many):
+        base = ["eval", "--dataset", str(data), "--model", str(seed_bundle_path)]
+        assert main(base) == 0
+        serial = capsys.readouterr().out
+        assert main(base + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 def test_eval_requires_labels(tmp_path, seed_bundle_path, capsys):
@@ -690,18 +715,20 @@ def test_invalid_utf8_line_names_its_line(tmp_path, seed_bundle_path, newline, c
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failed_judge_leaves_existing_out_unchanged(tmp_path, seed_bundle_path, workers, capsys):
+    # a bad last line in one block, and past two blocks (a pool at 2 workers)
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(ROWS[0]) + "\n" + json.dumps(ROWS[1]) + "\n{broken\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "judged.jsonl"
     out.write_text("previous run\n")
-    rc = main(["judge", "--dataset", str(path), "--model", str(seed_bundle_path),
-               "--out", str(out), "--workers", workers])
-    assert rc == 1
-    assert f"{path}:3:" in capsys.readouterr().err
-    assert out.read_text() == "previous run\n"
-    assert [p.name for p in out_dir.iterdir()] == ["judged.jsonl"]
+    for rows in (ROWS[:2], _seed_rows(2 * POOL_BATCH + 5)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows) + "{broken\n")
+        rc = main(["judge", "--dataset", str(path), "--model", str(seed_bundle_path),
+                   "--out", str(out), "--workers", workers])
+        assert rc == 1
+        assert f"{path}:{len(rows) + 1}:" in capsys.readouterr().err
+        assert out.read_text() == "previous run\n"
+        assert [p.name for p in out_dir.iterdir()] == ["judged.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["train", "judge"])
@@ -753,6 +780,35 @@ def test_out_that_is_a_directory_fails_before_work(
         err = capsys.readouterr().err
         assert err == f"pedants: error: [Errno 21] Is a directory: '{out}'\n"
     assert not any((tmp_path / "outdir").iterdir())
+
+
+REPORT_STEMS = {"eval": "report", "rank": "ranking", "sweep": "sweep"}
+
+
+@pytest.mark.parametrize("kind", ["out-is-a-file", "csv-is-a-directory", "json-is-a-directory"])
+@pytest.mark.parametrize("command", ["eval", "rank", "sweep"])
+def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, monkeypatch, capsys):
+    import pedants.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read its dataset")
+
+    monkeypatch.setattr(cli, "_read_labeled", refuse)
+    # an --out that is a file, or a report path that is a directory, stops
+    # the command before it reads its dataset, and creates nothing
+    out = tmp_path / "out"
+    if kind == "out-is-a-file":
+        out.write_text("a file\n")
+        named, error = out, "[Errno 20] Not a directory"
+    else:
+        named = out / f"{REPORT_STEMS[command]}.{kind.split('-')[0]}"
+        named.mkdir(parents=True)
+        error = "[Errno 21] Is a directory"
+    before = sorted(tmp_path.rglob("*"))
+    metric = [] if command == "sweep" else ["--metric", "em"]
+    assert main([command, "--dataset", str(dataset), *metric, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: {error}: '{named}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_train_skip_bad_reports_skipped_lines(tmp_path, capsys):
@@ -962,3 +1018,81 @@ def test_block_boundary_same_output_for_any_worker_count(tmp_path, seed_bundle_p
     report = json.loads(reports[0])
     assert [r["examples"] for r in report] == [POOL_BATCH + 1] * 3
     assert "skipping bad line" in capsys.readouterr().err
+
+
+def _double(block):
+    return [2 * x for x in block]
+
+
+def _stamped(block):
+    """Each item doubled, with the time its block was done; the block
+    holding item 0 is done last."""
+    if block[0] == 0:
+        time.sleep(0.5)
+    done = time.monotonic()
+    return [(2 * x, done) for x in block]
+
+
+def _fail_second_block(block):
+    if block[0] == POOL_BATCH:
+        raise ValueError("second block")
+    return _double(block)
+
+
+def test_pool_keeps_order_when_later_blocks_finish_first():
+    n = 4 * POOL_BATCH + 3
+    pairs = list(_map_ordered(_stamped, iter(range(n)), 2))
+    assert [(x, doubled) for x, (doubled, _) in pairs] == [(x, 2 * x) for x in range(n)]
+    done = [stamp for _, (_, stamp) in pairs[::POOL_BATCH]]  # one per block
+    assert min(done[1:]) < done[0]
+
+
+def test_pool_reads_ahead_two_blocks_per_worker_and_no_more():
+    workers, drawn = 2, 0
+
+    def items():
+        nonlocal drawn
+        for i in range(10 * POOL_BATCH + 7):
+            drawn += 1
+            yield i
+
+    ahead = []
+    for consumed, (x, doubled) in enumerate(_map_ordered(_double, items(), workers), 1):
+        assert doubled == 2 * x
+        ahead.append(drawn - consumed)
+    assert len(ahead) == 10 * POOL_BATCH + 7
+    # the first result waits for 2 x workers blocks read, no fewer or more
+    assert ahead[0] == 2 * workers * POOL_BATCH - 1
+    assert max(ahead) < 2 * workers * POOL_BATCH
+
+
+def test_pooled_run_leaves_no_object_frozen():
+    # the parent's objects are frozen while the pool runs, and thawed when
+    # it closes, also when a block fails
+    items = range(3 * POOL_BATCH)
+    assert [x for x, _ in _map_ordered(_double, iter(items), 2)] == list(items)
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ValueError, match="second block"):
+        list(_map_ordered(_fail_second_block, iter(items), 2))
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("size", [1, POOL_BATCH])
+def test_one_block_starts_no_pool(tmp_path, seed_bundle_path, size, monkeypatch, capsys):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in _seed_rows(size)))
+    common = ["--dataset", str(path), "--model", str(seed_bundle_path)]
+
+    def outputs(workers):
+        out, out_dir = tmp_path / f"judged-{workers}.jsonl", tmp_path / f"eval-{workers}"
+        assert main(["judge", *common, "--out", str(out), "--workers", workers]) == 0
+        assert main(["eval", *common, "--out", str(out_dir), "--workers", workers]) == 0
+        return out.read_bytes(), (out_dir / "report.json").read_bytes()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    serial = outputs("1")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert outputs("2") == serial
+    assert f"judged {size} examples" in capsys.readouterr().err

@@ -32,6 +32,28 @@ def docs(*texts: str) -> list[list[str]]:
     return [text.split() for text in texts]
 
 
+def _left_to_right(values) -> float:
+    """The plain float sum, one addition at a time; ``sum()`` compensates
+    its rounding from CPython 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _compensated(values) -> float:
+    """The Neumaier-compensated sum that CPython 3.12+ ``sum()`` takes of floats."""
+    total = compensation = 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
 def triple_tokens(question: str, answer: str, candidate: str) -> list[str]:
     norm = [tokens(text, PEDANTS_POLICY) for text in (question, answer, candidate)]
     return _triple(_pair(norm[0], norm[1]), norm[2])
@@ -147,7 +169,7 @@ def test_encode_triple_matches_bag_of_words_oracle():
         for tok, count in expected_counts.items()
         if tok in model.vocabulary
     }
-    norm = math.sqrt(sum(w * w for w in weights.values()))
+    norm = math.sqrt(_left_to_right(w * w for w in weights.values()))
     for idx, value in zip(vec.indices, vec.values):
         assert value == pytest.approx(weights[idx] / norm, abs=1e-12)
     assert set(vec.indices) == set(weights)
@@ -257,11 +279,12 @@ def test_encoders_equal_transform_of_the_joined_text(seed_model, question, answe
 
 def _tfidf_oracle(doc: list[str], model: TfidfModel) -> tuple[list[int], list[float]]:
     """tf x idf of one token list, written out: counts, sorted columns, the
-    squared weights summed in column order, then each weight divided."""
+    squared weights summed left to right in column order, then each weight
+    divided."""
     counts = Counter(model.vocabulary[tok] for tok in doc if tok in model.vocabulary)
     cols = sorted(counts)
     weights = [counts[col] * model.idf[col] for col in cols]
-    norm = math.sqrt(sum(w * w for w in weights))
+    norm = math.sqrt(_left_to_right(w * w for w in weights))
     return cols, [w / norm for w in weights]
 
 
@@ -319,3 +342,24 @@ def test_block_encoder_equals_per_call_encoders_on_edge_rows(bundle, request):
 def test_block_encoder_equals_per_call_encoders(seed_model, sparse_model, rows):  # noqa: F811
     for model in (seed_model, sparse_model):
         _check_block(rows, model)
+
+
+def test_norm_sums_squares_left_to_right_on_every_python():
+    # a nine-token document whose squared weights sum to other bits with
+    # compensation than without: the encoder takes the plain sum on every
+    # interpreter, so it encodes to the same bits under CPython 3.10-3.13
+    model = fit(docs("alpha bravo", "bravo charlie delta", "echo foxtrot golf hotel",
+                     "india juliet", "kilo lima alpha", "delta echo", "golf", "hotel india kilo"))
+    doc = "bravo lima india kilo golf lima india echo india".split()
+    indices, values, _ = _encode(([doc], model))
+    counts = Counter(model.vocabulary[tok] for tok in doc)
+    cols = sorted(counts)
+    weights = [counts[col] * model.idf[col] for col in cols]
+    squares = [w * w for w in weights]
+    assert _left_to_right(squares) != _compensated(squares)
+    norm = math.sqrt(_left_to_right(squares))
+    assert indices[:-1].tolist() == cols
+    assert values[:-1].tobytes() == np.array([w / norm for w in weights]).tobytes()
+    assert values[:-1].tobytes() != np.array(
+        [w / math.sqrt(_compensated(squares)) for w in weights]
+    ).tobytes()
