@@ -212,11 +212,13 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
 def _report_paths(out: str | None, stem: str) -> tuple[Path, ...]:
     """<out>/<stem>.csv and <out>/<stem>.json, or none if out is unset.
     Called before any work, so that an --out no report can be written to
-    stops the command at once: an existing path that is not a directory,
-    or a report path that is one. Nothing is created here."""
+    stops the command at once: one whose nearest existing path (itself or
+    an ancestor) is not a directory, or a report path that is one. Nothing
+    is created here."""
     if not out:
         return ()
-    if os.path.exists(out) and not os.path.isdir(out):
+    absolute = Path(out).absolute()
+    if not next(p for p in (absolute, *absolute.parents) if p.exists()).is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
     paths = tuple(Path(out) / f"{stem}{suffix}" for suffix in (".csv", ".json"))
     for path in paths:

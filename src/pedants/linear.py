@@ -9,20 +9,20 @@ no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
 pair of the score difference. The training loss, predict_proba and the
 pipeline's batched judge all score with one kernel (``_scores``), which
-sums each row of a flattened batch alone, so a row gets the same bits in a
-batch of any size.
+sums each row of a ``vectorizer.Batch`` alone, so a row gets the same bits
+in a batch of any size; the trainer reads the encoder's ``Batch`` as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingleClassCorpus
 from .io import DEFAULT_SEED
-from .vectorizer import SparseVector, check_count, check_fixed, check_numbers
+from .vectorizer import Batch, SparseVector, check_count, check_fixed, check_numbers
 
 # Numerical guard: scores are clamped here before exponentiation, so no
 # NaN/Inf can ever leave the softmax.
@@ -111,25 +111,6 @@ class LinearModel:
         )
 
 
-_BIAS_ENTRY = (np.array([-1], dtype=np.intp), np.array([1.0]))
-
-
-def _flatten(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """Rows of (indices, values) arrays as one batch: concatenated indices
-    and values, and the offset of each row's first entry.
-
-    Each row ends in a bias entry, index -1 with value 1, which picks the
-    bias row of ``_kernel_weights``; so no row is empty.
-    """
-    indices, values, starts, n = [], [], [], 0
-    for idx, vals in rows:
-        indices += (idx, _BIAS_ENTRY[0])
-        values += (vals, _BIAS_ENTRY[1])
-        starts.append(n)
-        n += len(idx) + 1
-    return np.concatenate(indices), np.concatenate(values), np.array(starts, dtype=np.intp)
-
-
 def _kernel_weights(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Class-major (C, D) weights and their (C,) bias as the feature-major
     (D + 1, C) array ``_scores`` gathers from, with the bias as last row.
@@ -137,19 +118,18 @@ def _kernel_weights(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.vstack((weights.T, bias)))
 
 
-def _scores(weights: np.ndarray, batch: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The (rows, C) class scores of a batch from ``_flatten`` or
-    ``vectorizer._encode``, given weights laid out by ``_kernel_weights``.
+def _scores(weights: np.ndarray, batch: Batch) -> np.ndarray:
+    """The (rows, C) class scores of a batch, given weights laid out by
+    ``_kernel_weights``: a row's bias entry picks its model's bias row.
 
     Each row is summed alone, by one ``reduceat`` whatever the batch size,
     so a row's bits do not depend on the batch it sits in. Trusts the
     arrays: indices are in range and values finite, as the vectorizers of a
     loaded bundle guarantee.
     """
-    indices, values, starts = batch
-    terms = weights.take(indices, axis=0)
-    terms *= values[:, None]
-    return np.add.reduceat(terms, starts, axis=0)
+    terms = weights.take(batch.indices, axis=0)
+    terms *= batch.values[:, None]
+    return np.add.reduceat(terms, batch.starts, axis=0)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -166,12 +146,9 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _mean_loss(
-    weights: np.ndarray, bias: np.ndarray, batch: tuple[np.ndarray, ...], labels: np.ndarray
-) -> float:
-    """Regularized mean log loss of class-major (C, D) weights on a batch
-    from ``_flatten``, in one pass; temporaries are O(classes x entries),
-    never N x D."""
+def _mean_loss(weights: np.ndarray, bias: np.ndarray, batch: Batch, labels: np.ndarray) -> float:
+    """Regularized mean log loss of class-major (C, D) weights on a batch,
+    in one pass; temporaries are O(classes x entries), never N x D."""
     probs = _softmax(_scores(_kernel_weights(weights, bias), batch))
     n = len(labels)
     return (
@@ -181,7 +158,7 @@ def _mean_loss(
 
 
 def train(
-    encodings: Sequence[tuple[np.ndarray, np.ndarray]],
+    batch: Batch,
     labels: Sequence[int],
     dim: int,
     n_classes: int,
@@ -190,18 +167,18 @@ def train(
     """Train an ``n_classes``-class logistic regression on ``dim`` features
     with seeded, reproducible SGD.
 
-    ``encodings`` holds one (indices, values) pair of arrays per example, as
-    the tf-idf encoders give them, and ``labels`` the class of each. The
-    arrays are trusted, as ``_scores`` trusts them: intp indices in
-    [0, dim), each once, and finite float64 values. Returns the lowest-loss iterate observed
+    ``batch`` holds one row per example, as ``vectorizer._encode`` writes
+    them, and ``labels`` the class of each. Its arrays are trusted, as
+    ``_scores`` trusts them: intp indices in [0, dim), each once, then the
+    bias entry, and finite float64 values. Returns the lowest-loss iterate observed
     (including the zero initialization), so the final training loss never
     exceeds the initial one. Raises SingleClassCorpus when fewer than two
     labels are present and ValueError when a label is out of range.
     """
-    if not encodings:
+    if not batch:
         raise ValueError("no training examples")
-    if len(labels) != len(encodings):
-        raise ValueError(f"{len(labels)} labels for {len(encodings)} examples")
+    if len(labels) != len(batch):
+        raise ValueError(f"{len(labels)} labels for {len(batch)} examples")
     labels = np.array(labels, dtype=np.intp)
     present = set(labels.tolist())
     if len(present) < 2:
@@ -209,7 +186,7 @@ def train(
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    batch = _flatten(encodings)
+    examples = batch.rows()
     # Feature-major weights w = scale * v (Bottou's lazy weight scale): the
     # decay multiplies only the scalar, so a step touches just its
     # example's rows of v, one gather and one scatter. rows.T is (C, nnz)
@@ -230,8 +207,8 @@ def train(
     for epoch in range(MAX_EPOCHS):
         eta = ETA0 / (1.0 + epoch) ** LR_POWER
         decay = max(0.0, 1.0 - eta * L2_PENALTY)
-        for i in rng.permutation(len(encodings)).tolist():
-            idx, vals = encodings[i]
+        for i in rng.permutation(len(examples)).tolist():
+            idx, vals = examples[i]
             rows = v.take(idx, axis=0)
             # the softmax, in place on a preallocated buffer
             np.matmul(rows.T, vals, out=scores)
@@ -271,6 +248,8 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
         raise DimensionMismatch(
             f"vector dimension {x.dimension} != model dimension {model.feature_dim}"
         )
-    batch = _flatten([(x.indices, x.values)])
+    batch = Batch(
+        np.append(x.indices, x.dimension), np.append(x.values, 1.0), np.zeros(1, np.intp)
+    )
     return _softmax(_scores(_kernel_weights(model.weights, model.bias), batch))[0]
 

@@ -10,10 +10,10 @@ Judging and training share one feature path: each example is prepared once
 (each string normalized once into its token list, the best reference
 chosen), and its pair and triple are built from those lists and encoded
 once (one triple vectorizer serves the rule extractor and the judge). A
-block's pairs, then its triples, are one flat batch, scored by one gather
-and one ``reduceat`` against one stacked kernel (``_stack``). ``judge`` is
-``judge_batch`` of one example, with the same bits, and ``assemble_features``
-and the judge's training inputs come from the same block code.
+block's pairs, then its triples, are one ``vectorizer.Batch``, scored by one
+gather and one ``reduceat`` against one stacked kernel (``_stack``); ``judge``
+is ``judge_batch`` of one example. Each fit trains on its documents' block,
+and ``_judge_block`` builds the judge's inputs, also in ``assemble_features``.
 """
 
 from __future__ import annotations
@@ -243,21 +243,28 @@ def _score(prepared: Sequence[_Prepared], model: PedantsModel) -> tuple[Batch, n
     return block, linear._scores(model._kernel, block)
 
 
-def _judge_input(prefix: np.ndarray, triple: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The judge's input: the nonzero entries of the dense prefix, then the
-    triple's block shifted past it."""
-    cols = np.flatnonzero(prefix)
-    return np.concatenate((cols, triple[0] + DENSE_DIM)), np.concatenate((prefix[cols], triple[1]))
+def _judge_block(prefix: np.ndarray, triples: Batch) -> Batch:
+    """The judge's inputs: each row's nonzero dense-prefix entries, then its
+    triple's entries and bias entry shifted past the prefix."""
+    keep = prefix != 0
+    rows, cols = np.nonzero(keep)
+    at = triples.starts[rows]
+    kept = keep.sum(axis=1)
+    return Batch(
+        np.insert(triples.indices + DENSE_DIM, at, cols),
+        np.insert(triples.values, at, prefix[keep]),
+        triples.starts + (np.cumsum(kept) - kept),
+    )
 
 
 def _fit_extractor(
     docs: list[list[str]], labels: list[int], n_classes: int, seed: int
 ) -> tuple[TfidfModel, LinearModel, Batch]:
     """Fit a vocabulary on token lists, encode them in one block and train
-    on views of its rows; returns the vocabulary, the model and the block."""
+    on it; returns the vocabulary, the model and the block."""
     tfidf = vectorizer.fit(docs)
     block = vectorizer._encode((docs, tfidf))
-    model = linear.train(vectorizer._rows(block), labels, tfidf.dimension, n_classes, seed)
+    model = linear.train(block, labels, tfidf.dimension, n_classes, seed)
     return tfidf, model, block
 
 
@@ -286,12 +293,12 @@ def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
     token scores (f1, p, r) against the best-F1 reference, then the tf-idf
     triple encoding."""
     prepared = _prepare(example)
-    (indices, values, starts), scores = _score([prepared], model)
-    # the triple's entries, without its bias entry, in its vectorizer's columns
-    shift = model.type_vectorizer.dimension + 1
-    triple = indices[starts[1] : -1] - shift, values[starts[1] : -1]
-    dim = DENSE_DIM + model.judge_vectorizer.dimension
-    return SparseVector(dim, *_judge_input(_prefix(scores, [prepared.scores])[0], triple))
+    block, scores = _score([prepared], model)
+    # the triple's row, in its vectorizer's columns
+    start, shift = block.starts[1], model.type_vectorizer.dimension + 1
+    triple = Batch(block.indices[start:] - shift, block.values[start:], np.zeros(1, np.intp))
+    row = _judge_block(_prefix(scores, [prepared.scores]), triple).rows()[0]
+    return SparseVector(DENSE_DIM + model.judge_vectorizer.dimension, *row)
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], seed: int) -> dict:
@@ -339,10 +346,9 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     scores = np.concatenate(
         (linear._scores(kernel, pairs), linear._scores(kernel[type_vec.dimension + 1 :], triples))
     )
-    prefix = _prefix(scores, token_scores)
-    inputs = [_judge_input(row, triple) for row, triple in zip(prefix, vectorizer._rows(triples))]
+    inputs = _judge_block(_prefix(scores, token_scores), triples)
     # the encodings are not needed by the judge's fit, where memory peaks
-    del pairs, triples, kernel, scores, prefix
+    del pairs, triples, kernel, scores
     labels = [int(ex.human_label) for ex in train_set]
     judge_model = linear.train(inputs, labels, DENSE_DIM + triple_vec.dimension, 2, seed)
 

@@ -6,9 +6,9 @@ and encoded vectors are L2-normalized. Fitting and encoding read token
 lists: ``_pair`` and ``_triple`` build the "[CLS] q [SEP] a [SEP] candidate"
 tokens of normalized token lists. The "[CLS]" and "[SEP]" markers live in
 the vocabulary like any other token. One encoder, ``_encode``, writes a
-block of token lists as the flat batch ``linear._scores`` reads: a judged
-block's pairs and triples, each fit's documents, or the one document of
-``transform``, ``encode_pair`` or ``encode_triple``.
+block of token lists as a ``Batch``, the flat batch ``linear`` scores and
+trains on: a judged block's pairs and triples, each fit's documents, or
+the one document of ``transform``, ``encode_pair`` or ``encode_triple``.
 """
 
 from __future__ import annotations
@@ -176,13 +176,29 @@ def fit(corpus: Iterable[Sequence[str]]) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
 
 
-Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # indices, values, starts
+class Batch:
+    """Sparse rows, one after another: each row's sorted columns (``indices``)
+    and weights (``values``), closed by a bias entry of value 1, and the
+    offset of each row's first entry (``starts``). ``len`` counts the rows."""
+
+    __slots__ = ("indices", "values", "starts")
+
+    def __init__(self, indices: np.ndarray, values: np.ndarray, starts: np.ndarray):
+        self.indices, self.values, self.starts = indices, values, starts
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each row's (indices, values) as views, without its bias entry."""
+        bounds = [*self.starts.tolist(), len(self.indices)]
+        indices, values = self.indices, self.values
+        return [(indices[s : e - 1], values[s : e - 1]) for s, e in zip(bounds, bounds[1:])]
 
 
 def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
-    """tf x idf of token lists, L2-normalized, as one ``linear._scores``
-    batch: each document's sorted columns and weights, then its bias entry
-    (value 1), and the offset of each document's first entry. A segment's
+    """tf x idf of token lists, L2-normalized, as one ``Batch``: each
+    document's sorted columns and weights, then its bias entry. A segment's
     columns and then its bias column follow the previous segment's, as its
     model's ``linear._kernel_weights`` rows follow theirs when stacked.
     Out-of-vocabulary tokens are dropped, and the squared weights are summed
@@ -212,18 +228,13 @@ def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
             indices.append(bias)
             values.append(1.0)
         offset = bias + 1
-    return np.array(indices, np.intp), np.array(values, np.float64), np.array(starts, np.intp)
-
-
-def _rows(batch: Batch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A one-segment batch's rows as views without their bias entries."""
-    indices, values, starts = batch
-    bounds = [*starts.tolist(), len(indices)]
-    return [(indices[s : e - 1], values[s : e - 1]) for s, e in zip(bounds, bounds[1:])]
+    return Batch(
+        np.array(indices, np.intp), np.array(values, np.float64), np.array(starts, np.intp)
+    )
 
 
 def _vector(doc: Sequence[str], model: TfidfModel) -> SparseVector:
-    return SparseVector(model.dimension, *_rows(_encode(([doc], model)))[0])
+    return SparseVector(model.dimension, *_encode(([doc], model)).rows()[0])
 
 
 def transform(text: str, model: TfidfModel) -> SparseVector:

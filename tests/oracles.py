@@ -10,8 +10,9 @@ in every public piece it calls and runs each linear model on one dense
 vector with its own softmax instead of preparing each string once and
 scoring a flattened batch of sparse rows, and
 normalization character by character over the whole string instead of
-token by token through a translate table. ``train_vectors`` is no oracle:
-it hands checked test vectors to the package's trainer.
+token by token through a translate table. ``batch_of`` and
+``train_vectors`` are no oracles: they hand rows of test arrays, and
+checked test vectors, to the package's scorer and trainer.
 """
 
 from __future__ import annotations
@@ -146,6 +147,20 @@ def reference_train(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linea
     return linear.LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
 
 
+def batch_of(rows, dim) -> vectorizer.Batch:
+    """(indices, values) rows in ``dim`` columns as one ``Batch``, written
+    out row by row: each row's entries, then its bias entry, column ``dim``
+    with value 1."""
+    indices, values, starts = [], [], []
+    for idx, vals in rows:
+        starts.append(len(indices))
+        indices += [*np.asarray(idx).tolist(), dim]
+        values += [*np.asarray(vals).tolist(), 1.0]
+    return vectorizer.Batch(
+        np.array(indices, np.intp), np.array(values, np.float64), np.array(starts, np.intp)
+    )
+
+
 def train_vectors(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
     """``linear.train`` on (SparseVector, label) pairs, so the vectors check
     the test's inputs before the trainer trusts their arrays; the classes
@@ -153,8 +168,9 @@ def train_vectors(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.
     labels = [y for _, y in examples]
     if n_classes is None:
         n_classes = max(2, max(labels) + 1)
-    encodings = [(x.indices, x.values) for x, _ in examples]
-    return linear.train(encodings, labels, examples[0][0].dimension, n_classes, seed)
+    dim = examples[0][0].dimension
+    batch = batch_of([(x.indices, x.values) for x, _ in examples], dim)
+    return linear.train(batch, labels, dim, n_classes, seed)
 
 
 def batch_gd_predict(W, b, features) -> np.ndarray:

@@ -785,7 +785,9 @@ def test_out_that_is_a_directory_fails_before_work(
 REPORT_STEMS = {"eval": "report", "rank": "ranking", "sweep": "sweep"}
 
 
-@pytest.mark.parametrize("kind", ["out-is-a-file", "csv-is-a-directory", "json-is-a-directory"])
+@pytest.mark.parametrize(
+    "kind", ["out-is-a-file", "out-under-a-file", "csv-is-a-directory", "json-is-a-directory"]
+)
 @pytest.mark.parametrize("command", ["eval", "rank", "sweep"])
 def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, monkeypatch, capsys):
     import pedants.cli as cli
@@ -794,11 +796,14 @@ def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, mo
         raise AssertionError(f"{command} read its dataset")
 
     monkeypatch.setattr(cli, "_read_labeled", refuse)
-    # an --out that is a file, or a report path that is a directory, stops
-    # the command before it reads its dataset, and creates nothing
+    # an --out that is a file or lies under one, or a report path that is a
+    # directory, stops the command before it reads its dataset, and creates
+    # nothing
     out = tmp_path / "out"
-    if kind == "out-is-a-file":
+    if kind.startswith("out-"):
         out.write_text("a file\n")
+        if kind == "out-under-a-file":
+            out = out / "sub" / "dir"
         named, error = out, "[Errno 20] Not a directory"
     else:
         named = out / f"{REPORT_STEMS[command]}.{kind.split('-')[0]}"

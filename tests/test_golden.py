@@ -1,13 +1,15 @@
-"""The string metrics' CLI outputs on the bundled seed corpus, byte for byte.
+"""The string metrics' CLI outputs on the bundled seed corpus, byte for byte,
+and the pedants judge's output on it, field by field.
 
-These outputs involve no BLAS call and no trained model, so their bytes are
-the same on every machine. Each digest is the sha256 of a file the command
+The string metrics involve no BLAS call and no trained model, so their
+bytes are the same on every machine. Each digest is the sha256 of a file the command
 wrote, recorded before the normalization policies and the CLI judger were
 reduced to what the commands use; a refactor that means to keep every
 output must keep every digest.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,29 @@ def test_string_metric_outputs_are_byte_identical(argv, tmp_path, capsys):
     files = [out] if out.is_file() else sorted(out.iterdir())
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     assert digests == GOLDEN[argv]
+
+
+# The seed bundle's `judge` output on the seed corpus, as written before the
+# trainer took the encoder's blocks. Its bits rest on BLAS and numpy's SIMD
+# level, so they are compared field by field: the discrete fields exactly,
+# the numbers to 1e-12, which holds on every machine.
+SEED_JUDGED = Path(__file__).parent / "data" / "seed_judged.jsonl"
+EXACT = ("correct", "rule", "qtype", "reference_index")
+CLOSE = ("confidence", "f1", "precision", "recall")
+
+
+def _judgments(path):
+    return [json.loads(line) for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_pedants_judge_matches_its_golden_output(seed_bundle_path, tmp_path):
+    out = tmp_path / "judged.jsonl"
+    argv = ["judge", "--model", str(seed_bundle_path), "--dataset", str(SEED_CORPUS)]
+    assert main([*argv, "--out", str(out)]) == 0
+    got, want = _judgments(out), _judgments(SEED_JUDGED)
+    assert len(got) == len(want) == 57
+    for row, golden in zip(got, want):
+        assert row.keys() == golden.keys() == {*EXACT, *CLOSE}
+        assert [row[k] for k in EXACT] == [golden[k] for k in EXACT]
+        for key in CLOSE:
+            assert row[key] == pytest.approx(golden[key], abs=1e-12, rel=0)

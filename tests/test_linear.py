@@ -7,6 +7,7 @@ import oracles
 from oracles import (
     batch_gd_predict,
     batch_gd_train,
+    batch_of,
     reference_mean_loss,
     reference_train,
     train_vectors,
@@ -17,7 +18,6 @@ from pedants.linear import (
     LOGIT_CLAMP,
     L2_PENALTY,
     LinearModel,
-    _flatten,
     _mean_loss,
     predict_proba,
     train,
@@ -132,16 +132,16 @@ def test_single_class_corpus_rejected():
 
 def test_train_checks_its_labels():
     # the trainer trusts its arrays, but not its labels
-    encodings = [(np.array([0], dtype=np.intp), np.array([1.0]))] * 2
+    batch = batch_of([([0], [1.0])] * 2, 1)
     with pytest.raises(ValueError, match="out of range for 2 classes"):
-        train(encodings, [0, 2], 1, 2)
+        train(batch, [0, 2], 1, 2)
     with pytest.raises(ValueError, match="3 labels for 2 examples"):
-        train(encodings, [0, 1, 1], 1, 2)
+        train(batch, [0, 1, 1], 1, 2)
     with pytest.raises(ValueError, match="no training examples"):
-        train([], [], 1, 2)
+        train(batch_of([], 1), [], 1, 2)
     with pytest.raises(SingleClassCorpus):
-        train(encodings, [1, 1], 1, 2)
-    assert train(encodings, [0, 1], 1, 7).classes == 7
+        train(batch, [1, 1], 1, 2)
+    assert train(batch, [0, 1], 1, 7).classes == 7
 
 
 def test_dimension_mismatch_on_predict():
@@ -178,7 +178,7 @@ def test_final_loss_never_exceeds_initial():
         (_dense_to_sparse([1.0, 1.0]), 1),
     ]
     model = train_vectors(data)
-    batch = _flatten([(x.indices, x.values) for x, _ in data])
+    batch = batch_of([(x.indices, x.values) for x, _ in data], 2)
     labels = np.array([y for _, y in data])
     final = _mean_loss(model.weights, model.bias, batch, labels)
     initial = _mean_loss(np.zeros_like(model.weights), np.zeros_like(model.bias), batch, labels)
@@ -291,7 +291,7 @@ def test_batched_loss_matches_per_example_loss(empty_share):
         labels = np.array([y for _, y in examples], dtype=np.intp)
         weights = rng.normal(0.0, scale, (n_classes, 25))
         bias = rng.normal(0.0, scale, n_classes)
-        batched = _mean_loss(weights, bias, _flatten(arrays), labels)
+        batched = _mean_loss(weights, bias, batch_of(arrays, 25), labels)
         per_example = reference_mean_loss(weights, bias, arrays, labels, L2_PENALTY)
         assert batched == pytest.approx(per_example, rel=1e-12, abs=0)
 

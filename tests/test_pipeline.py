@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import reference_train
+from oracles import batch_of, reference_train
 from pedants.errors import EmptyReferences, MissingAnnotations
 from pedants.pipeline import (
     DENSE_DIM,
@@ -14,6 +14,8 @@ from pedants.pipeline import (
     QAExample,
     QuestionType,
     RuleLabel,
+    _judge_block,
+    _prefix,
     _prepare,
     _question_type,
     _score,
@@ -25,7 +27,7 @@ from pedants.pipeline import (
     train_type_extractor,
 )
 from pedants.textnorm import PEDANTS_POLICY, tokens
-from pedants.vectorizer import SparseVector, TfidfModel, encode_pair, encode_triple
+from pedants.vectorizer import Batch, SparseVector, TfidfModel, encode_pair, encode_triple
 from pedants import linear, vectorizer
 from test_fastpath import EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE
 from test_fastpath import sparse_model  # noqa: F401 (a fixture)
@@ -342,9 +344,57 @@ def test_training_builds_no_sparse_vector(seed_corpus, seed_model, monkeypatch):
     assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
 
 
+def test_fits_train_on_the_encoded_blocks(seed_corpus, seed_model, monkeypatch):
+    # the type and rule fits train on the very blocks the encoder returned,
+    # and the judge's fit on one block of a row per example
+    encoded, trained = [], []
+    encode, train = vectorizer._encode, linear.train
+
+    def recorded_encode(*segments):
+        encoded.append(encode(*segments))
+        return encoded[-1]
+
+    def recorded_train(batch, *args):
+        trained.append(batch)
+        return train(batch, *args)
+
+    monkeypatch.setattr(vectorizer, "_encode", recorded_encode)
+    monkeypatch.setattr(linear, "train", recorded_train)
+    assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
+    assert len(encoded) == 2 and len(trained) == 3
+    assert trained[0] is encoded[0] and trained[1] is encoded[1]
+    assert type(trained[2]) is Batch and len(trained[2]) == len(seed_corpus)
+
+
+def test_judge_block_equals_row_by_row_inputs(seed_model, seed_corpus):
+    # each row of the judge's block is its dense prefix's nonzero entries,
+    # then its triple's entries shifted past the prefix, then the bias; the
+    # first and last rows keep no prefix entry, and f1 = 0 drops entries
+    examples = [*seed_corpus, EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE]
+    prepared = [_prepare(ex) for ex in examples]
+    _, scores = _score(prepared, seed_model)
+    prefix = _prefix(scores, [p.scores for p in prepared])
+    prefix[[0, -1]] = 0.0
+    assert (prefix[1:-1, DENSE_DIM - 3] == 0).any()
+    docs = [
+        vectorizer._triple(vectorizer._pair(p.question, p.references[p.ref_index]), p.candidate)
+        for p in prepared
+    ]
+    triples = vectorizer._encode((docs, seed_model.judge_vectorizer))
+    expected = []
+    for row, (idx, vals) in zip(prefix.tolist(), triples.rows(), strict=True):
+        cols = [j for j, x in enumerate(row) if x != 0]
+        expected.append(([*cols, *(idx + DENSE_DIM).tolist()], [row[j] for j in cols] + [*vals]))
+    want = batch_of(expected, DENSE_DIM + seed_model.judge_vectorizer.dimension)
+    got = _judge_block(prefix, triples)
+    for name in ("indices", "values", "starts"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def _own_kernel_scores(weights, bias, vectors):
     """Scores of SparseVectors under one model's own kernel, one row each."""
-    batch = linear._flatten([(v.indices, v.values) for v in vectors])
+    batch = batch_of([(v.indices, v.values) for v in vectors], weights.shape[1])
     return linear._scores(linear._kernel_weights(weights, bias), batch)
 
 
@@ -385,8 +435,9 @@ def test_stacked_kernel_scores_like_a_kernel_per_model(bundle, request, seed_cor
 def test_lazy_scale_trainer_judges_like_the_eager_oracle(seed_corpus, seed_model, monkeypatch):
     # the seed bundle trained by linear.train and by the eager-decay oracle
     # give the same verdicts on its own corpus
-    def eager(encodings, labels, dim, n_classes, seed):
-        examples = [(SparseVector(dim, idx, vals), y) for (idx, vals), y in zip(encodings, labels)]
+    def eager(batch, labels, dim, n_classes, seed):
+        rows = zip(batch.rows(), labels, strict=True)
+        examples = [(SparseVector(dim, idx, vals), y) for (idx, vals), y in rows]
         return reference_train(examples, seed=seed, n_classes=n_classes)
 
     monkeypatch.setattr(linear, "train", eager)

@@ -296,7 +296,8 @@ def _check_block(rows, model):
     pairs = [_pair(q, a) for q, a, _ in norm]
     triples = [_triple(pair, c) for pair, (*_, c) in zip(pairs, norm)]
     pair_vec, triple_vec = model.type_vectorizer, model.judge_vectorizer
-    indices, values, starts = _encode((pairs, pair_vec), (triples, triple_vec))
+    block = _encode((pairs, pair_vec), (triples, triple_vec))
+    indices, values, starts = block.indices, block.values, block.starts
     n = len(rows)
     assert starts.dtype == indices.dtype == np.intp and values.dtype == np.float64
     assert len(starts) == 2 * n and starts[0] == 0
@@ -351,7 +352,8 @@ def test_norm_sums_squares_left_to_right_on_every_python():
     model = fit(docs("alpha bravo", "bravo charlie delta", "echo foxtrot golf hotel",
                      "india juliet", "kilo lima alpha", "delta echo", "golf", "hotel india kilo"))
     doc = "bravo lima india kilo golf lima india echo india".split()
-    indices, values, _ = _encode(([doc], model))
+    block = _encode(([doc], model))
+    indices, values = block.indices, block.values
     counts = Counter(model.vocabulary[tok] for tok in doc)
     cols = sorted(counts)
     weights = [counts[col] * model.idf[col] for col in cols]
