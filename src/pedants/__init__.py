@@ -16,9 +16,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": (
-            "DatasetError", "DimensionMismatch", "EmptyCorpus", "EmptyRecords", "EmptyReferences",
-            "MissingAnnotations", "OutOfRangeScore", "PedantsError", "SingleClassCorpus",
-            "TooFewModels",
+            "DatasetError", "EmptyCorpus", "EmptyRecords", "EmptyReferences", "MissingAnnotations",
+            "OutOfRangeScore", "PedantsError", "SingleClassCorpus", "TooFewModels",
         ),
         "harness": (
             "ConfusionCounts", "RankingInput", "SweepRow", "likert_to_binary",
@@ -37,7 +36,7 @@ _EXPORTS = {
             "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch",
             "train_pedants", "train_rule_extractor", "train_type_extractor",
         ),
-        "vectorizer": ("SparseVector", "TfidfModel", "encode_pair", "encode_triple"),
+        "vectorizer": ("TfidfModel", "encode_pair", "encode_triple"),
     }.items()
     for name in names
 }

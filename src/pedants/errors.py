@@ -21,10 +21,6 @@ class SingleClassCorpus(PedantsError):
     """Training data contains fewer than two distinct class labels."""
 
 
-class DimensionMismatch(PedantsError):
-    """An input vector's dimension does not match the model's."""
-
-
 class MissingAnnotations(PedantsError):
     """Training examples lack required label/rule/type annotations.
 

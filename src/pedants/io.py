@@ -104,6 +104,8 @@ class QAExample:
     dataset_id: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.references, str):
+            raise ValueError("references must be a sequence of strings, not one string")
         self.references = tuple(self.references)
         if not self.references:
             raise EmptyReferences("a QAExample needs at least one reference answer")

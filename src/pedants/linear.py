@@ -7,10 +7,10 @@ array and the decay shrinks only the scalar, so a step costs O(classes x
 entries) of its example. (data, seed) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
-pair of the score difference. The training loss, predict_proba and the
-pipeline's batched judge all score with one kernel (``_scores``), which
-sums each row of a ``vectorizer.Batch`` alone, so a row gets the same bits
-in a batch of any size; the trainer reads the encoder's ``Batch`` as it is.
+pair of the score difference. ``vectorizer.Batch`` is the one sparse-row
+type: the training loss, ``predict_proba`` and the pipeline's batched judge
+score it with one kernel (``_scores``), which sums each row alone, so a row
+has the same bits in any batch, and the trainer reads a ``Batch`` as it is.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingleClassCorpus
+from .errors import SingleClassCorpus
 from .io import DEFAULT_SEED
-from .vectorizer import Batch, SparseVector, check_count, check_fixed, check_numbers
+from .vectorizer import Batch, check_count, check_fixed, check_numbers
 
 # Numerical guard: scores are clamped here before exponentiation, so no
 # NaN/Inf can ever leave the softmax.
@@ -242,14 +242,18 @@ def train(
     return LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
 
 
-def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Class probability vector; strictly positive, sums to 1."""
-    if x.dimension != model.feature_dim:
-        raise DimensionMismatch(
-            f"vector dimension {x.dimension} != model dimension {model.feature_dim}"
-        )
-    batch = Batch(
-        np.append(x.indices, x.dimension), np.append(x.values, 1.0), np.zeros(1, np.intp)
-    )
-    return _softmax(_scores(_kernel_weights(model.weights, model.bias), batch))[0]
-
+def predict_proba(model: LinearModel, batch: Batch) -> np.ndarray:
+    """The (rows, C) class probabilities of a batch of any size, each row with
+    the bits it has in any batch. Unlike ``_scores``, raises ValueError naming
+    the model's dimension D for a column outside [0, D], a row not closed by
+    one bias entry (column D, value 1) or a value that is not finite."""
+    dim, indices, values = model.feature_dim, batch.indices, batch.values
+    if indices.shape != values.shape or ((indices < 0) | (indices > dim)).any():
+        raise ValueError(f"batch columns must lie in [0, {dim}], the model's dimension")
+    bias = np.flatnonzero(indices == dim)  # each row's last entry, and no other
+    closed = np.array_equal(np.append(batch.starts, indices.size), np.append(0, bias + 1))
+    if not closed or (values[bias] != 1).any():
+        raise ValueError(f"each batch row must end with its bias entry, column {dim} valued 1")
+    if not np.isfinite(values).all():
+        raise ValueError(f"batch values must be finite for a model of dimension {dim}")
+    return _softmax(_scores(_kernel_weights(model.weights, model.bias), batch))

@@ -42,6 +42,8 @@ class Threshold:
 
 def exact_match(candidate: str, references: Sequence[str], policy: NormPolicy = EM_POLICY) -> bool:
     """True iff the normalized candidate equals any normalized reference."""
+    if isinstance(references, str):  # not read one character at a time
+        raise ValueError("exact_match needs a sequence of references, not one string")
     if not references:
         raise EmptyReferences("exact_match needs at least one reference")
     cand = normalize(candidate, policy)
@@ -93,6 +95,8 @@ def best_reference(
 
     The candidate and each reference are normalized once.
     """
+    if isinstance(references, str):  # not read one character at a time
+        raise ValueError("best_reference needs a sequence of references, not one string")
     if not references:
         raise EmptyReferences("best_reference needs at least one reference")
     return _best_bag(

@@ -10,10 +10,11 @@ Judging and training share one feature path: each example is prepared once
 (each string normalized once into its token list, the best reference
 chosen), and its pair and triple are built from those lists and encoded
 once (one triple vectorizer serves the rule extractor and the judge). A
-block's pairs, then its triples, are one ``vectorizer.Batch``, scored by one
-gather and one ``reduceat`` against one stacked kernel (``_stack``); ``judge``
-is ``judge_batch`` of one example. Each fit trains on its documents' block,
-and ``_judge_block`` builds the judge's inputs, also in ``assemble_features``.
+block's pairs, then its triples, are one ``vectorizer.Batch``, the one
+sparse-row type, scored by one gather and one ``reduceat`` against one
+stacked kernel (``_stack``); ``judge`` is ``judge_batch`` of one example.
+Each fit trains on its documents' block, and ``_judge_block`` builds the
+judge's inputs, also the one-row ``Batch`` of ``assemble_features``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_bag
 from .textnorm import PEDANTS_POLICY, bag, tokens
-from .vectorizer import Batch, SparseVector, TfidfModel
+from .vectorizer import Batch, TfidfModel
 
 BUNDLE_FORMAT_VERSION = "1"
 
@@ -170,8 +171,12 @@ class PedantsModel:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
+        # to_json's text, a top-level section at a time, to bound peak memory
         with open_atomic(path) as handle:
-            handle.write(self.to_json() + "\n")
+            for i, (key, value) in enumerate(sorted(self.to_dict().items())):
+                handle.write(("," if i else "{") + json.dumps(key) + ":")
+                handle.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
+            handle.write("}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PedantsModel":
@@ -202,23 +207,21 @@ def _prepare(example: QAExample) -> _Prepared:
 
 
 def _stack(
-    type_model: LinearModel, rule_model: LinearModel, judge_model: LinearModel | None = None
+    type_model: LinearModel, rule_model: LinearModel, judge_model: LinearModel
 ) -> np.ndarray:
     """The weights a block of pairs, then triples, is scored with: the
     ``linear._kernel_weights`` rows of the type extractor, then those of the
-    rule extractor with, when given, the judge's triple columns and bias
-    beside them (zero beside the type extractor's). Written in place, so
-    building it takes no more memory than it holds."""
+    rule extractor with the judge's triple columns and bias beside them
+    (zero beside the type extractor's). Written in place, so building it
+    takes no more memory than it holds."""
     split = type_model.feature_dim + 1
-    cols = N_RULES if judge_model is None else N_RULES + judge_model.classes
-    kernel = np.zeros((split + rule_model.feature_dim + 1, cols))
+    kernel = np.zeros((split + rule_model.feature_dim + 1, N_RULES + judge_model.classes))
     kernel[: split - 1, :N_TYPES] = type_model.weights.T
     kernel[split - 1, :N_TYPES] = type_model.bias
     kernel[split:-1, :N_RULES] = rule_model.weights.T
     kernel[-1, :N_RULES] = rule_model.bias
-    if judge_model is not None:
-        kernel[split:-1, N_RULES:] = judge_model.weights[:, DENSE_DIM:].T
-        kernel[-1, N_RULES:] = judge_model.bias
+    kernel[split:-1, N_RULES:] = judge_model.weights[:, DENSE_DIM:].T
+    kernel[-1, N_RULES:] = judge_model.bias
     return kernel
 
 
@@ -288,17 +291,16 @@ def train_rule_extractor(
     return _fit_extractor(docs, [rule.code for *_, rule in examples], N_RULES, seed)[:2]
 
 
-def assemble_features(example: QAExample, model: PedantsModel) -> SparseVector:
-    """The judge's input for one example: 7 type probs, 7 rule probs and the
-    token scores (f1, p, r) against the best-F1 reference, then the tf-idf
-    triple encoding."""
+def assemble_features(example: QAExample, model: PedantsModel) -> Batch:
+    """The judge's input for one example as a one-row ``Batch``: the nonzero
+    of 7 type probs, 7 rule probs and the token scores (f1, p, r) against the
+    best-F1 reference, then the tf-idf triple encoding and the bias entry."""
     prepared = _prepare(example)
     block, scores = _score([prepared], model)
     # the triple's row, in its vectorizer's columns
     start, shift = block.starts[1], model.type_vectorizer.dimension + 1
     triple = Batch(block.indices[start:] - shift, block.values[start:], np.zeros(1, np.intp))
-    row = _judge_block(_prefix(scores, [prepared.scores]), triple).rows()[0]
-    return SparseVector(DENSE_DIM + model.judge_vectorizer.dimension, *row)
+    return _judge_block(_prefix(scores, [prepared.scores]), triple)
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], seed: int) -> dict:
@@ -340,15 +342,12 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     labels = [ex.rule.code for ex in train_set]
     triple_vec, rule_model, triples = _fit_extractor(triples, labels, N_RULES, seed)
 
-    # The judge's inputs come from the stacked kernel that judging uses: the
-    # pairs' block reads its leading rows, the triples' block those after.
-    kernel = _stack(type_model, rule_model)
-    scores = np.concatenate(
-        (linear._scores(kernel, pairs), linear._scores(kernel[type_vec.dimension + 1 :], triples))
-    )
+    # each extractor's kernel holds its rows of the stacked kernel judging uses
+    kernels = [linear._kernel_weights(m.weights, m.bias) for m in (type_model, rule_model)]
+    scores = np.concatenate([linear._scores(k, b) for k, b in zip(kernels, (pairs, triples))])
     inputs = _judge_block(_prefix(scores, token_scores), triples)
     # the encodings are not needed by the judge's fit, where memory peaks
-    del pairs, triples, kernel, scores
+    del pairs, triples, kernels, scores
     labels = [int(ex.human_label) for ex in train_set]
     judge_model = linear.train(inputs, labels, DENSE_DIM + triple_vec.dimension, 2, seed)
 

@@ -5,10 +5,10 @@ keeps every token it sees, idf uses the smoothed form ln((1+N)/(1+df)) + 1,
 and encoded vectors are L2-normalized. Fitting and encoding read token
 lists: ``_pair`` and ``_triple`` build the "[CLS] q [SEP] a [SEP] candidate"
 tokens of normalized token lists. The "[CLS]" and "[SEP]" markers live in
-the vocabulary like any other token. One encoder, ``_encode``, writes a
-block of token lists as a ``Batch``, the flat batch ``linear`` scores and
-trains on: a judged block's pairs and triples, each fit's documents, or
-the one document of ``transform``, ``encode_pair`` or ``encode_triple``.
+the vocabulary like any other token. One encoder, ``_encode``, writes every
+``Batch``, the one sparse-row type, that ``linear`` scores and trains on: a
+judged block's pairs and triples, each fit's documents, or the one row of
+``transform``, ``encode_pair`` or ``encode_triple``.
 """
 
 from __future__ import annotations
@@ -62,51 +62,6 @@ def check_numbers(values, what: str) -> list:
         names = ", ".join(sorted(t.__name__ for t in other))
         raise ValueError(f"malformed {what}: must be numbers, got {names}")
     return values
-
-
-@dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sorted (index, weight) pairs in a fixed-dimension space.
-
-    ``indices`` (intp) and ``values`` (float64) are read-only numpy arrays,
-    copied from the arguments and checked once: aligned, indices strictly
-    increasing in [0, dimension), values finite.
-    """
-
-    dimension: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        indices = np.array(self.indices, dtype=np.intp)
-        values = np.array(self.values, dtype=np.float64)
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("indices and values must align")
-        if indices.size and (
-            indices[0] < 0 or indices[-1] >= self.dimension or (np.diff(indices) <= 0).any()
-        ):
-            raise ValueError(f"indices out of order or out of range [0, {self.dimension})")
-        if not np.isfinite(values).all():
-            raise ValueError("weights must be finite")
-        indices.flags.writeable = values.flags.writeable = False
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.values @ self.values))
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
 
 
 @dataclass
@@ -233,17 +188,9 @@ def _encode(*segments: tuple[Iterable[Sequence[str]], TfidfModel]) -> Batch:
     )
 
 
-def _vector(doc: Sequence[str], model: TfidfModel) -> SparseVector:
-    return SparseVector(model.dimension, *_encode(([doc], model)).rows()[0])
-
-
-def transform(text: str, model: TfidfModel) -> SparseVector:
-    """Encode one whitespace-tokenized document as tf x idf, L2-normalized.
-
-    Out-of-vocabulary tokens are dropped; a document with no in-vocabulary
-    tokens encodes to the zero vector, which is left unnormalized.
-    """
-    return _vector(text.split(), model)
+def transform(text: str, model: TfidfModel) -> Batch:
+    """One whitespace-tokenized document as ``_encode``'s one-row ``Batch``."""
+    return _encode(([text.split()], model))
 
 
 def _pair(question: Sequence[str], answer: Sequence[str]) -> list[str]:
@@ -256,10 +203,11 @@ def _triple(pair: list[str], candidate: Sequence[str]) -> list[str]:
     return [*pair, SEP_TOKEN, *candidate]
 
 
-def encode_pair(question: str, answer: str, model: TfidfModel) -> SparseVector:
-    return _vector(_pair(tokens(question, PEDANTS_POLICY), tokens(answer, PEDANTS_POLICY)), model)
-
-
-def encode_triple(question: str, answer: str, candidate: str, model: TfidfModel) -> SparseVector:
+def encode_pair(question: str, answer: str, model: TfidfModel) -> Batch:
     pair = _pair(tokens(question, PEDANTS_POLICY), tokens(answer, PEDANTS_POLICY))
-    return _vector(_triple(pair, tokens(candidate, PEDANTS_POLICY)), model)
+    return _encode(([pair], model))
+
+
+def encode_triple(question: str, answer: str, candidate: str, model: TfidfModel) -> Batch:
+    pair = _pair(tokens(question, PEDANTS_POLICY), tokens(answer, PEDANTS_POLICY))
+    return _encode(([_triple(pair, tokens(candidate, PEDANTS_POLICY))], model))

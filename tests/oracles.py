@@ -11,8 +11,8 @@ vector with its own softmax instead of preparing each string once and
 scoring a flattened batch of sparse rows, and
 normalization character by character over the whole string instead of
 token by token through a translate table. ``batch_of`` and
-``train_vectors`` are no oracles: they hand rows of test arrays, and
-checked test vectors, to the package's scorer and trainer.
+``train_vectors`` are no oracles: they check rows of test arrays and hand
+them to the package's scorer and trainer.
 """
 
 from __future__ import annotations
@@ -97,16 +97,12 @@ def reference_mean_loss(weights, bias, data, labels, l2_penalty) -> float:
     return total / len(data) + 0.5 * l2_penalty * float(np.sum(weights * weights))
 
 
-def reference_train(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
+def reference_train(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
     """The trainer with class-major weights, a dense decay and a scatter per
-    step, and the epoch loss one example at a time; it reads the trainer's
-    fixed settings."""
+    step, and the epoch loss one example at a time, on ((indices, values),
+    label) rows in ``dim`` columns; it reads the trainer's fixed settings."""
     if not examples:
         raise ValueError("no training examples")
-    dim = examples[0][0].dimension
-    for x, _ in examples:
-        if x.dimension != dim:
-            raise ValueError(f"expected dimension {dim}, got {x.dimension}")
     labels = np.array([y for _, y in examples], dtype=np.intp)
     present = set(int(y) for y in labels)
     if len(present) < 2:
@@ -116,7 +112,7 @@ def reference_train(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linea
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    data = [(x.indices, x.values) for x, _ in examples]
+    data = [(np.asarray(i, np.intp), np.asarray(v, np.float64)) for (i, v), _ in examples]
     weights = np.zeros((n_classes, dim), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
@@ -150,26 +146,33 @@ def reference_train(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linea
 def batch_of(rows, dim) -> vectorizer.Batch:
     """(indices, values) rows in ``dim`` columns as one ``Batch``, written
     out row by row: each row's entries, then its bias entry, column ``dim``
-    with value 1."""
+    with value 1. Each row is checked first, as the package's scorer and
+    trainer trust their arrays: aligned, its columns strictly increasing in
+    [0, dim), its values finite."""
     indices, values, starts = [], [], []
     for idx, vals in rows:
+        idx, vals = np.asarray(idx, np.intp), np.asarray(vals, np.float64)
+        assert idx.ndim == 1 and idx.shape == vals.shape, "indices and values must align"
+        assert ((0 <= idx) & (idx < dim)).all(), f"columns out of range [0, {dim})"
+        assert (np.diff(idx) > 0).all(), "columns out of order or repeated"
+        assert np.isfinite(vals).all(), "values must be finite"
         starts.append(len(indices))
-        indices += [*np.asarray(idx).tolist(), dim]
-        values += [*np.asarray(vals).tolist(), 1.0]
+        indices += [*idx.tolist(), dim]
+        values += [*vals.tolist(), 1.0]
     return vectorizer.Batch(
         np.array(indices, np.intp), np.array(values, np.float64), np.array(starts, np.intp)
     )
 
 
-def train_vectors(examples, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
-    """``linear.train`` on (SparseVector, label) pairs, so the vectors check
-    the test's inputs before the trainer trusts their arrays; the classes
-    default to the largest label + 1, at least 2."""
+def train_vectors(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
+    """``linear.train`` on ((indices, values), label) rows in ``dim``
+    columns, built by ``batch_of``, so the test's inputs are checked before
+    the trainer trusts their arrays; the classes default to the largest
+    label + 1, at least 2."""
     labels = [y for _, y in examples]
     if n_classes is None:
         n_classes = max(2, max(labels) + 1)
-    dim = examples[0][0].dimension
-    batch = batch_of([(x.indices, x.values) for x, _ in examples], dim)
+    batch = batch_of([x for x, _ in examples], dim)
     return linear.train(batch, labels, dim, n_classes, seed)
 
 
@@ -247,9 +250,11 @@ def fallback_question_type(question, type_probs) -> QuestionType:
 
 
 def forward(model, x) -> np.ndarray:
-    """softmax(clamp(W @ x + b)) of a linear model, with x laid out densely."""
-    dense = np.zeros(x.dimension)
-    dense[x.indices] = x.values
+    """softmax(clamp(W @ x + b)) of a linear model, with the one row of the
+    batch x laid out densely and its bias entry left out."""
+    ((indices, values),) = x.rows()
+    dense = np.zeros(model.feature_dim)
+    dense[indices] = values
     return softmax(model.weights @ dense + model.bias)
 
 
@@ -264,11 +269,11 @@ def per_call_judge(example, model) -> Judgment:
     rule_probs = forward(
         model.rule_model, vectorizer.encode_triple(q, ref, cand, model.rule_vectorizer)
     )
-    text = vectorizer.encode_triple(q, ref, cand, model.judge_vectorizer)
-    dense = np.zeros(17 + text.dimension)
+    ((indices, values),) = vectorizer.encode_triple(q, ref, cand, model.judge_vectorizer).rows()
+    dense = np.zeros(17 + model.judge_vectorizer.dimension)
     dense[:7], dense[7:14] = type_probs, rule_probs
     dense[14:17] = scores.f1, scores.precision, scores.recall
-    dense[17 + text.indices] = text.values
+    dense[17 + indices] = values
     probs = softmax(model.judge_model.weights @ dense + model.judge_model.bias)
     return Judgment(
         correct=int(np.argmax(probs)) == 1,

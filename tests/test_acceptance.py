@@ -11,13 +11,12 @@ import tracemalloc
 
 import numpy as np
 
-from oracles import batch_gd_predict, batch_gd_train, pairwise_agreement, train_vectors
+from oracles import batch_gd_predict, batch_gd_train, batch_of, pairwise_agreement, train_vectors
 from pedants.cli import main
 from pedants.harness import RankingInput, likert_to_binary, pairwise_ranking_accuracy, threshold_sweep
 from pedants.linear import LinearModel, predict_proba
 from pedants.metrics import PrfScores, Threshold, exact_match, threshold_judge, token_prf
 from pedants.pipeline import QAExample, QuestionType, RuleLabel, judge, train_pedants
-from pedants.vectorizer import SparseVector
 
 TOL = 1e-9
 
@@ -99,12 +98,9 @@ def test_criterion_4_pairwise_ranking_oracle():
     _report("4 pairwise ranking matches brute-force oracle (200 tables)")
 
 
-def _dense_to_sparse(row) -> SparseVector:
-    entries = [(i, float(v)) for i, v in enumerate(row) if v != 0.0]
-    if not entries:
-        return SparseVector(len(row), (), ())
-    idx, vals = zip(*entries)
-    return SparseVector(len(row), idx, vals)
+def _dense_to_sparse(row) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.flatnonzero(row)
+    return idx, np.asarray(row, np.float64)[idx]
 
 
 def test_criterion_5_linear_model_oracle_equivalence():
@@ -116,8 +112,9 @@ def test_criterion_5_linear_model_oracle_equivalence():
         X = np.vstack([pos, neg])
         y = np.array([1] * 10 + [0] * 10)
         data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-        model = train_vectors(data)
-        ours = [int(np.argmax(predict_proba(model, x))) for x, _ in data]
+        model = train_vectors(data, 2)
+        probs = predict_proba(model, batch_of([x for x, _ in data], 2))
+        ours = np.argmax(probs, axis=1).tolist()
         W, b = batch_gd_train(X, y)
         assert ours == batch_gd_predict(W, b, X).tolist()
 
@@ -126,20 +123,21 @@ def test_criterion_5_linear_model_oracle_equivalence():
     dim, n_inputs = 16, 100_000
     weights = rng.normal(scale=50.0, size=(7, dim))
     proba_model = LinearModel(7, weights, rng.normal(size=7))
+    rows = []
     for _ in range(n_inputs):
         nnz = rng.integers(0, dim) + 1
         idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-        vals = rng.normal(scale=100.0, size=nnz)
-        x = SparseVector(dim, tuple(int(i) for i in idx), tuple(float(v) for v in vals))
-        probs = predict_proba(proba_model, x)
-        assert np.all(np.isfinite(probs))
-        assert abs(probs.sum() - 1.0) <= TOL
+        rows.append((idx, rng.normal(scale=100.0, size=nnz)))
+    probs = predict_proba(proba_model, batch_of(rows, dim))
+    assert probs.shape == (n_inputs, 7)
+    assert np.all(np.isfinite(probs))
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= TOL
 
     # bit-exact determinism across two seeded runs
     X, y = np.vstack([pos, neg]), y
     data = [(_dense_to_sparse(row), int(label)) for row, label in zip(X, y)]
-    run1 = json.dumps(train_vectors(data, seed=668).to_dict(), sort_keys=True)
-    run2 = json.dumps(train_vectors(data, seed=668).to_dict(), sort_keys=True)
+    run1 = json.dumps(train_vectors(data, 2, seed=668).to_dict(), sort_keys=True)
+    run2 = json.dumps(train_vectors(data, 2, seed=668).to_dict(), sort_keys=True)
     assert run1 == run2
     _report("5 linear-model oracle equivalence, probability sums, determinism")
 

@@ -17,9 +17,8 @@ import pedants
 # Every name the package exports, under the module that defines it.
 EXPORTS = {
     "errors": [
-        "DatasetError", "DimensionMismatch", "EmptyCorpus", "EmptyRecords", "EmptyReferences",
-        "MissingAnnotations", "OutOfRangeScore", "PedantsError", "SingleClassCorpus",
-        "TooFewModels",
+        "DatasetError", "EmptyCorpus", "EmptyRecords", "EmptyReferences", "MissingAnnotations",
+        "OutOfRangeScore", "PedantsError", "SingleClassCorpus", "TooFewModels",
     ],
     "harness": [
         "ConfusionCounts", "RankingInput", "SweepRow", "likert_to_binary",
@@ -37,7 +36,7 @@ EXPORTS = {
         "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch", "train_pedants",
         "train_rule_extractor", "train_type_extractor",
     ],
-    "vectorizer": ["SparseVector", "TfidfModel", "encode_pair", "encode_triple"],
+    "vectorizer": ["TfidfModel", "encode_pair", "encode_triple"],
 }
 
 ROWS = [

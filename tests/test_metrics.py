@@ -32,6 +32,12 @@ def test_exact_match_empty_references():
         exact_match("anything", [])
 
 
+def test_exact_match_rejects_a_bare_string_of_references():
+    # read one character at a time, "Joe Biden" would hold the reference "e"
+    with pytest.raises(ValueError, match="not one string"):
+        exact_match("e", "Joe Biden")
+
+
 def test_token_prf_biden():
     scores = token_prf("Joseph Biden", "Joe Biden")
     assert scores.precision == pytest.approx(0.5, abs=1e-9)
@@ -129,6 +135,11 @@ def test_best_over_references_duplicate_invariance():
 def test_best_over_references_empty():
     with pytest.raises(EmptyReferences):
         best_reference("x", [])
+
+
+def test_best_reference_rejects_a_bare_string_of_references():
+    with pytest.raises(ValueError, match="not one string"):
+        best_reference("e", "Joe Biden")
 
 
 def test_threshold_judge_boundary():

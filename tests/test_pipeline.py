@@ -27,7 +27,7 @@ from pedants.pipeline import (
     train_type_extractor,
 )
 from pedants.textnorm import PEDANTS_POLICY, tokens
-from pedants.vectorizer import Batch, SparseVector, TfidfModel, encode_pair, encode_triple
+from pedants.vectorizer import Batch, TfidfModel, encode_pair, encode_triple
 from pedants import linear, vectorizer
 from test_fastpath import EMPTY_BOTH, EMPTY_PAIR, EMPTY_TRIPLE
 from test_fastpath import sparse_model  # noqa: F401 (a fixture)
@@ -58,6 +58,13 @@ def test_enum_codes_are_stable():
 def test_qaexample_requires_references():
     with pytest.raises(EmptyReferences):
         QAExample(question="q", references=(), candidate="c")
+
+
+def test_qaexample_rejects_a_bare_string_of_references():
+    # a string is a sequence of its characters: "Joe Biden" is one
+    # reference, not nine
+    with pytest.raises(ValueError, match="not one string"):
+        QAExample(question="q", references="Joe Biden", candidate="e")
 
 
 def test_qaexample_round_trip():
@@ -144,21 +151,44 @@ def test_rule_extractor_specificity_example(seed_model):
 
 def test_assemble_features_layout(seed_model):
     x = assemble_features(Q1, seed_model)
-    assert isinstance(x, SparseVector)
-    assert x.dimension == DENSE_DIM + seed_model.judge_vectorizer.dimension
+    dim = DENSE_DIM + seed_model.judge_vectorizer.dimension
+    assert type(x) is Batch and x.starts.tolist() == [0]
+    assert x.indices[-1] == dim and x.values[-1] == 1.0  # the bias entry
+    ((indices, values),) = x.rows()
     # the dense prefix: 7 type probs and 7 rule probs, each block positive
     # and summing to 1, then f1, p, r
-    assert x.indices[:DENSE_DIM].tolist() == list(range(DENSE_DIM))
-    for probs in (x.values[:7], x.values[7:14]):
+    assert indices[:DENSE_DIM].tolist() == list(range(DENSE_DIM))
+    for probs in (values[:7], values[7:14]):
         assert (probs > 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert x.values[14:DENSE_DIM].tolist() == [pytest.approx(0.5)] * 3
+    assert values[14:DENSE_DIM].tolist() == [pytest.approx(0.5)] * 3
     # then the triple's encoding, shifted past the prefix
     text = encode_triple(Q1.question, Q1.references[0], Q1.candidate, seed_model.judge_vectorizer)
-    assert x.indices[DENSE_DIM:].tolist() == (text.indices + DENSE_DIM).tolist()
-    assert x.values[DENSE_DIM:].tolist() == text.values.tolist()
-    # dimension is constant across examples for a fixed model
-    assert assemble_features(Q2, seed_model).dimension == x.dimension
+    ((text_indices, text_values),) = text.rows()
+    assert indices[DENSE_DIM:].tolist() == (text_indices + DENSE_DIM).tolist()
+    assert values[DENSE_DIM:].tolist() == text_values.tolist()
+    # the bias column is the same across examples for a fixed model
+    assert assemble_features(Q2, seed_model).indices[-1] == dim
+
+
+def test_per_call_surface_composes_to_the_batched_judge(seed_model, seed_corpus):
+    # on every seed-corpus row, predict_proba of assemble_features gives the
+    # judge's confidence, and the row's first 14 values are the type and
+    # rule probabilities predict_proba gives on encode_pair/encode_triple
+    model = seed_model
+    for ex, judged in zip(seed_corpus, judge_batch(seed_corpus, model), strict=True):
+        x = assemble_features(ex, model)
+        probs = linear.predict_proba(model.judge_model, x)
+        assert probs.shape == (1, 2)
+        assert probs[0, 1] == pytest.approx(judged.confidence, abs=1e-12, rel=0)
+        q, ref = ex.question, ex.references[judged.chosen_reference]
+        pair = encode_pair(q, ref, model.type_vectorizer)
+        triple = encode_triple(q, ref, ex.candidate, model.rule_vectorizer)
+        type_probs = linear.predict_proba(model.type_model, pair)[0]
+        rule_probs = linear.predict_proba(model.rule_model, triple)[0]
+        ((indices, values),) = x.rows()
+        assert indices[:14].tolist() == list(range(14))
+        assert values[:14] == pytest.approx([*type_probs, *rule_probs], abs=1e-12, rel=0)
 
 
 def test_train_requires_annotations():
@@ -253,6 +283,7 @@ def test_judge_determinism(seed_model):
 def test_bundle_save_load_round_trip(seed_corpus, seed_model, tmp_path):
     path = tmp_path / "bundle.json"
     seed_model.save(path)
+    assert path.read_text(encoding="utf-8") == seed_model.to_json() + "\n"
     loaded = PedantsModel.load(path)
     assert loaded.to_json() == seed_model.to_json()
     assert judge(Q1, loaded) == judge(Q1, seed_model)
@@ -335,15 +366,6 @@ def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
     assert calls[0] is model.type_vectorizer and calls[1] is model.judge_vectorizer
 
 
-def test_training_builds_no_sparse_vector(seed_corpus, seed_model, monkeypatch):
-    # the trainer reads the encoders' arrays as they are
-    def refuse(self):
-        raise AssertionError("training built a SparseVector")
-
-    monkeypatch.setattr(SparseVector, "__post_init__", refuse)
-    assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
-
-
 def test_fits_train_on_the_encoded_blocks(seed_corpus, seed_model, monkeypatch):
     # the type and rule fits train on the very blocks the encoder returned,
     # and the judge's fit on one block of a row per example
@@ -392,9 +414,9 @@ def test_judge_block_equals_row_by_row_inputs(seed_model, seed_corpus):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def _own_kernel_scores(weights, bias, vectors):
-    """Scores of SparseVectors under one model's own kernel, one row each."""
-    batch = batch_of([(v.indices, v.values) for v in vectors], weights.shape[1])
+def _own_kernel_scores(weights, bias, batches):
+    """Scores of one-row batches under one model's own kernel, one row each."""
+    batch = batch_of([row for b in batches for row in b.rows()], weights.shape[1])
     return linear._scores(linear._kernel_weights(weights, bias), batch)
 
 
@@ -436,9 +458,8 @@ def test_lazy_scale_trainer_judges_like_the_eager_oracle(seed_corpus, seed_model
     # the seed bundle trained by linear.train and by the eager-decay oracle
     # give the same verdicts on its own corpus
     def eager(batch, labels, dim, n_classes, seed):
-        rows = zip(batch.rows(), labels, strict=True)
-        examples = [(SparseVector(dim, idx, vals), y) for (idx, vals), y in rows]
-        return reference_train(examples, seed=seed, n_classes=n_classes)
+        examples = list(zip(batch.rows(), labels, strict=True))
+        return reference_train(examples, dim, seed=seed, n_classes=n_classes)
 
     monkeypatch.setattr(linear, "train", eager)
     oracle = train_pedants(seed_corpus)

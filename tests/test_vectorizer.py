@@ -13,7 +13,6 @@ from pedants.textnorm import PEDANTS_POLICY, normalize, tokens
 from pedants.vectorizer import (
     CLS_TOKEN,
     SEP_TOKEN,
-    SparseVector,
     TfidfModel,
     _encode,
     _pair,
@@ -52,6 +51,20 @@ def _compensated(values) -> float:
             compensation += (value - t) + total
         total = t
     return total + compensation
+
+
+def _row(batch, model) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a per-call encoder's one-row batch, which its bias
+    entry, column ``model.dimension`` with value 1, must close."""
+    assert batch.starts.tolist() == [0]
+    assert batch.indices[-1] == model.dimension and batch.values[-1] == 1.0
+    ((indices, values),) = batch.rows()
+    return indices, values
+
+
+def _arrays(batch) -> tuple[bytes, ...]:
+    """A batch's three arrays as bytes, so two batches compare bit for bit."""
+    return batch.indices.tobytes(), batch.values.tobytes(), batch.starts.tobytes()
 
 
 def triple_tokens(question: str, answer: str, candidate: str) -> list[str]:
@@ -118,16 +131,16 @@ def test_transform_unit_norm_and_nonzero_for_fitting_docs():
     corpus = ["alpha beta", "beta gamma gamma", "delta"]
     model = fit(docs(*corpus))
     for doc in corpus:
-        vec = transform(doc, model)
-        assert vec.nnz > 0
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        _, values = _row(transform(doc, model), model)
+        assert values.size > 0
+        assert math.sqrt(values @ values) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transform_all_oov_is_zero_vector():
+    # the zero vector: the row is its bias entry alone
     model = fit(docs("alpha beta"))
-    vec = transform("missing tokens only", model)
-    assert vec.nnz == 0
-    assert vec.norm() == 0.0
+    batch = transform("missing tokens only", model)
+    assert batch.indices.tolist() == [model.dimension] and batch.values.tolist() == [1.0]
 
 
 def test_transform_drops_oov_but_keeps_direction():
@@ -135,7 +148,7 @@ def test_transform_drops_oov_but_keeps_direction():
     model = fit(docs("alpha beta", "beta gamma"))
     base = transform("alpha beta", model)
     noisy = transform("alpha zzz beta qqq", model)
-    assert base == noisy
+    assert _arrays(base) == _arrays(noisy)
 
 
 def test_pair_and_triple_tokens():
@@ -154,8 +167,11 @@ def test_encode_triple_matches_bag_of_words_oracle():
         triple_tokens("Where is the Eiffel Tower located?", "Paris", "France"),
     ]
     model = fit(corpus)
-    vec = encode_triple(
-        "Who is the president of the US in 2023?", "Joe Biden", "Joseph Biden", model
+    indices, values = _row(
+        encode_triple(
+            "Who is the president of the US in 2023?", "Joe Biden", "Joseph Biden", model
+        ),
+        model,
     )
     # hand-built oracle: count the tokens of the normalized concatenation,
     # weight by idf, then L2-normalize
@@ -170,49 +186,19 @@ def test_encode_triple_matches_bag_of_words_oracle():
         if tok in model.vocabulary
     }
     norm = math.sqrt(_left_to_right(w * w for w in weights.values()))
-    for idx, value in zip(vec.indices, vec.values):
+    for idx, value in zip(indices.tolist(), values.tolist()):
         assert value == pytest.approx(weights[idx] / norm, abs=1e-12)
-    assert set(vec.indices) == set(weights)
+    assert set(indices.tolist()) == set(weights)
 
 
 def test_separators_are_ordinary_vocabulary_tokens():
     model = fit([triple_tokens("q one", "a one", "c one")])
     assert CLS_TOKEN in model.vocabulary
     assert SEP_TOKEN in model.vocabulary
-    vec = encode_pair("totally new question", "unseen answer", model)
+    indices, _ = _row(encode_pair("totally new question", "unseen answer", model), model)
     # only the separators survive as in-vocabulary tokens
     cols = {model.vocabulary[CLS_TOKEN], model.vocabulary[SEP_TOKEN]}
-    assert set(vec.indices) == cols
-
-
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector(3, (0, 0), (1.0, 1.0))  # duplicate index
-    with pytest.raises(ValueError):
-        SparseVector(3, (2, 1), (1.0, 1.0))  # unsorted
-    with pytest.raises(ValueError):
-        SparseVector(3, (3,), (1.0,))  # out of range
-    with pytest.raises(ValueError):
-        SparseVector(3, (0,), (math.inf,))  # non-finite
-    with pytest.raises(ValueError):
-        SparseVector(3, (-1,), (1.0,))  # negative
-    with pytest.raises(ValueError):
-        SparseVector(3, (0, 1), (1.0,))  # misaligned
-
-
-def test_sparse_vector_holds_read_only_copies():
-    indices, values = np.array([0, 2]), np.array([0.5, 1.5])
-    vec = SparseVector(3, indices, values)
-    assert vec.indices.dtype == np.intp and vec.values.dtype == np.float64
-    indices[0], values[0] = 1, 9.0  # the caller's arrays are not the vector's
-    assert vec.indices.tolist() == [0, 2] and vec.values.tolist() == [0.5, 1.5]
-    for array in (vec.indices, vec.values):
-        with pytest.raises(ValueError):
-            array[0] = 1
-    assert vec == SparseVector(3, (0, 2), (0.5, 1.5))
-    assert vec != SparseVector(3, (0, 2), (0.5, 1.0))
-    assert vec != SparseVector(4, (0, 2), (0.5, 1.5))
-    assert SparseVector(3, (), ()) == SparseVector(3, [], [])
+    assert set(indices.tolist()) == cols
 
 
 def test_random_documents_norms():
@@ -223,7 +209,8 @@ def test_random_documents_norms():
     ]
     model = fit(docs(*corpus))
     for doc in corpus:
-        assert transform(doc, model).norm() == pytest.approx(1.0, abs=1e-9)
+        _, values = _row(transform(doc, model), model)
+        assert math.sqrt(values @ values) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -273,8 +260,9 @@ def test_encoders_equal_transform_of_the_joined_text(seed_model, question, answe
     pair_text = f"{CLS_TOKEN} {q} {SEP_TOKEN} {a}"
     triple_text = f"{pair_text} {SEP_TOKEN} {c}"
     for model in (seed_model.type_vectorizer, seed_model.judge_vectorizer):
-        assert encode_pair(question, answer, model) == transform(pair_text, model)
-        assert encode_triple(question, answer, candidate, model) == transform(triple_text, model)
+        pair, triple = transform(pair_text, model), transform(triple_text, model)
+        assert _arrays(encode_pair(question, answer, model)) == _arrays(pair)
+        assert _arrays(encode_triple(question, answer, candidate, model)) == _arrays(triple)
 
 
 def _tfidf_oracle(doc: list[str], model: TfidfModel) -> tuple[list[int], list[float]]:
@@ -306,16 +294,17 @@ def _check_block(rows, model):
     for i, (start, end) in enumerate(zip(starts.tolist(), ends)):
         row, (q, a, c) = i % n, rows[i % n]
         if i < n:
-            vec, shift = encode_pair(q, a, pair_vec), 0
+            alone, shift = encode_pair(q, a, pair_vec), 0
             doc, vocab = pairs[row], pair_vec
         else:
-            vec, shift = encode_triple(q, a, c, triple_vec), offset
+            alone, shift = encode_triple(q, a, c, triple_vec), offset
             doc, vocab = triples[row], triple_vec
+        alone_indices, alone_values = _row(alone, vocab)
         # the bias entry closes the document, in its segment's bias row
         assert indices[end - 1] == shift + vocab.dimension and values[end - 1] == 1.0
         got_indices, got_values = indices[start : end - 1] - shift, values[start : end - 1]
-        assert got_indices.tolist() == vec.indices.tolist()
-        assert got_values.tobytes() == vec.values.tobytes()
+        assert got_indices.tolist() == alone_indices.tolist()
+        assert got_values.tobytes() == alone_values.tobytes()
         cols, weights = _tfidf_oracle(doc, vocab)
         assert got_indices.tolist() == cols
         assert got_values.tobytes() == np.array(weights, dtype=np.float64).tobytes()
