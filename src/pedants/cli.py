@@ -209,17 +209,24 @@ def _parse_thresholds(spec: str) -> tuple[float, ...]:
     return values
 
 
+def _is_dir(path: Path, out: str) -> bool:
+    """Whether ``path`` is a directory: False if it does not exist, and
+    NotADirectoryError naming ``out`` if its nearest existing path (itself
+    or an ancestor) is not a directory."""
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    return nearest == path
+
+
 def _report_paths(out: str | None, stem: str) -> tuple[Path, ...]:
     """<out>/<stem>.csv and <out>/<stem>.json, or none if out is unset.
     Called before any work, so that an --out no report can be written to
-    stops the command at once: one whose nearest existing path (itself or
-    an ancestor) is not a directory, or a report path that is one. Nothing
-    is created here."""
+    (``_is_dir``, or a report path that is a directory) stops the command at
+    once. Nothing is created here."""
     if not out:
         return ()
-    absolute = Path(out).absolute()
-    if not next(p for p in (absolute, *absolute.parents) if p.exists()).is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    _is_dir(Path(out), out)
     paths = tuple(Path(out) / f"{stem}{suffix}" for suffix in (".csv", ".json"))
     for path in paths:
         io.reject_directory(path)
@@ -279,7 +286,7 @@ def _read_labeled(
 
 
 def cmd_train(args) -> int:
-    if not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the fit, not after
+    if not _is_dir(Path(args.out).parent, args.out):  # fail before the fit, not after
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     io.reject_directory(args.out)
     from .pipeline import train_pedants
@@ -554,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (PedantsError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (PedantsError, OSError, ValueError) as exc:
         print(f"pedants: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -8,11 +8,12 @@ schema/version comments and are skipped. A record needs "question",
 when "label" is absent), "rule", "qtype", "model_id", "dataset_id", and
 "verdicts" (metric name -> bool, for pre-judged evaluation files).
 
-``QAExample.from_dict`` is the one parser of a record, and
-``example_from_dict`` names it for the readers. ``iter_raw`` is the one loop
-over a file's lines: a line that is not UTF-8, not a JSON object, or that
-the caller's parse rejects is a DatasetError naming ``file:line``, or is
-reported and skipped with ``skip_bad``. The other readers here, the bundled
+``QAExample.from_dict`` is the one parser of a record, ``QAExample``'s
+constructor the one check of its fields, and ``example_from_dict`` names the
+parser for the readers. ``iter_raw`` is the one loop over a file's lines: a
+line that is not UTF-8, not a JSON object, or that the caller's parse
+rejects is a DatasetError naming ``file:line``, or is reported and skipped
+with ``skip_bad``. The other readers here, the bundled
 seed corpus's among them, are ``iter_raw`` with ``example_from_dict``; the
 CLI's parse adds the fields each command requires.
 """
@@ -89,6 +90,12 @@ class RuleLabel(Enum):
 _RULE_ORDER = list(RuleLabel)
 _RULE_CODE = {r: i for i, r in enumerate(_RULE_ORDER)}
 
+# The type of each field but the references; all but the first two may be None.
+_FIELD_TYPES = {
+    "question": str, "candidate": str, "human_label": bool, "rule": RuleLabel,
+    "qtype": QuestionType, "model_id": str, "dataset_id": str,
+}
+
 
 @dataclass
 class QAExample:
@@ -104,29 +111,35 @@ class QAExample:
     dataset_id: str | None = None
 
     def __post_init__(self):
+        """The one check of an example's fields, read or built: each that
+        is not of its type raises ValueError naming it."""
         if isinstance(self.references, str):
             raise ValueError("references must be a sequence of strings, not one string")
         self.references = tuple(self.references)
         if not self.references:
             raise EmptyReferences("a QAExample needs at least one reference answer")
+        if not all(isinstance(r, str) for r in self.references):
+            raise ValueError("'references' must be a non-empty array of strings")
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            optional = key not in ("question", "candidate")
+            if not isinstance(value, kind) and not (optional and value is None):
+                name = "a string" if kind is str else f"a {kind.__name__}"
+                raise ValueError(f"{key!r} must be {name}, got {type(value).__name__}")
 
     def to_dict(self) -> dict:
-        out: dict = {
+        """The example as a record: its fields that are set, enums by value."""
+        out = {
             "question": self.question,
             "references": list(self.references),
             "candidate": self.candidate,
+            "label": None if self.human_label is None else int(self.human_label),
+            "rule": self.rule and self.rule.value,
+            "qtype": self.qtype and self.qtype.value,
+            "model_id": self.model_id,
+            "dataset_id": self.dataset_id,
         }
-        if self.human_label is not None:
-            out["label"] = int(self.human_label)
-        if self.rule is not None:
-            out["rule"] = self.rule.value
-        if self.qtype is not None:
-            out["qtype"] = self.qtype.value
-        if self.model_id is not None:
-            out["model_id"] = self.model_id
-        if self.dataset_id is not None:
-            out["dataset_id"] = self.dataset_id
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QAExample":
@@ -138,15 +151,9 @@ class QAExample:
         for key in ("question", "references", "candidate"):
             if key not in obj:
                 raise ValueError(f"missing required field {key!r}")
-        for key in ("question", "candidate"):
-            if not isinstance(obj[key], str):
-                raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
         refs = obj["references"]
-        if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
+        if not isinstance(refs, list) or not refs:
             raise ValueError("'references' must be a non-empty array of strings")
-        for key in ("model_id", "dataset_id"):
-            if obj.get(key) is not None and not isinstance(obj[key], str):
-                raise ValueError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
         label = obj.get("label")
         if label is not None and label not in (0, 1, True, False):
             raise ValueError(f"'label' must be 0 or 1, got {label!r}")
@@ -267,7 +274,8 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
             yield handle
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the temp file's error, not this, is raised
+            tmp.unlink()
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise

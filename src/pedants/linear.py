@@ -11,6 +11,8 @@ pair of the score difference. ``vectorizer.Batch`` is the one sparse-row
 type: the training loss, ``predict_proba`` and the pipeline's batched judge
 score it with one kernel (``_scores``), which sums each row alone, so a row
 has the same bits in any batch, and the trainer reads a ``Batch`` as it is.
+A frozen ``LinearModel`` holds its weights and bias only: its class count
+and dimension are their shape, and its seed is its bundle's.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ def config_seed(config: dict) -> int:
     return check_count(config["seed"], "training config seed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearModel:
-    classes: int
     weights: np.ndarray  # (C, D)
     bias: np.ndarray  # (C,)
-    seed: int = DEFAULT_SEED
+
+    @property
+    def classes(self) -> int:
+        return int(self.weights.shape[0])
 
     @property
     def feature_dim(self) -> int:
@@ -82,7 +86,6 @@ class LinearModel:
             "dim": self.feature_dim,
             "weights": [float(w) for w in self.weights.ravel()],  # row-major
             "bias": [float(b) for b in self.bias],
-            "config": config_dict(self.seed),
         }
 
     @classmethod
@@ -103,12 +106,7 @@ class LinearModel:
             raise ValueError(f"model has {bias.size} biases, expected {classes}")
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ValueError("model weights and biases must be finite")
-        return cls(
-            classes=classes,
-            weights=weights.reshape(classes, dim),
-            bias=bias,
-            seed=config_seed(data["config"]),
-        )
+        return cls(weights=weights.reshape(classes, dim), bias=bias)
 
 
 def _kernel_weights(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -158,19 +156,16 @@ def _mean_loss(weights: np.ndarray, bias: np.ndarray, batch: Batch, labels: np.n
 
 
 def train(
-    batch: Batch,
-    labels: Sequence[int],
-    dim: int,
-    n_classes: int,
-    seed: int = DEFAULT_SEED,
+    batch: Batch, labels: Sequence[int], n_classes: int, seed: int = DEFAULT_SEED
 ) -> LinearModel:
-    """Train an ``n_classes``-class logistic regression on ``dim`` features
-    with seeded, reproducible SGD.
+    """Train an ``n_classes``-class logistic regression with seeded,
+    reproducible SGD.
 
     ``batch`` holds one row per example, as ``vectorizer._encode`` writes
     them, and ``labels`` the class of each. Its arrays are trusted, as
-    ``_scores`` trusts them: intp indices in [0, dim), each once, then the
-    bias entry, and finite float64 values. Returns the lowest-loss iterate observed
+    ``_scores`` trusts them: intp indices in [0, D), each once, then the
+    bias entry, column D, the dimension read from the batch's last entry;
+    and finite float64 values. Returns the lowest-loss iterate observed
     (including the zero initialization), so the final training loss never
     exceeds the initial one. Raises SingleClassCorpus when fewer than two
     labels are present and ValueError when a label is out of range.
@@ -186,7 +181,7 @@ def train(
     if max(present) >= n_classes or min(present) < 0:
         raise ValueError(f"labels {sorted(present)} out of range for {n_classes} classes")
 
-    examples = batch.rows()
+    examples, dim = batch.rows(), int(batch.indices[-1])
     # Feature-major weights w = scale * v (Bottou's lazy weight scale): the
     # decay multiplies only the scalar, so a step touches just its
     # example's rows of v, one gather and one scatter. rows.T is (C, nnz)
@@ -239,7 +234,7 @@ def train(
             break
         prev_loss = loss
 
-    return LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
+    return LinearModel(weights=best_weights, bias=best_bias)
 
 
 def predict_proba(model: LinearModel, batch: Batch) -> np.ndarray:

@@ -4,7 +4,7 @@ A two-stage pipeline: 7-class extractors predict question-type and
 correctness-rule probability vectors, which are concatenated with token
 precision/recall/F1 and a tf-idf encoding of (question, reference,
 candidate) to feed a binary logistic-regression judge. A trained bundle is
-immutable and safe to share across concurrent judging workers.
+frozen, each fitted fact held once, and safe to share across judging workers.
 
 Judging and training share one feature path: each example is prepared once
 (each string normalized once into its token list, the best reference
@@ -34,9 +34,11 @@ from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_bag
 from .textnorm import PEDANTS_POLICY, bag, tokens
-from .vectorizer import Batch, TfidfModel
+from .vectorizer import Batch, TfidfModel, check_count
 
 BUNDLE_FORMAT_VERSION = "1"
+# A bundle's sections, in the order of a model's fields.
+_SECTIONS = ("type_extractor", "rule_extractor", "final_judge")
 
 N_TYPES = 7
 N_RULES = 7
@@ -71,21 +73,19 @@ class Judgment:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PedantsModel:
     """The full judging bundle: two extractors, the final judge, and the
-    vocabularies each was fitted with. The rule extractor and the judge read
-    one triple vectorizer: ``rule_vectorizer is judge_vectorizer``."""
+    vocabularies each was fitted with, all trained with ``seed``. The rule
+    extractor and the judge read one triple vectorizer, ``rule_vectorizer``."""
 
     type_vectorizer: TfidfModel
     type_model: LinearModel
     rule_vectorizer: TfidfModel
     rule_model: LinearModel
-    judge_vectorizer: TfidfModel
     judge_model: LinearModel
     seed: int
     fingerprint: dict = field(default_factory=dict)
-    format_version: str = BUNDLE_FORMAT_VERSION
 
     def __post_init__(self):
         if self.type_model.classes != N_TYPES or self.rule_model.classes != N_RULES:
@@ -97,14 +97,19 @@ class PedantsModel:
         checks = [
             (self.type_model.feature_dim, self.type_vectorizer.dimension, "type"),
             (self.rule_model.feature_dim, self.rule_vectorizer.dimension, "rule"),
-            (self.judge_model.feature_dim, DENSE_DIM + self.judge_vectorizer.dimension, "judge"),
+            (self.judge_model.feature_dim, DENSE_DIM + self.rule_vectorizer.dimension, "judge"),
         ]
         for got, want, name in checks:
             if got != want:
                 raise ValueError(f"{name} model dimension {got} != expected {want}")
-        if self.judge_vectorizer != self.rule_vectorizer:
-            raise ValueError("rule and judge vectorizers differ; both must be the triple vectorizer")
-        self.judge_vectorizer = self.rule_vectorizer
+        seed = self.fingerprint.get("seed", check_count(self.seed, "training config seed"))
+        if type(seed) is not int or seed != self.seed:
+            raise ValueError(f"fingerprint: seed {seed!r} differs from config seed {self.seed}")
+
+    @property
+    def judge_vectorizer(self) -> TfidfModel:
+        """The judge's text vectorizer: the rule extractor's triple vectorizer."""
+        return self.rule_vectorizer
 
     @functools.cached_property
     def _kernel(self) -> np.ndarray:
@@ -114,23 +119,15 @@ class PedantsModel:
         return _stack(self.type_model, self.rule_model, self.judge_model)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "config": linear.config_dict(self.seed),
-            "fingerprint": self.fingerprint,
-            "type_extractor": {
-                "vectorizer": self.type_vectorizer.to_dict(),
-                "model": self.type_model.to_dict(),
-            },
-            "rule_extractor": {
-                "vectorizer": self.rule_vectorizer.to_dict(),
-                "model": self.rule_model.to_dict(),
-            },
-            "final_judge": {
-                "vectorizer": self.judge_vectorizer.to_dict(),
-                "model": self.judge_model.to_dict(),
-            },
-        }
+        out = {"format_version": BUNDLE_FORMAT_VERSION, "fingerprint": self.fingerprint}
+        out["config"] = linear.config_dict(self.seed)
+        vectorizers = (self.type_vectorizer, self.rule_vectorizer, self.rule_vectorizer)
+        models = (self.type_model, self.rule_model, self.judge_model)
+        for section, vec, model in zip(_SECTIONS, vectorizers, models):
+            # each model's config states the bundle's seed again
+            stored = {**model.to_dict(), "config": linear.config_dict(self.seed)}
+            out[section] = {"vectorizer": vec.to_dict(), "model": stored}
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PedantsModel":
@@ -138,33 +135,28 @@ class PedantsModel:
         if version != BUNDLE_FORMAT_VERSION:
             raise ValueError(f"unsupported bundle format_version: {version!r}")
         try:
-            model = cls(
-                type_vectorizer=TfidfModel.from_dict(data["type_extractor"]["vectorizer"]),
-                type_model=LinearModel.from_dict(data["type_extractor"]["model"]),
-                rule_vectorizer=TfidfModel.from_dict(data["rule_extractor"]["vectorizer"]),
-                rule_model=LinearModel.from_dict(data["rule_extractor"]["model"]),
-                judge_vectorizer=TfidfModel.from_dict(data["final_judge"]["vectorizer"]),
-                judge_model=LinearModel.from_dict(data["final_judge"]["model"]),
-                seed=linear.config_seed(data["config"]),
-                fingerprint=data.get("fingerprint", {}),
-                format_version=version,
-            )
+            seed = linear.config_seed(data["config"])
+            parts = []
+            for section in _SECTIONS:
+                vec_data, model_data = data[section]["vectorizer"], data[section]["model"]
+                parts += [TfidfModel.from_dict(vec_data), LinearModel.from_dict(model_data)]
+                # every seed a bundle states is the one it was trained with
+                stated = linear.config_seed(model_data["config"])
+                if stated != seed:
+                    raise ValueError(
+                        f"{section}.model.config: seed {stated!r} differs from config seed {seed}"
+                    )
+            type_vec, type_model, rule_vec, rule_model, judge_vec, judge_model = parts
+            if judge_vec != rule_vec:
+                raise ValueError(
+                    "rule and judge vectorizers differ; both must be the triple vectorizer"
+                )
+            fingerprint = data.get("fingerprint", {})
+            return cls(type_vec, type_model, rule_vec, rule_model, judge_model, seed, fingerprint)
         except TypeError as exc:  # a section that is not an object
             raise ValueError(f"malformed bundle: {exc}") from exc
         except KeyError as exc:
             raise ValueError(f"missing field {exc}") from exc
-        # every seed a bundle states is the one it was trained with
-        seeds = {
-            "type_extractor.model.config": model.type_model.seed,
-            "rule_extractor.model.config": model.rule_model.seed,
-            "final_judge.model.config": model.judge_model.seed,
-        }
-        if "seed" in model.fingerprint:
-            seeds["fingerprint"] = model.fingerprint["seed"]
-        for section, seed in seeds.items():
-            if type(seed) is not int or seed != model.seed:
-                raise ValueError(f"{section}: seed {seed!r} differs from config seed {model.seed}")
-        return model
 
     def to_json(self) -> str:
         # sort_keys + compact separators keep serialization byte-reproducible
@@ -242,7 +234,7 @@ def _score(prepared: Sequence[_Prepared], model: PedantsModel) -> tuple[Batch, n
     under the model's stacked kernel."""
     pairs = [vectorizer._pair(p.question, p.references[p.ref_index]) for p in prepared]
     triples = [vectorizer._triple(pair, p.candidate) for pair, p in zip(pairs, prepared)]
-    block = vectorizer._encode((pairs, model.type_vectorizer), (triples, model.judge_vectorizer))
+    block = vectorizer._encode((pairs, model.type_vectorizer), (triples, model.rule_vectorizer))
     return block, linear._scores(model._kernel, block)
 
 
@@ -267,7 +259,7 @@ def _fit_extractor(
     on it; returns the vocabulary, the model and the block."""
     tfidf = vectorizer.fit(docs)
     block = vectorizer._encode((docs, tfidf))
-    model = linear.train(block, labels, tfidf.dimension, n_classes, seed)
+    model = linear.train(block, labels, n_classes, seed)
     return tfidf, model, block
 
 
@@ -349,18 +341,10 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     # the encodings are not needed by the judge's fit, where memory peaks
     del pairs, triples, kernels, scores
     labels = [int(ex.human_label) for ex in train_set]
-    judge_model = linear.train(inputs, labels, DENSE_DIM + triple_vec.dimension, 2, seed)
+    judge_model = linear.train(inputs, labels, 2, seed)
 
-    return PedantsModel(
-        type_vectorizer=type_vec,
-        type_model=type_model,
-        rule_vectorizer=triple_vec,
-        rule_model=rule_model,
-        judge_vectorizer=triple_vec,
-        judge_model=judge_model,
-        seed=seed,
-        fingerprint=_corpus_fingerprint(train_set, seed),
-    )
+    models = type_vec, type_model, triple_vec, rule_model, judge_model
+    return PedantsModel(*models, seed, _corpus_fingerprint(train_set, seed))
 
 
 def _argmax(values: Sequence[float]) -> int:

@@ -64,7 +64,7 @@ def check_numbers(values, what: str) -> list:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class TfidfModel:
     """Fitted vocabulary and idf weights; immutable once fitted."""
 

@@ -140,7 +140,7 @@ def reference_train(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> 
             break
         prev_loss = loss
 
-    return linear.LinearModel(classes=n_classes, weights=best_weights, bias=best_bias, seed=seed)
+    return linear.LinearModel(weights=best_weights, bias=best_bias)
 
 
 def batch_of(rows, dim) -> vectorizer.Batch:
@@ -173,7 +173,7 @@ def train_vectors(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> li
     if n_classes is None:
         n_classes = max(2, max(labels) + 1)
     batch = batch_of([x for x, _ in examples], dim)
-    return linear.train(batch, labels, dim, n_classes, seed)
+    return linear.train(batch, labels, n_classes, seed)
 
 
 def batch_gd_predict(W, b, features) -> np.ndarray:

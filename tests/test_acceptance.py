@@ -122,7 +122,7 @@ def test_criterion_5_linear_model_oracle_equivalence():
     rng = np.random.default_rng(668)
     dim, n_inputs = 16, 100_000
     weights = rng.normal(scale=50.0, size=(7, dim))
-    proba_model = LinearModel(7, weights, rng.normal(size=7))
+    proba_model = LinearModel(weights, rng.normal(size=7))
     rows = []
     for _ in range(n_inputs):
         nnz = rng.integers(0, dim) + 1

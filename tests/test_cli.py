@@ -430,6 +430,20 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 1
 
 
+def test_a_key_error_is_a_bug_with_exit_2(dataset, monkeypatch, capsys):
+    # input errors reach main as ValueError, PedantsError or OSError; a
+    # KeyError is a fault of the program, shown with its traceback
+    import pedants.cli as cli
+
+    def faulty(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_sweep", faulty)
+    assert main(["sweep", "--dataset", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "KeyError: 'missing'" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "cpus+1", "1000000000", "two"])
 def test_workers_out_of_range_rejected_before_any_pool(value, dataset, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
@@ -733,14 +747,19 @@ def test_failed_judge_leaves_existing_out_unchanged(tmp_path, seed_bundle_path, 
 
 @pytest.mark.parametrize("command", ["train", "judge"])
 def test_unwritable_out_is_named_as_given(tmp_path, dataset, seed_bundle_path, command, capsys):
-    # the error names the --out path, not the temp file written beside it
-    out = tmp_path / "missing" / "out.json"
+    # the error names the --out path, not the temp file written beside it,
+    # under a missing directory and under a regular file alike
+    (tmp_path / "afile").write_text("")
     inputs = {"train": [], "judge": ["--model", str(seed_bundle_path), "--dataset", str(dataset)]}
-    assert main([command, *inputs[command], "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("pedants: error: ") and str(out) in err
-    assert ".tmp" not in err.replace(str(out), "")
-    assert not out.parent.exists()
+    for out, error in (
+        (tmp_path / "missing" / "out.json", "[Errno 2] No such file or directory"),
+        (tmp_path / "afile" / "out.json", "[Errno 20] Not a directory"),
+    ):
+        assert main([command, *inputs[command], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pedants: error: {error}: '{out}'\n"
+        assert not (tmp_path / "missing").exists()
+        assert (tmp_path / "afile").read_text() == ""
 
 
 def test_train_out_checked_before_the_fit(tmp_path, monkeypatch, capsys):
@@ -754,11 +773,15 @@ def test_train_out_checked_before_the_fit(tmp_path, monkeypatch, capsys):
     # model fitted, and the error names --out as given
     (tmp_path / "file").write_text("")
     monkeypatch.chdir(tmp_path)
-    for out in ("missing/x.json", str(tmp_path / "missing" / "x.json"), "file/x.json"):
+    for out, error in (
+        ("missing/x.json", "[Errno 2] No such file or directory"),
+        (str(tmp_path / "missing" / "x.json"), "[Errno 2] No such file or directory"),
+        ("file/x.json", "[Errno 20] Not a directory"),
+    ):
         for corpus in ([], ["--corpus", "no-such-corpus.jsonl"]):
             assert main(["train", *corpus, "--out", out]) == 1
             err = capsys.readouterr().err
-            assert err == f"pedants: error: [Errno 2] No such file or directory: '{out}'\n"
+            assert err == f"pedants: error: {error}: '{out}'\n"
     assert not (tmp_path / "missing").exists()
 
 

@@ -105,7 +105,7 @@ def _restricted(tfidf, keep):
 
 def _linear(model, cols, prefix=0):
     keep = list(range(prefix)) + [prefix + c for c in cols]
-    return LinearModel(model.classes, model.weights[:, keep].copy(), model.bias, model.seed)
+    return LinearModel(model.weights[:, keep].copy(), model.bias)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,6 @@ def sparse_model(seed_model):
         type_model=_linear(seed_model.type_model, pair_cols),
         rule_vectorizer=triple_vec,
         rule_model=_linear(seed_model.rule_model, triple_cols),
-        judge_vectorizer=triple_vec,
         judge_model=_linear(seed_model.judge_model, triple_cols, DENSE_DIM),
         seed=seed_model.seed,
     )

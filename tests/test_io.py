@@ -28,6 +28,34 @@ def test_open_atomic_replaces_on_success_and_keeps_target_on_failure(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"references": [None]},
+        {"references": [b"a"]},
+        {"question": 5},
+        {"candidate": None},
+        {"human_label": "yes"},
+        {"human_label": 1},
+        {"rule": "R1"},
+        {"qtype": "who"},
+        {"model_id": 7},
+        {"dataset_id": ["d"]},
+    ],
+)
+def test_constructor_checks_every_field(fields):
+    # the constructor, not only the record parser, rejects a mistyped field
+    with pytest.raises(ValueError):
+        QAExample(**{"question": "q", "references": ["a"], "candidate": "c", **fields})
+
+
+def test_seed_corpus_records_round_trip():
+    corpus = io.load_seed_corpus()
+    assert corpus
+    for ex in corpus:
+        assert QAExample.from_dict(ex.to_dict()) == ex
+
+
 def test_read_examples_round_trip(tmp_path):
     record = {
         "question": "Who?",

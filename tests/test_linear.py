@@ -81,16 +81,16 @@ def test_agrees_with_batch_gd_oracle_on_blobs():
 
 
 def test_zero_model_probabilities():
-    two = LinearModel(2, np.zeros((2, 3)), np.zeros(2))
+    two = LinearModel(np.zeros((2, 3)), np.zeros(2))
     x = _dense_to_sparse([1.0, 2.0, 0.0])
     assert _proba(two, x) == pytest.approx([0.5, 0.5], abs=1e-12)
-    seven = LinearModel(7, np.zeros((7, 3)), np.zeros(7))
+    seven = LinearModel(np.zeros((7, 3)), np.zeros(7))
     assert _proba(seven, x) == pytest.approx([1 / 7] * 7, abs=1e-12)
 
 
 def test_softmax_hand_oracle_on_one_hot_input():
     weights = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-    model = LinearModel(3, weights, np.zeros(3))
+    model = LinearModel(weights, np.zeros(3))
     probs = _proba(model, _dense_to_sparse([1.0, 0.0]))
     import math
 
@@ -100,9 +100,9 @@ def test_softmax_hand_oracle_on_one_hot_input():
 
 
 def test_predict_tie_break_and_argmax():
-    uniform = LinearModel(3, np.zeros((3, 2)), np.zeros(3))
+    uniform = LinearModel(np.zeros((3, 2)), np.zeros(3))
     assert _label(uniform, _dense_to_sparse([1.0, 1.0])) == 0  # ties -> lowest index
-    biased = LinearModel(2, np.zeros((2, 2)), np.array([0.0, 2.1972245773362196]))
+    biased = LinearModel(np.zeros((2, 2)), np.array([0.0, 2.1972245773362196]))
     x = _dense_to_sparse([0.0, 0.0])
     probs = _proba(biased, x)
     assert probs[1] == pytest.approx(0.9, abs=1e-9)
@@ -112,7 +112,7 @@ def test_predict_tie_break_and_argmax():
 def test_seven_class_dominant_input():
     weights = np.zeros((7, 7))
     np.fill_diagonal(weights, 5.0)
-    model = LinearModel(7, weights, np.zeros(7))
+    model = LinearModel(weights, np.zeros(7))
     for cls in range(7):
         one_hot = [0.0] * 7
         one_hot[cls] = 1.0
@@ -120,7 +120,7 @@ def test_seven_class_dominant_input():
 
 
 def test_probabilities_no_nan_even_for_huge_inputs():
-    model = LinearModel(2, np.array([[1e6, -1e6], [-1e6, 1e6]]), np.zeros(2))
+    model = LinearModel(np.array([[1e6, -1e6], [-1e6, 1e6]]), np.zeros(2))
     probs = _proba(model, _dense_to_sparse([1e6, 1e6]))
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -137,21 +137,21 @@ def test_train_checks_its_labels():
     # the trainer trusts its arrays, but not its labels
     batch = batch_of([([0], [1.0])] * 2, 1)
     with pytest.raises(ValueError, match="out of range for 2 classes"):
-        train(batch, [0, 2], 1, 2)
+        train(batch, [0, 2], 2)
     with pytest.raises(ValueError, match="3 labels for 2 examples"):
-        train(batch, [0, 1, 1], 1, 2)
+        train(batch, [0, 1, 1], 2)
     with pytest.raises(ValueError, match="no training examples"):
-        train(batch_of([], 1), [], 1, 2)
+        train(batch_of([], 1), [], 2)
     with pytest.raises(SingleClassCorpus):
-        train(batch, [1, 1], 1, 2)
-    assert train(batch, [0, 1], 1, 7).classes == 7
+        train(batch, [1, 1], 2)
+    assert train(batch, [0, 1], 7).classes == 7
 
 
 def test_dimension_mismatch_on_predict():
     # predict_proba checks its batch: a ValueError names the model's
     # dimension for a batch of another dimension, a negative column or a
     # value that is not finite
-    model = LinearModel(2, np.zeros((2, 3)), np.zeros(2))
+    model = LinearModel(np.zeros((2, 3)), np.zeros(2))
     one = np.zeros(1, np.intp)
     bad = [
         batch_of([([0], [1.0])], 1),  # a smaller vectorizer's: its bias in column 1
@@ -175,7 +175,7 @@ def test_predict_proba_scores_a_batch_of_any_size():
     # (rows, C) probabilities, each row with the bits it has alone, and a
     # batch of no rows gives (0, C)
     rng = np.random.default_rng(5)
-    model = LinearModel(7, rng.normal(0.0, 3.0, (7, 6)), rng.normal(0.0, 1.0, 7))
+    model = LinearModel(rng.normal(0.0, 3.0, (7, 6)), rng.normal(0.0, 1.0, 7))
     rows = [_dense_to_sparse(rng.normal(0.0, 2.0, 6) * (rng.random(6) < 0.5)) for _ in range(9)]
     probs = predict_proba(model, batch_of(rows, 6))
     assert probs.shape == (9, 7)
@@ -192,7 +192,6 @@ def test_serialization_round_trip_bit_exact():
     clone = LinearModel.from_dict(model.to_dict())
     assert np.array_equal(clone.weights, model.weights)
     assert np.array_equal(clone.bias, model.bias)
-    assert clone.seed == model.seed
 
 
 def test_feature_scaling_keeps_argmax_on_separable_data():
@@ -260,7 +259,7 @@ def test_train_matches_reference_trainer_bit_for_bit(
     assert model.to_dict() == reference.to_dict()
     # scoring reads its own copy of the weights, so their layout cannot move
     # a probability's bits
-    fortran = LinearModel(model.classes, np.asfortranarray(model.weights), model.bias, seed)
+    fortran = LinearModel(np.asfortranarray(model.weights), model.bias)
     assert not fortran.weights.flags["C_CONTIGUOUS"]
     batch = batch_of([x for x, _ in examples], 40)
     assert predict_proba(fortran, batch).tobytes() == predict_proba(model, batch).tobytes()

@@ -335,16 +335,41 @@ def test_differing_vectorizers_rejected(seed_model):
     idf = list(rule.idf)
     idf[0] *= 2
     other = TfidfModel(dict(rule.vocabulary), idf, rule.doc_count)
-    with pytest.raises(ValueError, match="vectorizers differ"):
-        dataclasses.replace(seed_model, judge_vectorizer=other)
     data = seed_model.to_dict()
     data["final_judge"]["vectorizer"] = other.to_dict()
     with pytest.raises(ValueError, match="vectorizers differ"):
         PedantsModel.from_dict(data)
-    # an equal copy is replaced by the rule extractor's object
-    copy = TfidfModel.from_dict(rule.to_dict())
-    model = dataclasses.replace(seed_model, judge_vectorizer=copy)
-    assert model.judge_vectorizer is model.rule_vectorizer is rule
+
+
+def test_every_constructible_model_saves_a_loadable_bundle(seed_model, tmp_path):
+    # a model holds each fitted fact once, so a variant either fails to
+    # construct or saves a bundle that loads and saves again to its bytes
+    variants = [
+        {"seed": 1},  # its fingerprint states 668
+        {"seed": 668},
+        {"seed": 1, "fingerprint": {}},
+        {"fingerprint": {}},
+        {"fingerprint": {"seed": 5}},
+        {"fingerprint": {"seed": 668, "x": 1}},
+        {"seed": -1, "fingerprint": {}},  # no bundle states a negative seed
+    ]
+    path = tmp_path / "bundle.json"
+    loaded = []
+    for changes in variants:
+        try:
+            model = dataclasses.replace(seed_model, **changes)
+        except ValueError:
+            continue
+        model.save(path)
+        saved = path.read_bytes()
+        PedantsModel.load(path).save(path)
+        assert path.read_bytes() == saved
+        loaded.append(changes)
+    assert loaded == [variants[i] for i in (1, 2, 3, 5)]
+    model = dataclasses.replace(seed_model)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.seed = 1
+    assert model.seed == 668
 
 
 def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
@@ -457,8 +482,9 @@ def test_stacked_kernel_scores_like_a_kernel_per_model(bundle, request, seed_cor
 def test_lazy_scale_trainer_judges_like_the_eager_oracle(seed_corpus, seed_model, monkeypatch):
     # the seed bundle trained by linear.train and by the eager-decay oracle
     # give the same verdicts on its own corpus
-    def eager(batch, labels, dim, n_classes, seed):
+    def eager(batch, labels, n_classes, seed):
         examples = list(zip(batch.rows(), labels, strict=True))
+        dim = int(batch.indices[-1])  # the bias column closes the batch
         return reference_train(examples, dim, seed=seed, n_classes=n_classes)
 
     monkeypatch.setattr(linear, "train", eager)
