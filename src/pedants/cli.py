@@ -29,8 +29,8 @@ from . import io
 from .errors import DatasetError, PedantsError
 from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .io import DEFAULT_SEED, QAExample
-from .metrics import _best_bag, best_reference
-from .textnorm import PEDANTS_POLICY, POLICY_PRESETS, bag, normalize
+from .metrics import _best_tokens, best_reference
+from .textnorm import PEDANTS_POLICY, POLICY_PRESETS, tokens
 
 # pipeline loads numpy, so only the pedants metric and train import it; the
 # string metrics, pre-judged eval, sweep and rank --rates start without it
@@ -89,14 +89,14 @@ class Judger:
             candidate, references = prepared.candidate, prepared.references
             best = prepared.ref_index, prepared.scores
         elif "em" in self.metrics or "f1" in self.metrics:
-            candidate = normalize(example.candidate, self.policy).split()
-            references = (normalize(ref, self.policy).split() for ref in example.references)
+            candidate = tokens(example.candidate, self.policy)
+            references = (tokens(ref, self.policy) for ref in example.references)
         if "f1" in self.metrics:
             references = list(references)
         if "em" in self.metrics:  # token lists are equal where their joins are
             records["em"] = {"correct": candidate in references}
         if "f1" in self.metrics:
-            idx, scores = best or _best_bag(bag(candidate), [bag(ref) for ref in references])
+            idx, scores = best or _best_tokens(candidate, references)
             records["f1"] = {
                 "correct": scores.f1 >= self.threshold,
                 "f1": scores.f1,
@@ -233,8 +233,11 @@ def _report_paths(out: str | None, stem: str) -> tuple[Path, ...]:
     return paths
 
 
-def _write_report(paths: tuple[Path, ...], rows: list[dict]) -> None:
-    """Write rows to the report paths of ``_report_paths``, if any."""
+def _write_report(paths: tuple[Path, ...], rows: list[dict], line: str) -> None:
+    """Print each row as ``line``, a format string over the row's keys, then
+    write the rows to the report paths of ``_report_paths``, if any."""
+    for row in rows:
+        print(line.format_map(row))
     if paths:
         csv_path, json_path = paths
         csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -359,12 +362,9 @@ def cmd_eval(args) -> int:
         }
         for name in names
     ]
-    for row in rows:
-        print(
-            f"{row['metric']:>8}: accuracy={row['accuracy']:.4f} "
-            f"macro_f1={row['macro_f1']:.4f} n={row['examples']}"
-        )
-    _write_report(report, rows)
+    _write_report(
+        report, rows, "{metric:>8}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f} n={examples}"
+    )
     return 0
 
 
@@ -413,12 +413,8 @@ def cmd_rank(args) -> int:
         }
         for name in names
     ]
-    for row in rows:
-        print(
-            f"{row['metric']:>8}: pairwise_ranking_accuracy="
-            f"{row['pairwise_ranking_accuracy']:.4f} models={row['models']}"
-        )
-    _write_report(report, rows)
+    line = "{metric:>8}: pairwise_ranking_accuracy={pairwise_ranking_accuracy:.4f} models={models}"
+    _write_report(report, rows, line)
     return 0
 
 
@@ -440,12 +436,9 @@ def cmd_sweep(args) -> int:
         }
         for row in rows
     ]
-    for row in table:
-        print(
-            f"threshold={row['threshold']:.2f}: accuracy={row['accuracy']:.4f} "
-            f"macro_f1={row['macro_f1']:.4f}"
-        )
-    _write_report(report, table)
+    _write_report(
+        report, table, "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
+    )
     return 0
 
 

@@ -72,6 +72,14 @@ class LinearModel:
     weights: np.ndarray  # (C, D)
     bias: np.ndarray  # (C,)
 
+    def __post_init__(self):
+        """The one check of a model's values, trained, built or loaded: a
+        bias per class, and every weight and bias finite."""
+        if self.bias.shape != (self.classes,):
+            raise ValueError(f"model has {self.bias.size} biases, expected {self.classes}")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise ValueError("model weights and biases must be finite")
+
     @property
     def classes(self) -> int:
         return int(self.weights.shape[0])
@@ -90,7 +98,8 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearModel":
-        """Load a trained model, rejecting misshapen or non-finite parameters."""
+        """Load a trained model from its JSON, checking the shape of the
+        JSON; the constructor checks the values."""
         classes = check_count(data["classes"], "linear model classes")
         dim = check_count(data["dim"], "linear model dim")
         weights = check_numbers(data["weights"], "linear model weights")
@@ -102,10 +111,6 @@ class LinearModel:
             raise ValueError(f"malformed linear model: {exc}") from exc
         if weights.shape != (classes * dim,):
             raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")
-        if bias.shape != (classes,):
-            raise ValueError(f"model has {bias.size} biases, expected {classes}")
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValueError("model weights and biases must be finite")
         return cls(weights=weights.reshape(classes, dim), bias=bias)
 
 

@@ -1,17 +1,20 @@
-"""Exact match, token precision/recall/F1, and threshold judging.
+"""Exact match and token precision/recall/F1 against the best reference.
 
-Token overlap is a multiset (bag) intersection: duplicate tokens count once
-per surviving copy. With duplicate-free answers this degrades to plain set
+Both read normalized token lists (``textnorm.tokens``), and one kernel,
+``_best_tokens``, scores a candidate's list against each reference's. Token
+overlap is a multiset (bag) intersection: duplicate tokens count once per
+surviving copy. With duplicate-free answers this degrades to plain set
 overlap, matching the usual short-answer convention.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyReferences
-from .textnorm import EM_POLICY, NormPolicy, TokenBag, normalize, tokenize
+from .textnorm import EM_POLICY, NormPolicy, normalize, tokens
 
 
 @dataclass(frozen=True)
@@ -21,23 +24,6 @@ class PrfScores:
     precision: float
     recall: float
     f1: float
-
-    @classmethod
-    def from_pr(cls, precision: float, recall: float) -> "PrfScores":
-        if precision + recall == 0:
-            return cls(precision, recall, 0.0)
-        return cls(precision, recall, 2 * precision * recall / (precision + recall))
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """A correctness cutoff: a score is judged correct when score >= value."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.value}")
 
 
 def exact_match(candidate: str, references: Sequence[str], policy: NormPolicy = EM_POLICY) -> bool:
@@ -50,30 +36,30 @@ def exact_match(candidate: str, references: Sequence[str], policy: NormPolicy = 
     return any(cand == normalize(ref, policy) for ref in references)
 
 
-def _bag_prf(cand: TokenBag, ref: TokenBag) -> PrfScores:
-    """Bag-overlap precision/recall/F1 of two tokenized, normalized strings."""
-    if not cand.tokens and not ref.tokens:
-        return PrfScores(1.0, 1.0, 1.0)
-    if not cand.tokens or not ref.tokens:
-        return PrfScores(0.0, 0.0, 0.0)
-    # the multiset intersection size, walking the smaller bag
-    small, large = cand.counts, ref.counts
-    if len(small) > len(large):
-        small, large = large, small
-    overlap = 0
-    for tok, n in small.items():
-        m = large.get(tok, 0)
-        overlap += n if n < m else m
-    return PrfScores.from_pr(overlap / len(cand.tokens), overlap / len(ref.tokens))
-
-
-def _best_bag(cand: TokenBag, refs: Sequence[TokenBag]) -> tuple[int, PrfScores]:
-    """Index and scores of the F1-maximizing reference bag; ties keep the first."""
-    best_idx = 0
-    best = _bag_prf(cand, refs[0])
-    for i, ref in enumerate(refs[1:], start=1):
-        scores = _bag_prf(cand, ref)
-        if scores.f1 > best.f1:
+def _best_tokens(
+    candidate: Sequence[str], references: Sequence[Sequence[str]]
+) -> tuple[int, PrfScores]:
+    """Index and bag-overlap scores of the reference token list (one or
+    more) with the highest F1 against the candidate's; ties keep the first.
+    Two empty lists agree vacuously (all ones); one empty list scores zero."""
+    counts = Counter(candidate)
+    best_idx, best = 0, None
+    for i, ref in enumerate(references):
+        if not candidate or not ref:
+            value = 0.0 if candidate or ref else 1.0
+            scores = PrfScores(value, value, value)
+        else:
+            # the multiset intersection size, walking the smaller bag
+            small, large = counts, Counter(ref)
+            if len(small) > len(large):
+                small, large = large, small
+            overlap = 0
+            for tok, n in small.items():
+                m = large.get(tok, 0)
+                overlap += n if n < m else m
+            p, r = overlap / len(candidate), overlap / len(ref)
+            scores = PrfScores(p, r, 2 * p * r / (p + r) if overlap else 0.0)
+        if best is None or scores.f1 > best.f1:
             best_idx, best = i, scores
     return best_idx, best
 
@@ -85,7 +71,7 @@ def token_prf(candidate: str, reference: str, policy: NormPolicy = EM_POLICY) ->
     reference's. Two empty strings agree vacuously (all ones); exactly one
     empty string scores zero.
     """
-    return _bag_prf(tokenize(normalize(candidate, policy)), tokenize(normalize(reference, policy)))
+    return _best_tokens(tokens(candidate, policy), [tokens(reference, policy)])[1]
 
 
 def best_reference(
@@ -99,12 +85,5 @@ def best_reference(
         raise ValueError("best_reference needs a sequence of references, not one string")
     if not references:
         raise EmptyReferences("best_reference needs at least one reference")
-    return _best_bag(
-        tokenize(normalize(candidate, policy)),
-        [tokenize(normalize(ref, policy)) for ref in references],
-    )
+    return _best_tokens(tokens(candidate, policy), [tokens(ref, policy) for ref in references])
 
-
-def threshold_judge(scores: PrfScores, threshold: Threshold) -> bool:
-    """Judge correctness by comparing F1 against an at-least cutoff."""
-    return scores.f1 >= threshold.value

@@ -32,8 +32,8 @@ from . import linear, vectorizer
 from .errors import MissingAnnotations
 from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
-from .metrics import PrfScores, _best_bag
-from .textnorm import PEDANTS_POLICY, bag, tokens
+from .metrics import PrfScores, _best_tokens
+from .textnorm import PEDANTS_POLICY, tokens
 from .vectorizer import Batch, TfidfModel, check_count
 
 BUNDLE_FORMAT_VERSION = "1"
@@ -194,7 +194,7 @@ def _prepare(example: QAExample) -> _Prepared:
     question = tokens(example.question, PEDANTS_POLICY)
     candidate = tokens(example.candidate, PEDANTS_POLICY)
     references = [tokens(ref, PEDANTS_POLICY) for ref in example.references]
-    ref_idx, scores = _best_bag(bag(candidate), [bag(ref) for ref in references])
+    ref_idx, scores = _best_tokens(candidate, references)
     return _Prepared(question, references, candidate, ref_idx, scores)
 
 

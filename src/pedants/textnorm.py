@@ -1,10 +1,11 @@
-"""Deterministic text normalization, tokenization, and lemmatization.
+"""Deterministic text normalization into token lists, and lemmatization.
 
 Every downstream metric and encoder funnels strings through this module so
 that reference and candidate answers are always processed identically.
 Normalization is idempotent: applying a policy twice gives the same string
-as applying it once. Metrics and encoders read ``tokens``, the list whose
-join by single spaces is ``normalize``'s string.
+as applying it once. Metrics and encoders read plain token lists from
+``tokens``, the list whose join by single spaces is ``normalize``'s string;
+the metrics count them where they score them.
 
 Each step runs in C where it can. NFC and lowercasing run on the whole
 string, which is then split into tokens on whitespace: only a token that is
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b", re.IGNORECASE)
 
@@ -82,17 +82,6 @@ POLICY_PRESETS: dict[str, NormPolicy] = {
     "em": EM_POLICY,
     "pedants": PEDANTS_POLICY,
 }
-
-
-@dataclass
-class TokenBag:
-    """Ordered tokens plus their multiplicities."""
-
-    tokens: tuple[str, ...]
-    counts: Counter[str]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 # Irregular plurals and words the suffix rules would mangle. Entries whose
@@ -193,11 +182,3 @@ def tokens(text: str, policy: NormPolicy) -> list[str]:
     normalization runs through ``normalize``, where it is timed and counted."""
     return normalize(text, policy).split()
 
-
-def bag(token_list: Sequence[str]) -> TokenBag:
-    return TokenBag(tokens=tuple(token_list), counts=Counter(token_list))
-
-
-def tokenize(text: str) -> TokenBag:
-    """Split a normalized string on whitespace runs into a token bag."""
-    return bag(text.split())

@@ -72,6 +72,15 @@ class TfidfModel:
     idf: list[float]
     doc_count: int
 
+    def __post_init__(self):
+        """The one check of a model's values, fitted, built or loaded: an
+        idf weight per token, each finite and positive."""
+        n_idf, n_tokens = len(self.idf), len(self.vocabulary)
+        if n_idf != n_tokens:
+            raise ValueError(f"vectorizer has {n_idf} idf weights for {n_tokens} tokens")
+        if not all(0 < w < math.inf for w in self.idf):  # NaN compares false
+            raise ValueError("vectorizer idf weights must be finite and positive")
+
     @property
     def dimension(self) -> int:
         return len(self.vocabulary)
@@ -91,7 +100,8 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfidfModel":
-        """Load a fitted model, rejecting one no fit could have produced."""
+        """Load a fitted model from its JSON, checking the shape of the
+        JSON; the constructor checks the values."""
         version = data.get("version") if isinstance(data, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported vectorizer format: {version!r}")
@@ -105,13 +115,9 @@ class TfidfModel:
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
         doc_count = check_count(data["doc_count"], "vectorizer doc_count")
-        if idf.shape != (len(vocab),):
-            raise ValueError(f"vectorizer has {idf.size} idf weights for {len(vocab)} tokens")
         vocabulary = {tok: i for i, tok in enumerate(vocab)}
         if len(vocabulary) != len(vocab):
             raise ValueError("vectorizer vocabulary has duplicate tokens")
-        if not (np.isfinite(idf).all() and (idf > 0).all()):
-            raise ValueError("vectorizer idf weights must be finite and positive")
         return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count)
 
 

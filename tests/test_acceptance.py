@@ -15,7 +15,7 @@ from oracles import batch_gd_predict, batch_gd_train, batch_of, pairwise_agreeme
 from pedants.cli import main
 from pedants.harness import RankingInput, likert_to_binary, pairwise_ranking_accuracy, threshold_sweep
 from pedants.linear import LinearModel, predict_proba
-from pedants.metrics import PrfScores, Threshold, exact_match, threshold_judge, token_prf
+from pedants.metrics import exact_match, token_prf
 from pedants.pipeline import QAExample, QuestionType, RuleLabel, judge, train_pedants
 
 TOL = 1e-9
@@ -57,10 +57,21 @@ def test_criterion_2_exact_match_behavior():
     _report("2 exact-match behavior")
 
 
-def test_criterion_3_threshold_semantics():
-    scores = PrfScores(0.4, 0.4, 0.4)
-    assert threshold_judge(scores, Threshold(0.3))
-    assert not threshold_judge(scores, Threshold(0.5))
+def test_criterion_3_threshold_semantics(tmp_path):
+    # at-least: an F1 equal to the cutoff is judged correct, by the sweep
+    # and by judge --metric f1
+    rows = threshold_sweep([(0.5, True)], [0.4, 0.5, 0.6])
+    assert [row.accuracy for row in rows] == [1.0, 1.0, 0.0]
+    dataset = tmp_path / "biden.jsonl"
+    record = {"question": "Who?", "references": ["Joe Biden"], "candidate": "Joseph Biden"}
+    dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for cutoff, correct in [("0.4", True), ("0.5", True), ("0.6", False)]:
+        out = tmp_path / f"judged-{cutoff}.jsonl"
+        args = ["judge", "--metric", "f1", "--threshold", cutoff, "--dataset", str(dataset)]
+        assert main([*args, "--out", str(out)]) == 0
+        (judged,) = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert (judged["f1"], judged["threshold"]) == (0.5, float(cutoff))
+        assert judged["correct"] is correct
 
     # sweep rows are piecewise-constant with breakpoints only at observed F1s
     rng = random.Random(668)

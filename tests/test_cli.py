@@ -949,6 +949,7 @@ def test_eval_reads_a_pipe():
 def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkeypatch):
     import pedants.cli as cli
     import pedants.metrics as metrics
+    import pedants.textnorm as textnorm
 
     calls = []
 
@@ -956,7 +957,7 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
         calls.append(text)
         return normalize(text, policy)
 
-    monkeypatch.setattr(cli, "normalize", counted)
+    monkeypatch.setattr(textnorm, "normalize", counted)
     monkeypatch.setattr(metrics, "normalize", counted)
     em = cli.Judger(["em"], norm, 0.5, None)
     f1 = cli.Judger(["f1"], norm, 0.5, None)
@@ -999,7 +1000,6 @@ def test_string_metrics_share_the_judges_preparation(
         return normalize(text, policy)
 
     monkeypatch.setattr(textnorm, "normalize", counted)
-    monkeypatch.setattr(cli, "normalize", counted)
     dataset = tmp_path / "seed.jsonl"
     dataset.write_text("".join(json.dumps(ex.to_dict()) + "\n" for ex in seed_corpus))
     args = ["eval", "--model", str(seed_bundle_path), "--dataset", str(dataset), "--norm", norm]

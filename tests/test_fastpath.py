@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import first_max_reference, per_call_judge
+from pedants.cli import Judger
 from pedants.io import load_seed_corpus
 from pedants.linear import LinearModel
-from pedants.metrics import best_reference
+from pedants.metrics import best_reference, exact_match
 from pedants.pipeline import DENSE_DIM, PedantsModel, QAExample, judge, judge_batch
-from pedants.textnorm import EM_POLICY, PEDANTS_POLICY
+from pedants.textnorm import EM_POLICY, PEDANTS_POLICY, POLICY_PRESETS
 from pedants.vectorizer import TfidfModel, encode_pair, encode_triple
 
 CONFIDENCE_TOL = 1e-12
@@ -93,6 +94,30 @@ def test_generated_examples_match_per_call_judge(seed_model, ex):
 def test_best_reference_is_first_max_token_prf(policy, candidate, refs):
     assert best_reference(candidate, refs, policy) == first_max_reference(candidate, refs, policy)
 
+
+
+@pytest.mark.parametrize("norm", ["em", "pedants"])
+@SETTINGS
+@given(ex=examples(), threshold=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+def test_cli_string_records_are_exact_match_and_best_reference(seed_model, norm, ex, threshold):
+    # the CLI's em and f1 records hold what the public metrics give, scored
+    # alone or beside the pedants judge, which prepares them under its policy
+    policy = POLICY_PRESETS[norm]
+    idx, scores = best_reference(ex.candidate, ex.references, policy)
+    want = {
+        "em": {"correct": exact_match(ex.candidate, ex.references, policy)},
+        "f1": {
+            "correct": scores.f1 >= threshold,
+            "f1": scores.f1,
+            "precision": scores.precision,
+            "recall": scores.recall,
+            "threshold": threshold,
+            "reference_index": idx,
+        },
+    }
+    assert Judger(["em", "f1"], norm, threshold, None)([ex]) == [want]
+    (records,) = Judger(["em", "f1", "pedants"], norm, threshold, seed_model)([ex])
+    assert {name: records[name] for name in want} == want
 
 def _restricted(tfidf, keep):
     """The vectorizer cut down to the kept tokens, and the old column of

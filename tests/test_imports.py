@@ -25,12 +25,8 @@ EXPORTS = {
         "pairwise_ranking_accuracy", "threshold_sweep",
     ],
     "io": ["QAExample", "QuestionType", "RuleLabel"],
-    "metrics": [
-        "PrfScores", "Threshold", "best_reference", "exact_match", "threshold_judge", "token_prf",
-    ],
-    "textnorm": [
-        "EM_POLICY", "PEDANTS_POLICY", "POLICY_PRESETS", "NormPolicy", "normalize", "tokenize",
-    ],
+    "metrics": ["PrfScores", "best_reference", "exact_match", "token_prf"],
+    "textnorm": ["EM_POLICY", "PEDANTS_POLICY", "POLICY_PRESETS", "NormPolicy", "normalize"],
     "linear": ["LinearModel", "predict_proba"],
     "pipeline": [
         "Judgment", "PedantsModel", "assemble_features", "judge", "judge_batch", "train_pedants",

@@ -3,14 +3,7 @@ import random
 import pytest
 
 from pedants.errors import EmptyReferences
-from pedants.metrics import (
-    PrfScores,
-    Threshold,
-    best_reference,
-    exact_match,
-    threshold_judge,
-    token_prf,
-)
+from pedants.metrics import PrfScores, best_reference, exact_match, token_prf
 from pedants.textnorm import EM_POLICY, PEDANTS_POLICY
 
 
@@ -141,15 +134,3 @@ def test_best_reference_rejects_a_bare_string_of_references():
     with pytest.raises(ValueError, match="not one string"):
         best_reference("e", "Joe Biden")
 
-
-def test_threshold_judge_boundary():
-    assert threshold_judge(PrfScores(0.5, 0.5, 0.5), Threshold(0.5))  # at-least
-    assert not threshold_judge(PrfScores(0.4, 0.4, 0.4), Threshold(0.5))
-    assert threshold_judge(PrfScores(0.4, 0.4, 0.4), Threshold(0.3))
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        Threshold(1.5)
-    with pytest.raises(ValueError):
-        Threshold(-0.1)

@@ -372,6 +372,32 @@ def test_every_constructible_model_saves_a_loadable_bundle(seed_model, tmp_path)
     assert model.seed == 668
 
 
+
+def _nan_weight(model):
+    weights = model.weights.copy()
+    weights[0, 0] = np.nan
+    return linear.LinearModel(weights, model.bias)
+
+
+@pytest.mark.parametrize(
+    "section, bad, message",
+    [
+        ("judge_model", lambda m: linear.LinearModel(m.weights, np.zeros(3)),
+         "model has 3 biases, expected 2"),
+        ("judge_model", _nan_weight, "model weights and biases must be finite"),
+        ("rule_vectorizer", lambda v: TfidfModel(v.vocabulary, [-1.0, *v.idf[1:]], v.doc_count),
+         "idf weights must be finite and positive"),
+        ("type_vectorizer", lambda v: TfidfModel(v.vocabulary, [1.0], v.doc_count),
+         "vectorizer has 1 idf weights for 314 tokens"),
+    ],
+    ids=["bias-of-3-in-binary-judge", "nan-weight", "negative-idf", "one-idf-for-314-tokens"],
+)
+def test_a_model_load_would_reject_does_not_construct(seed_model, section, bad, message):
+    # each of these once constructed and saved a bundle that load rejected
+    # with this message; the models' constructors now check what load checked
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(seed_model, **{section: bad(getattr(seed_model, section))})
+
 def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
     calls = []  # the vectorizer of each document encoded, in order
     encode = vectorizer._encode
