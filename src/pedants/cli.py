@@ -309,8 +309,7 @@ def cmd_train(args) -> int:
 
 def cmd_judge(args) -> int:
     judger = _build_judger([args.metric], args)
-    dataset = io.DatasetFile(args.dataset)
-    examples = (ex for _, ex in dataset.records(skip_bad=args.skip_bad, on_skip=_report_skip))
+    examples = (ex for _, ex in io.iter_examples(args.dataset, args.skip_bad, _report_skip))
     records = (r[args.metric] for _, r in _map_ordered(judger, examples, args.workers))
     started = time.perf_counter()
     with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
@@ -329,29 +328,26 @@ def cmd_eval(args) -> int:
     if first is None:
         raise PedantsError(f"no records in {args.dataset}")
     records = itertools.chain([first], records)
-    if first[1] is not None:
+    prejudged, requested = first[1] is not None, None
+    if not prejudged:
+        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
+        judger = _build_judger(names, args)
+        records = _map_ordered(judger.verdicts, (ex for ex, _ in records), args.workers)
+    elif args.metric is not None:
         # verdicts were computed elsewhere, possibly by metrics this package
         # does not implement; filter by name only
-        requested = None if args.metric is None else set(_metric_names(args.metric))
-        counts: dict[str, ConfusionCounts] = {}
-        for example, verdicts in records:
-            for name, verdict in verdicts.items():
-                if requested is not None and name not in requested:
-                    continue
+        requested = set(_metric_names(args.metric))
+    counts: dict[str, ConfusionCounts] = {}
+    for example, verdicts in records:
+        for name, verdict in verdicts.items():
+            if requested is None or name in requested:
                 counts.setdefault(name, ConfusionCounts()).update(
                     bool(example.human_label), verdict
                 )
-        if not counts:
-            raise PedantsError("no verdicts matched the requested metrics")
+    if not counts:
+        raise PedantsError("no verdicts matched the requested metrics")
+    if prejudged:
         names = sorted(counts)
-    else:
-        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
-        judger = _build_judger(names, args)
-        counts = {name: ConfusionCounts() for name in names}
-        labeled = (ex for ex, _ in records)
-        for example, verdicts in _map_ordered(judger.verdicts, labeled, args.workers):
-            for name in names:
-                counts[name].update(bool(example.human_label), verdicts[name])
 
     rows = [
         {

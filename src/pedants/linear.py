@@ -104,11 +104,6 @@ class LinearModel:
         dim = check_count(data["dim"], "linear model dim")
         weights = check_numbers(data["weights"], "linear model weights")
         bias = check_numbers(data["bias"], "linear model bias")
-        try:
-            weights = np.array(weights, dtype=np.float64)
-            bias = np.array(bias, dtype=np.float64)
-        except OverflowError as exc:  # an integer past float64's range
-            raise ValueError(f"malformed linear model: {exc}") from exc
         if weights.shape != (classes * dim,):
             raise ValueError(f"model has {weights.size} weights, expected {classes}x{dim}")
         return cls(weights=weights.reshape(classes, dim), bias=bias)
@@ -210,15 +205,10 @@ def train(
         for i in rng.permutation(len(examples)).tolist():
             idx, vals = examples[i]
             rows = v.take(idx, axis=0)
-            # the softmax, in place on a preallocated buffer
             np.matmul(rows.T, vals, out=scores)
             np.multiply(scores, scale, out=scores)
             np.add(scores, bias, out=scores)
-            np.maximum(scores, -LOGIT_CLAMP, out=scores)
-            np.minimum(scores, LOGIT_CLAMP, out=scores)
-            np.subtract(scores, np.maximum.reduce(scores), out=scores)
-            np.exp(scores, out=scores)
-            np.divide(scores, np.add.reduce(scores), out=scores)
+            _softmax(scores)
             scores[ys[i]] -= 1.0  # the gradient of the loss in the scores
             np.multiply(eta, scores, out=scores)
             bias -= scores

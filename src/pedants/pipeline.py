@@ -158,12 +158,9 @@ class PedantsModel:
         except KeyError as exc:
             raise ValueError(f"missing field {exc}") from exc
 
-    def to_json(self) -> str:
-        # sort_keys + compact separators keep serialization byte-reproducible
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def save(self, path: str | Path) -> None:
-        # to_json's text, a top-level section at a time, to bound peak memory
+        # sorted keys and compact separators keep the bytes reproducible; a
+        # top-level section at a time bounds peak memory
         with open_atomic(path) as handle:
             for i, (key, value) in enumerate(sorted(self.to_dict().items())):
                 handle.write(("," if i else "{") + json.dumps(key) + ":")

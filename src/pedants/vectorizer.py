@@ -13,6 +13,7 @@ judged block's pairs and triples, each fit's documents, or the one row of
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,49 +52,59 @@ def check_count(value, what: str) -> int:
     return value
 
 
-def check_numbers(values, what: str) -> list:
-    """A bundle's array of numbers: a JSON array of JSON numbers only, not
-    strings, bools, nulls or nested values, which numpy would parse or
-    coerce. One C-level pass over the items."""
+def check_numbers(values, what: str) -> np.ndarray:
+    """A bundle's array of numbers as a float64 array: a JSON array of JSON
+    numbers only, not strings, bools, nulls or nested values, which numpy
+    would parse or coerce (checked in one C-level pass over the items), nor
+    an integer past float64's range."""
     if not isinstance(values, list):
         raise ValueError(f"malformed {what}: must be an array, got {type(values).__name__}")
     other = set(map(type, values)) - {int, float}
     if other:
         names = ", ".join(sorted(t.__name__ for t in other))
         raise ValueError(f"malformed {what}: must be numbers, got {names}")
-    return values
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class TfidfModel:
-    """Fitted vocabulary and idf weights; immutable once fitted."""
+    """Fitted tokens, in column order, and their idf weights; immutable once
+    fitted."""
 
-    vocabulary: dict[str, int]
+    tokens: tuple[str, ...]
     idf: list[float]
     doc_count: int
 
     def __post_init__(self):
-        """The one check of a model's values, fitted, built or loaded: an
-        idf weight per token, each finite and positive."""
-        n_idf, n_tokens = len(self.idf), len(self.vocabulary)
+        """The one check of a model's values, fitted, built or loaded:
+        distinct tokens, an idf weight per token, each finite and positive,
+        and a document count of at least 0."""
+        n_idf, n_tokens = len(self.idf), len(self.tokens)
         if n_idf != n_tokens:
             raise ValueError(f"vectorizer has {n_idf} idf weights for {n_tokens} tokens")
         if not all(0 < w < math.inf for w in self.idf):  # NaN compares false
             raise ValueError("vectorizer idf weights must be finite and positive")
+        if len(self.vocabulary) != n_tokens:
+            raise ValueError("vectorizer vocabulary has duplicate tokens")
+        check_count(self.doc_count, "vectorizer doc_count")
+
+    @functools.cached_property
+    def vocabulary(self) -> dict[str, int]:
+        """Each token's column."""
+        return {tok: col for col, tok in enumerate(self.tokens)}
 
     @property
     def dimension(self) -> int:
-        return len(self.vocabulary)
+        return len(self.tokens)
 
     def to_dict(self) -> dict:
-        # vocab list is ordered by column index, so the mapping round-trips
-        vocab = [None] * len(self.vocabulary)
-        for tok, col in self.vocabulary.items():
-            vocab[col] = tok
         return {
             "version": FORMAT_VERSION,
             "config": dict(_CONFIG),
-            "vocab": vocab,
+            "vocab": list(self.tokens),
             "idf": list(self.idf),
             "doc_count": self.doc_count,
         }
@@ -111,14 +122,10 @@ class TfidfModel:
         what = "vectorizer config (smoothed idf, L2 normalization, every token kept)"
         try:
             check_fixed(data["config"], _CONFIG, what)
-            idf = np.array(check_numbers(data["idf"], "vectorizer idf"), dtype=np.float64)
-        except (TypeError, OverflowError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed vectorizer: {exc}") from exc
-        doc_count = check_count(data["doc_count"], "vectorizer doc_count")
-        vocabulary = {tok: i for i, tok in enumerate(vocab)}
-        if len(vocabulary) != len(vocab):
-            raise ValueError("vectorizer vocabulary has duplicate tokens")
-        return cls(vocabulary=vocabulary, idf=idf.tolist(), doc_count=doc_count)
+        idf = check_numbers(data["idf"], "vectorizer idf").tolist()
+        return cls(tokens=tuple(vocab), idf=idf, doc_count=data["doc_count"])
 
 
 def fit(corpus: Iterable[Sequence[str]]) -> TfidfModel:
@@ -131,10 +138,9 @@ def fit(corpus: Iterable[Sequence[str]]) -> TfidfModel:
         n_docs += 1
     if not n_docs:
         raise EmptyCorpus("cannot fit a tf-idf model on an empty corpus")
-    tokens = sorted(df)
-    vocabulary = {tok: i for i, tok in enumerate(tokens)}
+    tokens = tuple(sorted(df))
     idf = [math.log((1 + n_docs) / (1 + df[tok])) + 1.0 for tok in tokens]
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
+    return TfidfModel(tokens=tokens, idf=idf, doc_count=n_docs)
 
 
 class Batch:

@@ -638,6 +638,13 @@ def test_console_entry_point_runs():
                      "weights", id="bool-weight"),
         pytest.param(lambda b: b["final_judge"]["model"].__setitem__("bias", [True, False]),
                      "bias", id="bool-biases"),
+        # an integer past float64's range, which numpy cannot convert
+        pytest.param(lambda b: b["final_judge"]["model"]["weights"].__setitem__(0, 10**400),
+                     "malformed linear model weights", id="huge-int-weight"),
+        pytest.param(lambda b: b["final_judge"]["model"]["bias"].__setitem__(1, 10**400),
+                     "malformed linear model bias", id="huge-int-bias"),
+        pytest.param(lambda b: b["type_extractor"]["vectorizer"]["idf"].__setitem__(0, 10**400),
+                     "malformed vectorizer idf", id="huge-int-idf"),
         # each part's seed, and the fingerprint's, is the bundle's config seed
         pytest.param(
             lambda b: b["type_extractor"]["model"]["config"].__setitem__("seed", 5),

@@ -122,10 +122,9 @@ def test_cli_string_records_are_exact_match_and_best_reference(seed_model, norm,
 def _restricted(tfidf, keep):
     """The vectorizer cut down to the kept tokens, and the old column of
     each new one."""
-    cols = sorted(col for tok, col in tfidf.vocabulary.items() if keep(tok))
-    token = {col: tok for tok, col in tfidf.vocabulary.items()}
-    vocab = {token[col]: i for i, col in enumerate(cols)}
-    return TfidfModel(vocab, [tfidf.idf[c] for c in cols], tfidf.doc_count), cols
+    cols = [col for col, tok in enumerate(tfidf.tokens) if keep(tok)]
+    kept = tuple(tfidf.tokens[c] for c in cols)
+    return TfidfModel(kept, [tfidf.idf[c] for c in cols], tfidf.doc_count), cols
 
 
 def _linear(model, cols, prefix=0):

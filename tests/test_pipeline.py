@@ -6,6 +6,8 @@ import pytest
 
 from oracles import batch_of, reference_train
 from pedants.errors import EmptyReferences, MissingAnnotations
+from pedants.harness import ConfusionCounts
+from pedants.metrics import best_reference, exact_match
 from pedants.pipeline import (
     DENSE_DIM,
     N_RULES,
@@ -226,9 +228,53 @@ def test_seed_training_accuracy(seed_corpus, seed_model):
     assert sum(verdicts) / len(verdicts) >= 0.90
 
 
-def test_training_is_byte_deterministic(seed_corpus):
-    a = train_pedants(seed_corpus).to_json()
-    b = train_pedants(seed_corpus).to_json()
+def test_held_out_agreement_with_humans(seed_corpus):
+    # Row i is held out in fold i mod 5 and judged by a bundle trained with
+    # the default seed on the other folds; em and f1 >= 0.5 read the row
+    # under the em preset, as the CLI's defaults do. 57 rows cannot
+    # separate a difference of one or two rows: these counts are pinned so
+    # that a change to them is seen, not as a ranking of the metrics.
+    k = 5
+    pedants = [None] * len(seed_corpus)
+    for fold in range(k):
+        held = range(fold, len(seed_corpus), k)
+        model = train_pedants([ex for i, ex in enumerate(seed_corpus) if i % k != fold])
+        for i, judgment in zip(held, judge_batch([seed_corpus[i] for i in held], model)):
+            pedants[i] = judgment.correct
+    counts = {}  # (metric, "all", rule or type) -> its confusion counts
+    for ex, verdict in zip(seed_corpus, pedants):
+        verdicts = {
+            "pedants": verdict,
+            "em": exact_match(ex.candidate, ex.references),
+            "f1": best_reference(ex.candidate, ex.references)[1].f1 >= 0.5,
+        }
+        for name, correct in verdicts.items():
+            for group in ("all", ex.rule.value, ex.qtype.value):
+                counts.setdefault((name, group), ConfusionCounts()).update(ex.human_label, correct)
+    agreed = {key: c.tp + c.tn for key, c in counts.items()}
+    assert counts["pedants", "all"].total == len(seed_corpus) == 57
+    assert [agreed[name, "all"] for name in ("pedants", "em", "f1")] == [35, 34, 37]
+    rules = [f"R{n}" for n in range(1, 8)]
+    assert [counts["em", rule].total for rule in rules] == [8, 8, 8, 9, 10, 6, 8]
+    assert [agreed["pedants", rule] for rule in rules] == [5, 7, 5, 6, 5, 6, 1]
+    assert [agreed["em", rule] for rule in rules] == [4, 8, 5, 4, 5, 6, 2]
+    assert [agreed["f1", rule] for rule in rules] == [6, 6, 6, 5, 6, 6, 2]
+    types = [t.value for t in QuestionType]  # who, why, how, what, when, where, which
+    assert [counts["em", qtype].total for qtype in types] == [7, 2, 6, 19, 6, 6, 11]
+    assert [agreed["pedants", qtype] for qtype in types] == [6, 1, 4, 12, 3, 4, 5]
+    assert [agreed["em", qtype] for qtype in types] == [4, 1, 4, 11, 5, 4, 5]
+    assert [agreed["f1", qtype] for qtype in types] == [7, 1, 4, 13, 3, 4, 5]
+
+
+def _saved(model, path) -> bytes:
+    """The bytes ``save`` writes for a model."""
+    model.save(path)
+    return path.read_bytes()
+
+
+def test_training_is_byte_deterministic(seed_corpus, tmp_path):
+    a = _saved(train_pedants(seed_corpus), tmp_path / "a.json")
+    b = _saved(train_pedants(seed_corpus), tmp_path / "b.json")
     assert a == b
 
 
@@ -282,10 +328,11 @@ def test_judge_determinism(seed_model):
 
 def test_bundle_save_load_round_trip(seed_corpus, seed_model, tmp_path):
     path = tmp_path / "bundle.json"
-    seed_model.save(path)
-    assert path.read_text(encoding="utf-8") == seed_model.to_json() + "\n"
+    saved = _saved(seed_model, path)
+    assert saved == (json.dumps(seed_model.to_dict(), sort_keys=True, separators=(",", ":"))
+                     + "\n").encode()
     loaded = PedantsModel.load(path)
-    assert loaded.to_json() == seed_model.to_json()
+    assert _saved(loaded, tmp_path / "again.json") == saved
     assert judge(Q1, loaded) == judge(Q1, seed_model)
     for ex in seed_corpus:
         assert judge(ex, loaded).to_dict() == judge(ex, seed_model).to_dict()
@@ -334,7 +381,7 @@ def test_differing_vectorizers_rejected(seed_model):
     rule = seed_model.rule_vectorizer
     idf = list(rule.idf)
     idf[0] *= 2
-    other = TfidfModel(dict(rule.vocabulary), idf, rule.doc_count)
+    other = TfidfModel(rule.tokens, idf, rule.doc_count)
     data = seed_model.to_dict()
     data["final_judge"]["vectorizer"] = other.to_dict()
     with pytest.raises(ValueError, match="vectorizers differ"):
@@ -385,12 +432,28 @@ def _nan_weight(model):
         ("judge_model", lambda m: linear.LinearModel(m.weights, np.zeros(3)),
          "model has 3 biases, expected 2"),
         ("judge_model", _nan_weight, "model weights and biases must be finite"),
-        ("rule_vectorizer", lambda v: TfidfModel(v.vocabulary, [-1.0, *v.idf[1:]], v.doc_count),
+        ("rule_vectorizer", lambda v: TfidfModel(v.tokens, [-1.0, *v.idf[1:]], v.doc_count),
          "idf weights must be finite and positive"),
-        ("type_vectorizer", lambda v: TfidfModel(v.vocabulary, [1.0], v.doc_count),
+        ("type_vectorizer", lambda v: TfidfModel(v.tokens, [1.0], v.doc_count),
          "vectorizer has 1 idf weights for 314 tokens"),
+        # two tokens on one column: the second token is the first again
+        ("type_vectorizer",
+         lambda v: TfidfModel((v.tokens[0], *v.tokens[:-1]), v.idf, v.doc_count),
+         "vectorizer vocabulary has duplicate tokens"),
+        ("rule_vectorizer", lambda v: TfidfModel(v.tokens, v.idf, -1),
+         "malformed vectorizer doc_count: must be an integer of at least 0, got -1"),
+        ("type_vectorizer", lambda v: TfidfModel(v.tokens, v.idf, True),
+         "malformed vectorizer doc_count: must be an integer of at least 0, got True"),
     ],
-    ids=["bias-of-3-in-binary-judge", "nan-weight", "negative-idf", "one-idf-for-314-tokens"],
+    ids=[
+        "bias-of-3-in-binary-judge",
+        "nan-weight",
+        "negative-idf",
+        "one-idf-for-314-tokens",
+        "two-tokens-on-one-column",
+        "negative-doc-count",
+        "bool-doc-count",
+    ],
 )
 def test_a_model_load_would_reject_does_not_construct(seed_model, section, bad, message):
     # each of these once constructed and saved a bundle that load rejected
@@ -417,7 +480,7 @@ def test_each_pair_and_triple_encoded_once(seed_corpus, monkeypatch):
     assert calls[0] is model.type_vectorizer and calls[1] is model.judge_vectorizer
 
 
-def test_fits_train_on_the_encoded_blocks(seed_corpus, seed_model, monkeypatch):
+def test_fits_train_on_the_encoded_blocks(seed_corpus, seed_model, monkeypatch, tmp_path):
     # the type and rule fits train on the very blocks the encoder returned,
     # and the judge's fit on one block of a row per example
     encoded, trained = [], []
@@ -433,7 +496,8 @@ def test_fits_train_on_the_encoded_blocks(seed_corpus, seed_model, monkeypatch):
 
     monkeypatch.setattr(vectorizer, "_encode", recorded_encode)
     monkeypatch.setattr(linear, "train", recorded_train)
-    assert train_pedants(seed_corpus).to_json() == seed_model.to_json()
+    retrained = _saved(train_pedants(seed_corpus), tmp_path / "retrained.json")
+    assert retrained == _saved(seed_model, tmp_path / "seed.json")
     assert len(encoded) == 2 and len(trained) == 3
     assert trained[0] is encoded[0] and trained[1] is encoded[1]
     assert type(trained[2]) is Batch and len(trained[2]) == len(seed_corpus)
