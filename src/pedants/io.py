@@ -41,9 +41,20 @@ LIKERT_CUTOFF = 4
 DEFAULT_SEED = 668
 
 
-class QuestionType(Enum):
-    """The seven wh-categories a question can fall into. Codes 0..6 follow
-    declaration order."""
+class _Coded(Enum):
+    """A label enum whose members' codes 0..n-1 follow declaration order."""
+
+    @property
+    def code(self) -> int:
+        return _CODES[self]
+
+    @classmethod
+    def from_code(cls, code: int) -> "_Coded":
+        return _MEMBERS[cls][code]
+
+
+class QuestionType(_Coded):
+    """The seven wh-categories a question can fall into."""
 
     WHO = "who"
     WHY = "why"
@@ -53,22 +64,9 @@ class QuestionType(Enum):
     WHERE = "where"
     WHICH = "which"
 
-    @property
-    def code(self) -> int:
-        return _TYPE_CODE[self]
 
-    @classmethod
-    def from_code(cls, code: int) -> "QuestionType":
-        return _TYPE_ORDER[code]
-
-
-_TYPE_ORDER = list(QuestionType)
-_TYPE_CODE = {t: i for i, t in enumerate(_TYPE_ORDER)}
-
-
-class RuleLabel(Enum):
-    """The seven answer-correctness rules. Codes 0..6 follow declaration
-    order (R1..R7)."""
+class RuleLabel(_Coded):
+    """The seven answer-correctness rules, R1..R7."""
 
     R1 = "R1"  # entity aliasing
     R2 = "R2"  # numerical information
@@ -78,17 +76,10 @@ class RuleLabel(Enum):
     R6 = "R6"  # irrelevant information
     R7 = "R7"  # other possible answers
 
-    @property
-    def code(self) -> int:
-        return _RULE_CODE[self]
 
-    @classmethod
-    def from_code(cls, code: int) -> "RuleLabel":
-        return _RULE_ORDER[code]
-
-
-_RULE_ORDER = list(RuleLabel)
-_RULE_CODE = {r: i for i, r in enumerate(_RULE_ORDER)}
+# Each label enum's members in code order, and each member's code.
+_MEMBERS = {enum: list(enum) for enum in (QuestionType, RuleLabel)}
+_CODES = {member: code for members in _MEMBERS.values() for code, member in enumerate(members)}
 
 # The type of each field but the references; all but the first two may be None.
 _FIELD_TYPES = {

@@ -73,8 +73,10 @@ class LinearModel:
     bias: np.ndarray  # (C,)
 
     def __post_init__(self):
-        """The one check of a model's values, trained, built or loaded: a
-        bias per class, and every weight and bias finite."""
+        """The one check of a model's values, trained, built or loaded: 2-D
+        weights, a bias per class, and every weight and bias finite."""
+        if self.weights.ndim != 2:
+            raise ValueError(f"model weights must be 2-D, got {self.weights.ndim}-D")
         if self.bias.shape != (self.classes,):
             raise ValueError(f"model has {self.bias.size} biases, expected {self.classes}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):

@@ -13,8 +13,10 @@ once (one triple vectorizer serves the rule extractor and the judge). A
 block's pairs, then its triples, are one ``vectorizer.Batch``, the one
 sparse-row type, scored by one gather and one ``reduceat`` against one
 stacked kernel (``_stack``); ``judge`` is ``judge_batch`` of one example.
-Each fit trains on its documents' block, and ``_judge_block`` builds the
-judge's inputs, also the one-row ``Batch`` of ``assemble_features``.
+``train_pedants`` fits the extractors through ``train_type_extractor`` and
+``train_rule_extractor``, each on its documents' block, and
+``_judge_block`` builds the judge's inputs, also the one-row ``Batch`` of
+``assemble_features``.
 """
 
 from __future__ import annotations
@@ -250,34 +252,32 @@ def _judge_block(prefix: np.ndarray, triples: Batch) -> Batch:
 
 
 def _fit_extractor(
-    docs: list[list[str]], labels: list[int], n_classes: int, seed: int
+    docs: list[list[str]], labels: Sequence[QuestionType | RuleLabel], n_classes: int, seed: int
 ) -> tuple[TfidfModel, LinearModel, Batch]:
     """Fit a vocabulary on token lists, encode them in one block and train
-    on it; returns the vocabulary, the model and the block."""
+    on it and the labels' codes; returns the vocabulary, the model and the
+    block."""
     tfidf = vectorizer.fit(docs)
     block = vectorizer._encode((docs, tfidf))
-    model = linear.train(block, labels, n_classes, seed)
+    model = linear.train(block, [label.code for label in labels], n_classes, seed)
     return tfidf, model, block
 
 
 def train_type_extractor(
-    examples: Sequence[tuple[str, str, QuestionType]], seed: int = DEFAULT_SEED
-) -> tuple[TfidfModel, LinearModel]:
-    """Fit a tf-idf vocabulary on (q, a) pairs and train the 7-class
-    question-type classifier."""
-    rows = ([tokens(text, PEDANTS_POLICY) for text in ex[:2]] for ex in examples)
-    docs = [vectorizer._pair(q, a) for q, a in rows]
-    return _fit_extractor(docs, [qtype.code for *_, qtype in examples], N_TYPES, seed)[:2]
+    pairs: list[list[str]], qtypes: Sequence[QuestionType], seed: int = DEFAULT_SEED
+) -> tuple[TfidfModel, LinearModel, Batch]:
+    """Fit a tf-idf vocabulary on pairs, "[CLS] q [SEP] a" token lists
+    (``vectorizer._pair``), and train the 7-class question-type classifier."""
+    return _fit_extractor(pairs, qtypes, N_TYPES, seed)
 
 
 def train_rule_extractor(
-    examples: Sequence[tuple[str, str, str, RuleLabel]], seed: int = DEFAULT_SEED
-) -> tuple[TfidfModel, LinearModel]:
-    """Fit a tf-idf vocabulary on (q, a, candidate) triples and train the
-    7-class correctness-rule classifier."""
-    rows = ([tokens(text, PEDANTS_POLICY) for text in ex[:3]] for ex in examples)
-    docs = [vectorizer._triple(vectorizer._pair(q, a), c) for q, a, c in rows]
-    return _fit_extractor(docs, [rule.code for *_, rule in examples], N_RULES, seed)[:2]
+    triples: list[list[str]], rules: Sequence[RuleLabel], seed: int = DEFAULT_SEED
+) -> tuple[TfidfModel, LinearModel, Batch]:
+    """Fit a tf-idf vocabulary on triples, "[CLS] q [SEP] a [SEP] candidate"
+    token lists (``vectorizer._triple``), and train the 7-class
+    correctness-rule classifier."""
+    return _fit_extractor(triples, rules, N_RULES, seed)
 
 
 def assemble_features(example: QAExample, model: PedantsModel) -> Batch:
@@ -326,10 +326,9 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     del canon
     # one triple vectorizer serves the rule extractor and the judge, and each
     # pair and triple is encoded once, for the fits and the judge's inputs
-    labels = [ex.qtype.code for ex in train_set]
-    type_vec, type_model, pairs = _fit_extractor(pairs, labels, N_TYPES, seed)
-    labels = [ex.rule.code for ex in train_set]
-    triple_vec, rule_model, triples = _fit_extractor(triples, labels, N_RULES, seed)
+    qtypes, rules = [ex.qtype for ex in train_set], [ex.rule for ex in train_set]
+    type_vec, type_model, pairs = train_type_extractor(pairs, qtypes, seed)
+    triple_vec, rule_model, triples = train_rule_extractor(triples, rules, seed)
 
     # each extractor's kernel holds its rows of the stacked kernel judging uses
     kernels = [linear._kernel_weights(m.weights, m.bias) for m in (type_model, rule_model)]

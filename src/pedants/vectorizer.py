@@ -80,13 +80,16 @@ class TfidfModel:
 
     def __post_init__(self):
         """The one check of a model's values, fitted, built or loaded:
-        distinct tokens, an idf weight per token, each finite and positive,
-        and a document count of at least 0."""
+        distinct string tokens, an idf weight per token, each a finite and
+        positive float, and a document count of at least 0."""
+        if not all(isinstance(tok, str) for tok in self.tokens):
+            raise ValueError("vectorizer vocabulary must hold strings only")
         n_idf, n_tokens = len(self.idf), len(self.tokens)
         if n_idf != n_tokens:
             raise ValueError(f"vectorizer has {n_idf} idf weights for {n_tokens} tokens")
-        if not all(0 < w < math.inf for w in self.idf):  # NaN compares false
-            raise ValueError("vectorizer idf weights must be finite and positive")
+        # a float saves as the float it loads as; NaN compares false
+        if not all(isinstance(w, float) and 0 < w < math.inf for w in self.idf):
+            raise ValueError("vectorizer idf weights must be finite and positive floats")
         if len(self.vocabulary) != n_tokens:
             raise ValueError("vectorizer vocabulary has duplicate tokens")
         check_count(self.doc_count, "vectorizer doc_count")
@@ -117,7 +120,7 @@ class TfidfModel:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported vectorizer format: {version!r}")
         vocab = data["vocab"]
-        if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
+        if not isinstance(vocab, list):
             raise ValueError("vectorizer vocabulary must be an array of strings")
         what = "vectorizer config (smoothed idf, L2 normalization, every token kept)"
         try:

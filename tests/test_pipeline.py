@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def test_enum_codes_are_stable():
     assert [r.code for r in RuleLabel] == list(range(7))
     assert QuestionType.from_code(4) is QuestionType.WHEN
     assert RuleLabel.from_code(1) is RuleLabel.R2
+    # all 14 codes round-trip, and pickling (pool blocks carry members) keeps each
+    members = [*QuestionType, *RuleLabel]
+    assert [type(m).from_code(m.code) for m in members] == members
+    assert all(pickle.loads(pickle.dumps(m)) is m for m in members)
+    assert QuestionType("when") is QuestionType.WHEN and RuleLabel("R2") is RuleLabel.R2
 
 
 def test_qaexample_requires_references():
@@ -94,7 +100,12 @@ def test_type_extractor_separable_first_token(seed_corpus):
         ("where is it", "a place", QuestionType.WHERE),
         ("where was it built", "a city", QuestionType.WHERE),
     ]
-    tfidf, model = train_type_extractor(examples)
+    pairs = [
+        vectorizer._pair(tokens(q, PEDANTS_POLICY), tokens(a, PEDANTS_POLICY))
+        for q, a, _ in examples
+    ]
+    tfidf, model, block = train_type_extractor(pairs, [qtype for *_, qtype in examples])
+    assert len(block) == len(examples)
     for q, a, qtype in examples:
         probs = linear.predict_proba(model, encode_pair(q, a, tfidf))
         assert QuestionType.from_code(int(np.argmax(probs))) is qtype
@@ -107,7 +118,15 @@ def test_rule_extractor_separable_set():
         ("when was it", "Jan 20, 2021", "2021", RuleLabel.R2),
         ("when did it end", "1945", "about 1945", RuleLabel.R2),
     ]
-    tfidf, model = train_rule_extractor(examples)
+    triples = [
+        vectorizer._triple(
+            vectorizer._pair(tokens(q, PEDANTS_POLICY), tokens(a, PEDANTS_POLICY)),
+            tokens(cand, PEDANTS_POLICY),
+        )
+        for q, a, cand, _ in examples
+    ]
+    tfidf, model, block = train_rule_extractor(triples, [rule for *_, rule in examples])
+    assert len(block) == len(examples)
     for q, a, cand, rule in examples:
         probs = linear.predict_proba(model, encode_triple(q, a, cand, tfidf))
         assert RuleLabel.from_code(int(np.argmax(probs))) is rule
@@ -444,6 +463,14 @@ def _nan_weight(model):
          "malformed vectorizer doc_count: must be an integer of at least 0, got -1"),
         ("type_vectorizer", lambda v: TfidfModel(v.tokens, v.idf, True),
          "malformed vectorizer doc_count: must be an integer of at least 0, got True"),
+        ("type_vectorizer", lambda v: TfidfModel((5, *v.tokens[1:]), v.idf, v.doc_count),
+         "vectorizer vocabulary must hold strings only"),
+        # an integer weight saves as 2 and loads and saves again as 2.0
+        ("rule_vectorizer", lambda v: TfidfModel(v.tokens, [2, *v.idf[1:]], v.doc_count),
+         "idf weights must be finite and positive"),
+        # a 1-D model's to_dict raised IndexError
+        ("judge_model", lambda m: linear.LinearModel(np.zeros(3), np.zeros(3)),
+         "model weights must be 2-D, got 1-D"),
     ],
     ids=[
         "bias-of-3-in-binary-judge",
@@ -453,11 +480,15 @@ def _nan_weight(model):
         "two-tokens-on-one-column",
         "negative-doc-count",
         "bool-doc-count",
+        "int-token",
+        "int-idf",
+        "1-d-weights",
     ],
 )
 def test_a_model_load_would_reject_does_not_construct(seed_model, section, bad, message):
-    # each of these once constructed and saved a bundle that load rejected
-    # with this message; the models' constructors now check what load checked
+    # each of these once constructed, and then saved a bundle that load
+    # rejected with this message, saved other bytes after a load, or could
+    # not save; the models' constructors now check what load checked
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(seed_model, **{section: bad(getattr(seed_model, section))})
 

@@ -2,8 +2,8 @@
 name; a traced train, judge, eval and rank on the seed corpus must still run
 and trace normalization, every command that reads a dataset must read it
 through a wrapped io reader, and a traced train must still count its SGD
-steps and loss passes, so removing or bypassing a wrapped name cannot go
-unnoticed."""
+steps and loss passes under the role of each fit, so removing or
+bypassing a wrapped name cannot go unnoticed."""
 
 import json
 import os
@@ -49,7 +49,11 @@ def test_traced_train_judge_eval_run_and_trace_normalize(tmp_path):
     records = len(SEED_CORPUS.read_text().splitlines()) - 1  # after the header
     assert records == 57
     assert train["counts"]["sgd_steps"] == records * epochs
-    assert any(name.startswith("linear.train.") for name in train["names"])
+    # each fit runs under its role: the type and rule fits through their
+    # named trainers, the judge's in train_pedants itself
+    for role in ("type", "rule", "judge"):
+        assert train["counts"][f"epochs.{role}"] >= 1, role
+    assert {"linear.train.type", "linear.train.rule"} <= set(train["names"])
     judge = ["judge", "--model", bundle, "--dataset", seed, "--out", str(tmp_path / "judged.jsonl")]
     assert _normalize_spans(_traced(tmp_path, "judge", judge)) > 0
     evaluate = _traced(tmp_path, "eval", ["eval", "--model", bundle, "--dataset", seed])
