@@ -20,10 +20,9 @@ import json
 import os
 import sys
 import time
-import traceback
 from collections import Counter, deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
 from . import io
 from .errors import DatasetError, PedantsError
@@ -544,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -554,9 +554,39 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pedants: error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # here, as only a bug needs it
+
         traceback.print_exc()
         return 2
 
 
+def run(argv: list[str] | None = None) -> NoReturn:
+    """The process entry point: ``main``, then flush stdout and stderr and
+    end with ``os._exit``, which skips the interpreter's teardown.
+
+    Nothing is left for teardown to do once ``main`` returns: each output
+    file has been closed and moved into place by its ``io.open_atomic``
+    block, a process pool terminated and joined by its ``multiprocessing.Pool``
+    block, and the OS reclaims the memory. A stdout whose reader has gone
+    ends with ``main``'s code, as ``main`` treats a closed pipe; a stdout
+    that cannot take the rest of the output (a full disk) is an error, exit
+    1. argparse's ``SystemExit`` (--help, a usage error) propagates. A
+    caller that needs ``atexit`` hooks, such as coverage, calls ``main``.
+    """
+    code = main(argv)
+    try:
+        if sys.stdout is not None:  # None in a process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        print(f"pedants: error: {exc}", file=sys.stderr)
+        code = code or 1
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):  # nowhere left to report it
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

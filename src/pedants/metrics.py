@@ -46,22 +46,21 @@ def _best_tokens(
     best_idx, best = 0, None
     for i, ref in enumerate(references):
         if not candidate or not ref:
-            value = 0.0 if candidate or ref else 1.0
-            scores = PrfScores(value, value, value)
+            p = r = f1 = 0.0 if candidate or ref else 1.0
         else:
-            # the multiset intersection size, walking the smaller bag
-            small, large = counts, Counter(ref)
-            if len(small) > len(large):
-                small, large = large, small
-            overlap = 0
-            for tok, n in small.items():
-                m = large.get(tok, 0)
-                overlap += n if n < m else m
+            # the multiset intersection size: each reference token takes one
+            # of the candidate's copies, while one is left
+            left, overlap = dict(counts), 0
+            for tok in ref:
+                n = left.get(tok)
+                if n:
+                    left[tok] = n - 1
+                    overlap += 1
             p, r = overlap / len(candidate), overlap / len(ref)
-            scores = PrfScores(p, r, 2 * p * r / (p + r) if overlap else 0.0)
-        if best is None or scores.f1 > best.f1:
-            best_idx, best = i, scores
-    return best_idx, best
+            f1 = 2 * p * r / (p + r) if overlap else 0.0
+        if best is None or f1 > best[2]:
+            best_idx, best = i, (p, r, f1)
+    return best_idx, PrfScores(*best)
 
 
 def token_prf(candidate: str, reference: str, policy: NormPolicy = EM_POLICY) -> PrfScores:

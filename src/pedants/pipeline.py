@@ -22,7 +22,6 @@ stacked kernel (``_stack``); ``judge`` is ``judge_batch`` of one example.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -293,6 +292,8 @@ def assemble_features(example: QAExample, model: PedantsModel) -> Batch:
 
 
 def _corpus_fingerprint(examples: Sequence[QAExample], seed: int) -> dict:
+    import hashlib  # here, its one user, so that judging does not load it
+
     digest = hashlib.sha256()
     for ex in examples:
         digest.update(json.dumps(ex.to_dict(), sort_keys=True).encode("utf-8"))

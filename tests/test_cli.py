@@ -1131,3 +1131,75 @@ def test_one_block_starts_no_pool(tmp_path, seed_bundle_path, size, monkeypatch,
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert outputs("2") == serial
     assert f"judged {size} examples" in capsys.readouterr().err
+
+
+def _process(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m pedants`` with ``argv``, which ends with os._exit once
+    its output is flushed. PYTHONUNBUFFERED is unset, so that stdout holds
+    output in its buffer until that flush; the timeout fails a run that a
+    process left alive (a pool worker) would keep from ending."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "pedants", *map(str, argv)],
+        stderr=subprocess.PIPE, env=env, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_process_stdout_is_flushed_before_the_exit(tmp_path, many, workers):
+    out = tmp_path / "judged.jsonl"
+    common = ["judge", "--metric", "f1", "--dataset", many, "--workers", workers]
+    assert _process(*common, "--out", out).returncode == 0
+    proc = _process(*common)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert len(proc.stdout.splitlines()) == 1 + 2 * POOL_BATCH + 5  # the header, then each record
+
+
+def test_process_exit_code_of_a_bad_line(tmp_path, many, seed_bundle_path):
+    out = tmp_path / "judged.jsonl"
+    common = ["judge", "--model", seed_bundle_path, "--workers", "2", "--out", out]
+    assert _process(*common, "--dataset", many).returncode == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(many.read_text() + '{"question": "q", "references": ["a"]}\n')
+    proc = _process(*common, "--dataset", bad)
+    assert proc.returncode == 1
+    line = 2 * POOL_BATCH + 6  # in the third block, judged while the pool runs
+    assert f"pedants: error: {bad}:{line}: missing required field 'candidate'" in proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+
+
+def test_process_with_a_pool_ends_with_its_workers(many):
+    proc = _process("eval", "--metric", "em,f1", "--dataset", many, "--workers", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert f"n={2 * POOL_BATCH + 5}" in proc.stdout.decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["judge", "--metric", "f1"],
+        ["judge", "--metric", "f1", "--workers", "2"],
+        ["eval", "--metric", "em,f1", "--workers", "2"],
+    ],
+    ids=["judge", "judge-workers-2", "eval-workers-2"],
+)
+def test_process_with_a_closed_stdout_pipe_exits_quietly(many, argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _process(*argv, "--dataset", many, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_stdout_that_cannot_be_written_is_an_error(dataset):
+    with open("/dev/full", "wb") as full:
+        proc = _process("judge", "--metric", "f1", "--dataset", dataset, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().endswith("pedants: error: [Errno 28] No space left on device\n")

@@ -2,9 +2,11 @@
 
 The string metrics, pre-judged eval, sweep and rank --rates never touch an
 array, so they must run without importing numpy; the package's numpy-backed
-names load on first access.
+names load on first access. Judging with a bundle loads neither training's
+hashlib nor the traceback module that only a bug needs.
 """
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -100,6 +102,24 @@ def test_pedants_metric_loads_the_model(files, seed_model, seed_bundle_path):
     judged = [json.loads(line) for line in files["out"].read_text().splitlines()[1:]]
     examples = [pedants.QAExample.from_dict(r) for r in ROWS]
     assert judged == [pedants.judge(ex, seed_model).to_dict() for ex in examples]
+
+
+def test_judging_loads_neither_hashlib_nor_traceback(files, seed_bundle_path, seed_corpus):
+    one = files["plain"].with_name("one.jsonl")
+    one.write_text(json.dumps(ROWS[0]) + "\n")
+    argv = ["judge", "--metric", "pedants", "--model", seed_bundle_path,
+            "--dataset", one, "--out", files["out"]]
+    loaded = (
+        "import sys; from pedants.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, [m for m in ('hashlib', 'traceback') if m in sys.modules])"
+    )
+    assert _fresh(loaded, *argv) == "0 []"
+    # training, the one user of hashlib, still fingerprints the corpus
+    digest = hashlib.sha256()
+    for example in seed_corpus:
+        digest.update(json.dumps(example.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+    bundle = json.loads(seed_bundle_path.read_text())
+    assert bundle["fingerprint"]["corpus_sha256"] == digest.hexdigest()
 
 
 def test_exports_resolve_to_their_defining_modules():
