@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from collections import Counter, deque
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
@@ -327,7 +328,7 @@ def cmd_eval(args) -> int:
     if first is None:
         raise PedantsError(f"no records in {args.dataset}")
     records = itertools.chain([first], records)
-    prejudged, requested = first[1] is not None, None
+    prejudged, names = first[1] is not None, None
     if not prejudged:
         names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
@@ -335,11 +336,11 @@ def cmd_eval(args) -> int:
     elif args.metric is not None:
         # verdicts were computed elsewhere, possibly by metrics this package
         # does not implement; filter by name only
-        requested = set(_metric_names(args.metric))
+        names = _metric_names(args.metric)
     counts: dict[str, ConfusionCounts] = {}
     for example, verdicts in records:
         for name, verdict in verdicts.items():
-            if requested is None or name in requested:
+            if names is None or name in names:
                 counts.setdefault(name, ConfusionCounts()).update(
                     bool(example.human_label), verdict
                 )
@@ -422,15 +423,7 @@ def cmd_sweep(args) -> int:
         for ex, _ in _read_labeled(args.dataset, args.skip_bad)
     ]
     rows = threshold_sweep(scored, thresholds)
-    table = [
-        {
-            "threshold": row.threshold,
-            "accuracy": row.accuracy,
-            "macro_f1": row.macro_f1,
-            "examples": len(scored),
-        }
-        for row in rows
-    ]
+    table = [{**asdict(row), "examples": len(scored)} for row in rows]
     _write_report(
         report, table, "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
     )

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyRecords, OutOfRangeScore, TooFewModels
+from .io import LIKERT_CUTOFF
 
 
 @dataclass
@@ -97,17 +98,10 @@ def pairwise_ranking_accuracy(ranking: RankingInput, metric: str) -> float:
     A pair agrees when sign(rate_m(i) - rate_m(j)) equals
     sign(rate_h(i) - rate_h(j)); exact ties count as their own order.
     """
-    rates = ranking.metric_rates[metric]
-    models = sorted(ranking.human_rates)
-    n = len(models)
-    agree = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            a, b = models[i], models[j]
-            human = _sign(ranking.human_rates[a] - ranking.human_rates[b])
-            auto = _sign(rates[a] - rates[b])
-            agree += human == auto
-    return agree / math.comb(n, 2)
+    human, rates = ranking.human_rates, ranking.metric_rates[metric]
+    pairs = list(itertools.combinations(sorted(human), 2))
+    agree = sum(_sign(human[a] - human[b]) == _sign(rates[a] - rates[b]) for a, b in pairs)
+    return agree / len(pairs)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ def threshold_sweep(
     return rows
 
 
-def likert_to_binary(score: float, cutoff: float = 4) -> bool:
+def likert_to_binary(score: float, cutoff: float = LIKERT_CUTOFF) -> bool:
     """Convert a 1-5 rating to a correctness label: correct iff score >= cutoff."""
     if not 1 <= score <= 5:
         raise OutOfRangeScore(f"Likert score must be in [1, 5], got {score}")

@@ -4,8 +4,8 @@ writing.
 Dataset files hold one JSON object per line. Lines starting with "#" are
 schema/version comments and are skipped. A record needs "question",
 "references" (non-empty array), and "candidate"; optional fields are
-"label" (0/1), "rating" (Likert 1-5, converted to a label at the cutoff
-when "label" is absent), "rule", "qtype", "model_id", "dataset_id", and
+"label" (0/1), "rating" (Likert 1-5, correct from LIKERT_CUTOFF up when
+"label" is absent), "rule", "qtype", "model_id", "dataset_id", and
 "verdicts" (metric name -> bool, for pre-judged evaluation files).
 
 ``QAExample.from_dict`` is the one parser of a record, ``QAExample``'s
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import DatasetError, EmptyReferences
-from .harness import likert_to_binary
 
 JSONL_HEADER = "# pedants-jsonl v1"
 LIKERT_CUTOFF = 4
@@ -154,7 +153,7 @@ class QAExample:
         ):
             raise ValueError(f"'rating' must be a number from 1 to 5, got {rating!r}")
         if label is None and rating is not None:
-            label = likert_to_binary(rating, LIKERT_CUTOFF)
+            label = rating >= LIKERT_CUTOFF
         rule, qtype = obj.get("rule"), obj.get("qtype")
         return cls(
             question=obj["question"],

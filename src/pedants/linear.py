@@ -74,13 +74,13 @@ class LinearModel:
 
     def __post_init__(self):
         """The one check of a model's values, trained, built or loaded: 2-D
-        weights, a bias per class, and every weight and bias finite."""
+        weights, a bias per class, and every weight and bias a finite float."""
         if self.weights.ndim != 2:
             raise ValueError(f"model weights must be 2-D, got {self.weights.ndim}-D")
         if self.bias.shape != (self.classes,):
             raise ValueError(f"model has {self.bias.size} biases, expected {self.classes}")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("model weights and biases must be finite")
+        if not all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (self.weights, self.bias)):
+            raise ValueError("model weights and biases must be finite floats")
 
     @property
     def classes(self) -> int:
@@ -94,8 +94,8 @@ class LinearModel:
         return {
             "classes": self.classes,
             "dim": self.feature_dim,
-            "weights": [float(w) for w in self.weights.ravel()],  # row-major
-            "bias": [float(b) for b in self.bias],
+            "weights": self.weights.ravel().tolist(),  # row-major
+            "bias": self.bias.tolist(),
         }
 
     @classmethod

@@ -41,8 +41,8 @@ BUNDLE_FORMAT_VERSION = "1"
 # A bundle's sections, in the order of a model's fields.
 _SECTIONS = ("type_extractor", "rule_extractor", "final_judge")
 
-N_TYPES = 7
-N_RULES = 7
+N_TYPES = len(QuestionType)
+N_RULES = len(RuleLabel)
 N_TOKEN_SCORES = 3
 # Dense prefix of every assembled vector: type probs, rule probs, (f1, p, r).
 DENSE_DIM = N_TYPES + N_RULES + N_TOKEN_SCORES

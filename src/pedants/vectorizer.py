@@ -37,10 +37,10 @@ _CONFIG = {"smooth_idf": True, "l2_normalize": True, "min_df": 1}
 
 def check_fixed(config: dict, constants: dict, what: str) -> None:
     """Reject a bundle setting that is not its fixed value in ``constants``,
-    naming it. A bool is not a number: ``1`` is not ``True``, nor ``True`` 1."""
+    naming it, or not of its type: ``1`` is not ``True``, nor ``1.0`` 1."""
     for name, constant in constants.items():
         value = config[name]
-        if isinstance(value, bool) != isinstance(constant, bool) or value != constant:
+        if type(value) is not type(constant) or value != constant:
             raise ValueError(f"{what}: {name} must be {constant!r}, got {value!r}")
 
 
@@ -117,7 +117,7 @@ class TfidfModel:
         """Load a fitted model from its JSON, checking the shape of the
         JSON; the constructor checks the values."""
         version = data.get("version") if isinstance(data, dict) else None
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:  # not True, nor 1.0
             raise ValueError(f"unsupported vectorizer format: {version!r}")
         vocab = data["vocab"]
         if not isinstance(vocab, list):

@@ -167,10 +167,13 @@ def test_model_env_var_default(dataset, seed_bundle_path, monkeypatch, capsys):
     assert main(["judge", "--dataset", str(dataset)]) == 0
 
 
-def test_missing_model_is_validation_error(dataset, monkeypatch, capsys):
+def test_missing_model_is_validation_error(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("PEDANTS_MODEL", raising=False)
     assert main(["judge", "--dataset", str(dataset)]) == 1
     assert "model" in capsys.readouterr().err
+    absent = tmp_path / "absent.json"
+    assert main(["judge", "--dataset", str(dataset), "--model", str(absent)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: model bundle not found: {absent}\n"
 
 
 def test_eval_reports(tmp_path, dataset, seed_bundle_path, capsys):
@@ -251,6 +254,43 @@ def test_eval_prejudged_records(tmp_path, capsys):
     assert main(["eval", "--dataset", str(path), "--metric", "em"]) == 0
     captured = capsys.readouterr()
     assert "em" in captured.out and "bertscore" not in captured.out
+    # a requested name no record has is not an error while another matches
+    rc = main(["eval", "--dataset", str(path), "--metric", "rouge,em", "--out", str(out_dir)])
+    assert rc == 0
+    assert [r["metric"] for r in json.loads((out_dir / "report.json").read_text())] == ["em"]
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(path), "--metric", "rouge"]) == 1
+    assert capsys.readouterr().err == (
+        "pedants: error: no verdicts matched the requested metrics\n"
+    )
+
+
+@pytest.mark.parametrize("verdicts", [{}, {"em": 1}, {"em": None}, ["em"], None, "em"])
+def test_eval_prejudged_verdicts_must_map_names_to_booleans(tmp_path, verdicts, capsys):
+    row = {"question": "q", "references": ["a"], "candidate": "a", "label": 1,
+           "verdicts": verdicts}
+    path = tmp_path / "judged.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    assert main(["eval", "--dataset", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"pedants: error: {path}:1: 'verdicts' must map metric names to booleans\n"
+    )
+
+
+def test_eval_of_no_records_is_an_error(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("# pedants-jsonl v1\n\n")
+    assert main(["eval", "--dataset", str(path), "--metric", "em"]) == 1
+    assert capsys.readouterr().err == f"pedants: error: no records in {path}\n"
+    # nor has a file whose every record is skipped
+    path.write_text("{broken\n")
+    assert main(["eval", "--dataset", str(path), "--metric", "em", "--skip-bad"]) == 1
+    assert capsys.readouterr().err.endswith(f"pedants: error: no records in {path}\n")
+
+
+def test_rank_needs_rates_or_dataset(capsys):
+    assert main(["rank", "--metric", "em"]) == 1
+    assert capsys.readouterr().err == "pedants: error: rank needs --rates or --dataset\n"
 
 
 def test_rank_from_rates_file(tmp_path, capsys):
@@ -397,7 +437,11 @@ def test_missing_dataset_file(capsys):
 
 
 def test_bad_threshold_rejected(dataset, capsys):
-    assert main(["sweep", "--dataset", str(dataset), "--threshold", "1.5"]) == 1
+    for spec, message in [("1.5", "threshold out of [0, 1]: 1.5"),
+                          ("0.3,high", "bad threshold list '0.3,high'"),
+                          (" , ", "no thresholds given")]:
+        assert main(["sweep", "--dataset", str(dataset), "--threshold", spec]) == 1
+        assert capsys.readouterr().err == f"pedants: error: {message}\n"
 
 
 def test_unknown_metric_rejected(dataset, capsys):
@@ -509,6 +553,10 @@ def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, ca
             id="type_extractor.vectorizer-doc_count-frac",
         ),
         ("type_extractor.vectorizer", "doc_count", True),
+        # a whole float where the fixed value is an integer, which saves back as one
+        ("config", "max_epochs", 1000.0),
+        ("judge_model", "max_epochs", 1000.0),
+        ("rule_vectorizer", "min_df", 1.0),
     ],
 )
 def test_bundle_config_out_of_range_rejected_at_load(
@@ -652,6 +700,17 @@ def test_console_entry_point_runs():
         ),
         pytest.param(lambda b: b["fingerprint"].__setitem__("seed", 9), "fingerprint",
                      id="fingerprint-seed-differs"),
+        # a version is the JSON integer 1: True and 1.0 equal it but save as other bytes
+        pytest.param(lambda b: b["type_extractor"]["vectorizer"].__setitem__("version", True),
+                     "unsupported vectorizer format: True", id="vectorizer-version-true"),
+        pytest.param(lambda b: b["rule_extractor"]["vectorizer"].__setitem__("version", 1.0),
+                     "unsupported vectorizer format: 1.0", id="vectorizer-version-float"),
+        pytest.param(lambda b: b["final_judge"]["vectorizer"].__setitem__("version", 2),
+                     "unsupported vectorizer format: 2", id="vectorizer-version-2"),
+        pytest.param(lambda b: b["type_extractor"]["vectorizer"].__setitem__("idf", {}),
+                     "malformed vectorizer idf: must be an array, got dict", id="object-idf"),
+        pytest.param(lambda b: b["final_judge"]["vectorizer"].__setitem__("config", []),
+                     "malformed vectorizer: ", id="list-vectorizer-config"),
         # a case that returns bytes writes them in place of the edited bundle
         pytest.param(lambda b: json.dumps(b).encode()[:3000], "line 1 column 3001",
                      id="truncated-file"),

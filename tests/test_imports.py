@@ -3,14 +3,17 @@
 The string metrics, pre-judged eval, sweep and rank --rates never touch an
 array, so they must run without importing numpy; the package's numpy-backed
 names load on first access. Judging with a bundle loads neither training's
-hashlib nor the traceback module that only a bug needs.
+hashlib nor the traceback module that only a bug needs. The record layer,
+io, imports no pedants module but errors.
 """
 
+import ast
 import hashlib
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,23 @@ def test_judging_loads_neither_hashlib_nor_traceback(files, seed_bundle_path, se
         digest.update(json.dumps(example.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
     bundle = json.loads(seed_bundle_path.read_text())
     assert bundle["fingerprint"]["corpus_sha256"] == digest.hexdigest()
+
+
+def test_io_imports_no_pedants_module_but_errors():
+    tree = ast.parse(Path(pedants.__file__).with_name("io.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            modules = [f"pedants.{name}" for name in
+                       ([node.module] if node.module else [a.name for a in node.names])]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            continue
+        imported.update(m for m in modules if m.split(".")[0] == "pedants")
+    assert imported == {"pedants.errors"}
 
 
 def test_exports_resolve_to_their_defining_modules():

@@ -4,6 +4,7 @@ import pytest
 
 from pedants import io
 from pedants.errors import DatasetError
+from pedants.harness import likert_to_binary
 from pedants.io import QAExample, QuestionType, RuleLabel
 
 
@@ -173,6 +174,36 @@ def test_rating_converts_to_label(tmp_path):
     path = _write(tmp_path, [json.dumps(r) for r in rows])
     for examples in (io.read_examples(path), [QAExample.from_dict(r) for r in rows]):
         assert [ex.human_label for ex in examples] == [True, False, True]  # label wins
+    # one cutoff, io's: a rating labels its record as likert_to_binary judges it
+    ratings = [1, 3, 3.5, 3.99, 4, 4.5, 5]
+    rated = [QAExample.from_dict(dict(rows[0], rating=r)).human_label for r in ratings]
+    assert rated == [likert_to_binary(r) for r in ratings] == [r >= 4 for r in ratings]
+    assert io.LIKERT_CUTOFF == 4
+
+
+def test_a_line_that_is_not_an_object_names_its_line(tmp_path):
+    path = _write(tmp_path, [json.dumps({"question": "q", "references": ["a"], "candidate": "c"}),
+                             "[1, 2]"])
+    with pytest.raises(DatasetError, match=r":2: expected a JSON object, got list$"):
+        list(io.iter_raw(path))
+
+
+def test_dataset_file_records_are_iter_examples(tmp_path):
+    path = _write(
+        tmp_path,
+        [
+            "not json at all",
+            json.dumps({"question": "q", "references": ["a"], "candidate": "c", "label": 1}),
+            json.dumps({"question": "q2", "references": ["b", "a"], "candidate": "a"}),
+        ],
+    )
+    seen = []
+    records = list(io.DatasetFile(path).records(skip_bad=True, on_skip=seen.append))
+    assert records == list(io.iter_examples(path, skip_bad=True))
+    assert [line_no for line_no, _ in records] == [2, 3]
+    assert [err.line_no for err in seen] == [1]
+    with pytest.raises(DatasetError, match=":1: "):
+        list(io.DatasetFile(path).records())
 
 
 def test_write_jsonl_emits_header(tmp_path):
@@ -211,6 +242,13 @@ def test_report_writers(tmp_path):
     io.write_report_json(json_path, rows)
     assert csv_path.read_text().splitlines()[0] == "metric,accuracy"
     assert json.loads(json_path.read_text()) == rows
+
+
+def test_no_report_rows_write_no_file(tmp_path):
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match="no report rows to write"):
+        io.write_report_csv(path, [])
+    assert not path.exists()
 
 
 def test_read_examples_reports_skips(tmp_path):

@@ -471,6 +471,19 @@ def _nan_weight(model):
         # a 1-D model's to_dict raised IndexError
         ("judge_model", lambda m: linear.LinearModel(np.zeros(3), np.zeros(3)),
          "model weights must be 2-D, got 1-D"),
+        # integer or bool weights would save as JSON integers or booleans
+        ("type_model", lambda m: linear.LinearModel(m.weights.astype(int), m.bias),
+         "model weights and biases must be finite floats"),
+        ("judge_model", lambda m: linear.LinearModel(m.weights, m.bias > 0),
+         "model weights and biases must be finite floats"),
+        # parts that are sound alone but do not fit the bundle
+        ("type_model", lambda m: linear.LinearModel(m.weights[:6], m.bias[:6]),
+         "extractors must be 7-class models"),
+        ("judge_model",
+         lambda m: linear.LinearModel(np.vstack((m.weights, m.weights)), np.tile(m.bias, 2)),
+         "final judge must be binary"),
+        ("type_vectorizer", lambda v: TfidfModel(v.tokens[:-1], v.idf[:-1], v.doc_count),
+         "type model dimension 314 != expected 313"),
     ],
     ids=[
         "bias-of-3-in-binary-judge",
@@ -483,6 +496,11 @@ def _nan_weight(model):
         "int-token",
         "int-idf",
         "1-d-weights",
+        "int-weights",
+        "bool-biases",
+        "6-class-type-extractor",
+        "4-class-judge",
+        "type-vectorizer-one-token-short",
     ],
 )
 def test_a_model_load_would_reject_does_not_construct(seed_model, section, bad, message):
