@@ -1,4 +1,10 @@
-"""Rule- and type-aware answer correctness judging for short-form QA."""
+"""Rule- and type-aware answer correctness judging for short-form QA.
+
+``import pedants`` loads no submodule: each exported name binds from its
+module on first access, so a command loads only the layers it uses. The
+string metrics start without numpy, and judging and training without
+``harness``.
+"""
 
 import os
 
@@ -8,10 +14,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import importlib
 
-# Each exported name and the submodule that defines it. The names of the
-# numpy-free modules are bound now; those of linear, pipeline and vectorizer
-# load with their module on first access, so the string metrics start
-# without numpy.
+# Each exported name and the submodule that defines it.
 _EXPORTS = {
     name: module
     for module, names in {
@@ -35,7 +38,6 @@ _EXPORTS = {
     }.items()
     for name in names
 }
-_ON_ACCESS = ("linear", "pipeline", "vectorizer")
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"
@@ -43,10 +45,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     """Bind an exported name from its module, importing the module first if
-    need be; ``pedants.linear``, ``pedants.pipeline`` and
-    ``pedants.vectorizer`` import their submodule. Any other name is an
-    AttributeError."""
-    if name in _ON_ACCESS:
+    need be; a module named in ``_EXPORTS`` (``pedants.harness``, say)
+    imports that submodule. Any other name is an AttributeError."""
+    if name in _EXPORTS.values():
         return importlib.import_module(f".{name}", __name__)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -58,8 +59,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-for _name, _module in _EXPORTS.items():
-    if _module not in _ON_ACCESS:
-        __getattr__(_name)
-del _name, _module

@@ -27,13 +27,13 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
 from . import io
 from .errors import DatasetError, PedantsError
-from .harness import ConfusionCounts, RankingInput, pairwise_ranking_accuracy, threshold_sweep
 from .io import DEFAULT_SEED, QAExample
-from .metrics import _best_tokens, best_reference
+from .metrics import _best_tokens
 from .textnorm import PEDANTS_POLICY, POLICY_PRESETS, tokens
 
 # pipeline loads numpy, so only the pedants metric and train import it; the
-# string metrics, pre-judged eval, sweep and rank --rates start without it
+# string metrics, pre-judged eval, sweep and rank --rates start without it.
+# harness is imported by eval, rank and sweep, the commands that use it.
 if TYPE_CHECKING:
     from .pipeline import PedantsModel, _Prepared
 
@@ -44,13 +44,13 @@ DEFAULT_THRESHOLD = 0.5
 POOL_BATCH = 256
 
 METRIC_CHOICES = ("em", "f1", "pedants")
-DEFAULT_METRICS = ",".join(METRIC_CHOICES)
 
 
 class Judger:
-    """Maps a block of examples to one output record per metric for each.
-    Instances are picklable so worker processes can share one immutable
-    configuration.
+    """Maps a block of examples to one output record per metric for each;
+    the one place a metric name becomes a score, so a name outside
+    METRIC_CHOICES is an error here. Instances are picklable so worker
+    processes can share one immutable configuration.
 
     em and f1 read one token list of the candidate and of each reference
     under the --norm policy. The references are normalized as em reaches
@@ -60,6 +60,10 @@ class Judger:
     """
 
     def __init__(self, metrics: list[str], norm: str, threshold: float, model: PedantsModel | None):
+        for name in metrics:
+            if name not in METRIC_CHOICES:
+                choices = ", ".join(METRIC_CHOICES)
+                raise PedantsError(f"unknown metric {name!r}; choose from {choices}")
         self.metrics = metrics
         self.policy = POLICY_PRESETS[norm]
         self.threshold = threshold
@@ -169,26 +173,24 @@ def _resolve_model_path(args) -> str:
 
 
 def _build_judger(metrics: list[str], args) -> Judger:
-    model = None
+    judger = Judger(metrics, args.norm, args.threshold, None)  # names checked before the load
     if "pedants" in metrics:
         from .pipeline import PedantsModel
 
-        model = PedantsModel.load(_resolve_model_path(args))
-    return Judger(metrics, args.norm, args.threshold, model)
+        judger.model = PedantsModel.load(_resolve_model_path(args))
+    return judger
 
 
-def _metric_names(spec: str) -> list[str]:
+def _parse_metrics(spec: str | None) -> list[str]:
+    """The names of a --metric list, each given once; every metric when
+    unset. The names need not be known metrics, as a pre-judged file may
+    carry others: Judger rejects an unknown one it is asked to score."""
+    if spec is None:
+        return list(METRIC_CHOICES)
     names = [m.strip() for m in spec.split(",") if m.strip()]
     if not names:
         raise PedantsError("no metrics given")
-    return names
-
-
-def _parse_metrics(spec: str) -> list[str]:
-    names = _metric_names(spec)
     for i, name in enumerate(names):
-        if name not in METRIC_CHOICES:
-            raise PedantsError(f"unknown metric {name!r}; choose from {', '.join(METRIC_CHOICES)}")
         if name in names[:i]:
             raise PedantsError(f"metric {name!r} is given more than once")
     return names
@@ -321,6 +323,8 @@ def cmd_judge(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .harness import ConfusionCounts
+
     report = _report_paths(args.out, "report")
     # the first good record sets the kind of the file, pre-judged or plain
     records = _read_labeled(args.dataset, args.skip_bad, one_kind=True)
@@ -328,15 +332,14 @@ def cmd_eval(args) -> int:
     if first is None:
         raise PedantsError(f"no records in {args.dataset}")
     records = itertools.chain([first], records)
-    prejudged, names = first[1] is not None, None
+    prejudged = first[1] is not None
+    # pre-judged verdicts were computed elsewhere, possibly by metrics this
+    # package does not implement: a --metric list filters them by name, and
+    # with none every name present is reported
+    names = None if prejudged and args.metric is None else _parse_metrics(args.metric)
     if not prejudged:
-        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
         judger = _build_judger(names, args)
         records = _map_ordered(judger.verdicts, (ex for ex, _ in records), args.workers)
-    elif args.metric is not None:
-        # verdicts were computed elsewhere, possibly by metrics this package
-        # does not implement; filter by name only
-        names = _metric_names(args.metric)
     counts: dict[str, ConfusionCounts] = {}
     for example, verdicts in records:
         for name, verdict in verdicts.items():
@@ -364,30 +367,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_rates(path: str) -> RankingInput:
-    """The rate table of a --rates file; a bad one is an error naming the file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not (isinstance(data, dict) and "human" in data and "metrics" in data):
-            raise ValueError('expected an object with "human" and "metrics" keys')
-        return RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
-    except (ValueError, PedantsError) as exc:
-        raise PedantsError(f"{path}: {exc}") from exc
-
-
 def cmd_rank(args) -> int:
+    from .harness import RankingInput, pairwise_ranking_accuracy
+
     report = _report_paths(args.out, "ranking")
     if args.rates:
         flags = {"--dataset": args.dataset, "--metric": args.metric, "--model": args.model}
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise PedantsError(f"--rates cannot be combined with {', '.join(given)}")
-        ranking = _read_rates(args.rates)
+        try:  # a bad rate table is an error naming its file
+            data = json.loads(Path(args.rates).read_text(encoding="utf-8"))
+            if not (isinstance(data, dict) and "human" in data and "metrics" in data):
+                raise ValueError('expected an object with "human" and "metrics" keys')
+            ranking = RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
+        except (ValueError, PedantsError) as exc:
+            raise PedantsError(f"{args.rates}: {exc}") from exc
         names = sorted(ranking.metric_rates)
     else:
         if not args.dataset:
             raise PedantsError("rank needs --rates or --dataset")
-        names = _parse_metrics(DEFAULT_METRICS if args.metric is None else args.metric)
+        names = _parse_metrics(args.metric)
         judger = _build_judger(names, args)
         # per model: its records, and how many humans and each metric judge correct
         records: Counter[str] = Counter()
@@ -415,12 +415,16 @@ def cmd_rank(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import threshold_sweep
+
     report = _report_paths(args.out, "sweep")
     thresholds = _parse_thresholds(args.threshold)
-    policy = POLICY_PRESETS[args.norm]
+    # each example's token F1 as eval's f1 metric scores it; the cutoff is unused
+    judger = Judger(["f1"], args.norm, DEFAULT_THRESHOLD, None)
+    examples = (ex for ex, _ in _read_labeled(args.dataset, args.skip_bad))
     scored = [
-        (best_reference(ex.candidate, ex.references, policy)[1].f1, bool(ex.human_label))
-        for ex, _ in _read_labeled(args.dataset, args.skip_bad)
+        (records["f1"]["f1"], bool(ex.human_label))
+        for ex, records in _map_ordered(judger, examples, workers=1)
     ]
     rows = threshold_sweep(scored, thresholds)
     table = [{**asdict(row), "examples": len(scored)} for row in rows]
@@ -522,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, model=True, norm=True, threshold=True)
     p.add_argument("--rates", help="JSON rate table {human: {...}, metrics: {...}}")
     p.add_argument("--dataset", help="labeled JSONL with model_id fields")
-    p.add_argument("--metric", help=f"comma-separated metric list (default: {DEFAULT_METRICS})")
+    p.add_argument("--metric", help="comma-separated metric list (default: em,f1,pedants)")
     p.add_argument("--out", help="directory for ranking.{csv,json}")
     p.set_defaults(func=cmd_rank)
 

@@ -64,22 +64,19 @@ class RankingInput:
             raise ValueError("metric rates must map each metric name to a rate table")
         tables = {"human": self.human_rates}
         tables.update((f"metric {name!r}", rates) for name, rates in self.metric_rates.items())
+        # one pass over each table, human first: value type, range, model set
         for owner, rates in tables.items():
             if not isinstance(rates, Mapping):
                 raise ValueError(f"{owner} rates must map model names to rates")
             for model, rate in rates.items():
                 if isinstance(rate, bool) or not isinstance(rate, (int, float)):
                     raise ValueError(f"{owner} rate for {model!r} must be a number, got {rate!r}")
-        if len(self.human_rates) < 2:
-            raise TooFewModels(f"need >= 2 models, got {len(self.human_rates)}")
-        models = set(self.human_rates)
-        for name, rates in self.metric_rates.items():
-            if set(rates) != models:
-                raise ValueError(f"metric {name!r} rates cover different models than humans")
-        for rates in (self.human_rates, *self.metric_rates.values()):
-            for model, rate in rates.items():
                 if not 0.0 <= rate <= 1.0:
                     raise ValueError(f"rate for {model!r} out of [0, 1]: {rate}")
+            if set(rates) != set(self.human_rates):
+                raise ValueError(f"{owner} rates cover different models than humans")
+        if len(self.human_rates) < 2:
+            raise TooFewModels(f"need >= 2 models, got {len(self.human_rates)}")
         if not self.metric_rates:
             raise ValueError("metric rates must name at least one metric")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 
@@ -403,6 +404,28 @@ def test_sweep_outputs_rows(tmp_path, dataset, capsys):
     assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("norm", ["em", "pedants"])
+def test_sweep_rows_are_evals_f1_rows(tmp_path, norm, capsys):
+    # sweep scores F1 as eval's f1 metric does, so each of its rows is the
+    # f1 row of eval at that cutoff
+    seed = str(resources.files("pedants") / "data" / "seed_corpus.jsonl")
+    cutoffs = ["0", "0.25", "0.5", "0.75", "1"]
+    sweep_out = tmp_path / "sweep"
+    argv = ["sweep", "--dataset", seed, "--norm", norm, "--threshold", ",".join(cutoffs)]
+    assert main([*argv, "--out", str(sweep_out)]) == 0
+    rows = json.loads((sweep_out / "sweep.json").read_text())
+    assert [row["threshold"] for row in rows] == [float(t) for t in cutoffs]
+    for cutoff, row in zip(cutoffs, rows):
+        eval_out = tmp_path / f"eval-{cutoff}"
+        argv = ["eval", "--dataset", seed, "--norm", norm, "--metric", "f1", "--threshold", cutoff]
+        assert main([*argv, "--out", str(eval_out)]) == 0
+        (f1,) = json.loads((eval_out / "report.json").read_text())
+        assert (f1["accuracy"], f1["macro_f1"], f1["examples"]) == (
+            row["accuracy"], row["macro_f1"], row["examples"]
+        )
+    capsys.readouterr()
+
+
 def test_sweep_rejects_repeated_threshold(tmp_path, dataset, capsys):
     out_dir = tmp_path / "sweep"
     rc = main(
@@ -451,20 +474,24 @@ def test_unknown_metric_rejected(dataset, capsys):
 @pytest.mark.parametrize("command", ["eval", "rank"])
 def test_repeated_metric_rejected(command, dataset, tmp_path, capsys):
     out_dir = tmp_path / "reports"
-    rc = main([command, "--dataset", str(dataset), "--metric", "em,f1,em", "--out", str(out_dir)])
-    assert rc == 1
-    assert capsys.readouterr().err == "pedants: error: metric 'em' is given more than once\n"
-    assert not out_dir.exists()
+    # eval reads a --metric list of a pre-judged file by the same rule
+    prejudged = tmp_path / "judged.jsonl"
+    prejudged.write_text("".join(json.dumps(dict(r, verdicts={"em": True})) + "\n" for r in ROWS))
+    for path in [dataset, prejudged] if command == "eval" else [dataset]:
+        rc = main([command, "--dataset", str(path), "--metric", "em,f1,em", "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "pedants: error: metric 'em' is given more than once\n"
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["judge", "eval", "rank"])
 def test_threshold_takes_one_value_outside_sweep(command, dataset, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--dataset", str(dataset), "--metric", "f1", "--threshold", "0.3,0.9"])
-    assert exc.value.code == 1
-    assert "pedants: error: argument --threshold: takes one cutoff, got 2" in (
-        capsys.readouterr().err
-    )
+    for spec, message in [("0.3,0.9", "takes one cutoff, got 2"),
+                          ("1.5", "threshold out of [0, 1]: 1.5")]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(dataset), "--metric", "f1", "--threshold", spec])
+        assert exc.value.code == 1
+        assert f"pedants: error: argument --threshold: {message}" in capsys.readouterr().err
     assert main([command, "--dataset", str(dataset), "--metric", "f1", "--threshold", "0.3"]) == 0
 
 

@@ -139,6 +139,12 @@ def test_pairwise_validation():
             RankingInput(
                 human_rates={"a": 0.5, "b": 0.6}, metric_rates={"m": {"a": 0.5, "b": bad}}
             )
+    # each table is checked in one pass, so a rate out of range or a model
+    # set unlike the humans' is reported before there are too few models
+    with pytest.raises(ValueError, match=r"^rate for 'only' out of \[0, 1\]: 1.5$"):
+        RankingInput(human_rates={"only": 1.5}, metric_rates={"m": {"only": 0.5}})
+    with pytest.raises(ValueError, match="^metric 'm' rates cover different models than humans$"):
+        RankingInput(human_rates={"only": 0.5}, metric_rates={"m": {"other": 0.5}})
 
 
 def test_threshold_sweep_extremes():

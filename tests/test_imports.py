@@ -1,10 +1,12 @@
 """Which layers each command loads, and what the package exports.
 
 The string metrics, pre-judged eval, sweep and rank --rates never touch an
-array, so they must run without importing numpy; the package's numpy-backed
-names load on first access. Judging with a bundle loads neither training's
-hashlib nor the traceback module that only a bug needs. The record layer,
-io, imports no pedants module but errors.
+array, so they must run without importing numpy; ``import pedants`` loads no
+submodule, and each exported name loads its module on first access. Judging
+with a bundle loads neither training's hashlib nor the traceback module that
+only a bug needs, and judging and training leave harness, which only eval,
+rank and sweep use, unloaded. The record layer, io, imports no pedants
+module but errors.
 """
 
 import ast
@@ -123,6 +125,26 @@ def test_judging_loads_neither_hashlib_nor_traceback(files, seed_bundle_path, se
         digest.update(json.dumps(example.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
     bundle = json.loads(seed_bundle_path.read_text())
     assert bundle["fingerprint"]["corpus_sha256"] == digest.hexdigest()
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, pedants; print([m for m in sys.modules if m.startswith('pedants.')])"
+    assert _fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("command", ["judge", "train"])
+def test_judge_and_train_leave_harness_unloaded(command, files, seed_bundle_path):
+    one = files["plain"].with_name("one.jsonl")
+    one.write_text(json.dumps(ROWS[0]) + "\n")
+    argv = {
+        "judge": ["judge", "--metric", "pedants", "--model", seed_bundle_path, "--dataset", one],
+        "train": ["train"],
+    }[command]
+    loaded = (
+        "import sys; from pedants.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'pedants.harness' in sys.modules)"
+    )
+    assert _fresh(loaded, *argv, "--out", files["out"]) == "0 False"
 
 
 def test_io_imports_no_pedants_module_but_errors():

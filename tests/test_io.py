@@ -186,6 +186,9 @@ def test_a_line_that_is_not_an_object_names_its_line(tmp_path):
                              "[1, 2]"])
     with pytest.raises(DatasetError, match=r":2: expected a JSON object, got list$"):
         list(io.iter_raw(path))
+    # the record parser, which the readers never reach with one, says the same
+    with pytest.raises(ValueError, match=r"^expected a JSON object, got list$"):
+        QAExample.from_dict([1, 2])
 
 
 def test_dataset_file_records_are_iter_examples(tmp_path):
