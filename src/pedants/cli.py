@@ -252,7 +252,7 @@ def _read_labeled(
 ) -> Iterator[tuple[QAExample, dict | None]]:
     """Stream (example, verdicts) of the records of a dataset, each of which
     must carry a human label and every QAExample field named in ``required``;
-    one that does not is a bad line.
+    one that does not is a bad line, skipped under --skip-bad.
 
     With ``one_kind``, every record must be of the kind of the first one
     read: pre-judged records carry a "verdicts" map of metric names to
@@ -287,7 +287,7 @@ def _read_labeled(
         first_prejudged = prejudged
         return example, verdicts
 
-    return (parsed for _, parsed in io.iter_raw(path, skip_bad, _report_skip, parse))
+    return io.iter_raw(path, parse, _report_skip if skip_bad else None)
 
 
 def cmd_train(args) -> int:
@@ -311,7 +311,7 @@ def cmd_train(args) -> int:
 
 def cmd_judge(args) -> int:
     judger = _build_judger([args.metric], args)
-    examples = (ex for _, ex in io.iter_examples(args.dataset, args.skip_bad, _report_skip))
+    examples = io.iter_examples(args.dataset, _report_skip if args.skip_bad else None)
     records = (r[args.metric] for _, r in _map_ordered(judger, examples, args.workers))
     started = time.perf_counter()
     with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:

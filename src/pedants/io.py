@@ -10,12 +10,14 @@ schema/version comments and are skipped. A record needs "question",
 
 ``QAExample.from_dict`` is the one parser of a record, ``QAExample``'s
 constructor the one check of its fields, and ``example_from_dict`` names the
-parser for the readers. ``iter_raw`` is the one loop over a file's lines: a
-line that is not UTF-8, not a JSON object, or that the caller's parse
-rejects is a DatasetError naming ``file:line``, or is reported and skipped
-with ``skip_bad``. The other readers here, the bundled
-seed corpus's among them, are ``iter_raw`` with ``example_from_dict``; the
-CLI's parse adds the fields each command requires.
+parser for the readers. ``iter_raw`` is the one loop over a file's lines,
+and the readers yield records, not line numbers. A line that is not UTF-8,
+not a JSON object, or that the caller's parse rejects is a DatasetError
+naming ``file:line``: raised, or, when the reader is given an ``on_skip``
+callback, passed to it and the line skipped. A leading UTF-8 byte order
+mark is dropped. The other readers here, the bundled seed corpus's among
+them, are ``iter_raw`` with ``example_from_dict``; the CLI's parse adds the
+fields each command requires.
 """
 
 from __future__ import annotations
@@ -169,26 +171,25 @@ class QAExample:
 
 # the record parser under the name the dataset readers use
 example_from_dict = QAExample.from_dict
+# a reader's skip policy: None raises a bad line's DatasetError, a callback takes it
+_OnSkip = Callable[[DatasetError], None] | None
 
 
 def iter_raw(
-    path: str | Path,
-    skip_bad: bool = False,
-    on_skip: Callable[[DatasetError], None] | None = None,
-    parse: Callable[[dict], object] | None = None,
-) -> Iterator[tuple[int, object]]:
-    """Stream (line_no, record) pairs from a JSONL file: each line's JSON
-    object, or what ``parse`` makes of it.
+    path: str | Path, parse: Callable[[dict], object], on_skip: _OnSkip = None
+) -> Iterator:
+    """Stream what ``parse`` makes of each line's JSON object in a JSONL file.
 
     A line that is malformed (invalid UTF-8 among them), not an object, or
-    that ``parse`` rejects raises DatasetError with its 1-based line number;
-    with ``skip_bad`` it is reported through ``on_skip`` and skipped. Memory
-    use is one line at a time.
+    that ``parse`` rejects is a DatasetError naming ``file:line``: raised,
+    or with ``on_skip`` passed to it and the line skipped. A UTF-8 byte
+    order mark at the start of the file is dropped. Memory use is one line
+    at a time.
     """
     path = Path(path)
     # bytes that are not UTF-8 read as lone surrogates, so a bad line does not
     # end the file; decoding the line again raises the codec's error for it
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -199,33 +200,23 @@ def iter_raw(
                 obj = json.loads(stripped)
                 if not isinstance(obj, dict):
                     raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                if parse is not None:
-                    obj = parse(obj)
+                record = parse(obj)
             except Exception as exc:
                 err = DatasetError(str(exc), path=str(path), line_no=line_no)
-                if not skip_bad:
+                if on_skip is None:
                     raise err from exc
-                if on_skip is not None:
-                    on_skip(err)
+                on_skip(err)
                 continue
-            yield line_no, obj
+            yield record
 
 
-def iter_examples(
-    path: str | Path,
-    skip_bad: bool = False,
-    on_skip: Callable[[DatasetError], None] | None = None,
-) -> Iterator[tuple[int, QAExample]]:
-    """Stream validated (line_no, QAExample) pairs from a JSONL file."""
-    return iter_raw(path, skip_bad, on_skip, example_from_dict)
+def iter_examples(path: str | Path, on_skip: _OnSkip = None) -> Iterator[QAExample]:
+    """Stream the validated QAExamples of a JSONL file."""
+    return iter_raw(path, example_from_dict, on_skip)
 
 
-def read_examples(
-    path: str | Path,
-    skip_bad: bool = False,
-    on_skip: Callable[[DatasetError], None] | None = None,
-) -> list[QAExample]:
-    return [ex for _, ex in iter_examples(path, skip_bad=skip_bad, on_skip=on_skip)]
+def read_examples(path: str | Path, on_skip: _OnSkip = None) -> list[QAExample]:
+    return list(iter_examples(path, on_skip))
 
 
 class DatasetFile:
@@ -234,12 +225,8 @@ class DatasetFile:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def records(
-        self,
-        skip_bad: bool = False,
-        on_skip: Callable[[DatasetError], None] | None = None,
-    ) -> Iterator[tuple[int, QAExample]]:
-        yield from iter_examples(self.path, skip_bad=skip_bad, on_skip=on_skip)
+    def records(self, on_skip: _OnSkip = None) -> Iterator[QAExample]:
+        yield from iter_examples(self.path, on_skip)
 
 
 def reject_directory(path: str | Path) -> None:

@@ -1141,6 +1141,52 @@ def test_block_boundary_same_output_for_any_worker_count(tmp_path, seed_bundle_p
     assert "skipping bad line" in capsys.readouterr().err
 
 
+def test_skip_bad_output_and_stderr_same_for_any_worker_count(tmp_path, seed_bundle_path, capsys):
+    """Three blocks with a bad line in each: judge and eval with --skip-bad
+    print the same output, reports and skip messages with 1 and 2 workers,
+    judge's timing line aside."""
+    lines = [json.dumps(r) for r in _seed_rows(2 * POOL_BATCH + 20)]
+    bad = {6: "{broken", 301: json.dumps(dict(ROWS[0], label=2)), 521: "[1, 2]"}
+    for line_no, line in bad.items():
+        lines.insert(line_no - 1, line)
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    common = ["--dataset", str(path), "--skip-bad"]
+    runs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"eval-{workers}"
+        judge_args = ["judge", *common, "--model", str(seed_bundle_path), "--workers", workers]
+        assert main(judge_args) == 0
+        judged = capsys.readouterr()
+        timing = judged.err.splitlines()[-1]
+        assert timing.startswith(f"judged {2 * POOL_BATCH + 20} examples in ")
+        eval_args = ["eval", *common, "--metric", "em,f1", "--workers", workers]
+        assert main([*eval_args, "--out", str(out_dir)]) == 0
+        evaluated = capsys.readouterr()
+        reports = [(out_dir / name).read_bytes() for name in ("report.csv", "report.json")]
+        runs.append((judged.out, judged.err.removesuffix(timing + "\n"), evaluated, reports))
+        skipped = [l for l in evaluated.err.splitlines() if l.startswith("skipping bad line: ")]
+        assert len(skipped) == len(bad)
+        for line, line_no in zip(skipped, bad):
+            assert line.startswith(f"skipping bad line: {path}:{line_no}: ")
+    assert runs[0] == runs[1]
+    assert runs[0][1] == runs[0][2].err
+
+
+def test_judge_reads_a_file_that_starts_with_a_bom(tmp_path, dataset, seed_bundle_path):
+    # a UTF-8 byte order mark before the header or the first record is dropped
+    text = dataset.read_text(encoding="utf-8")
+    common = ["judge", "--model", str(seed_bundle_path), "--out"]
+    plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    assert main([*common, str(plain), "--dataset", str(dataset)]) == 0
+    for head in ("# pedants-jsonl v1\n", ""):
+        path = tmp_path / "bom-data.jsonl"
+        path.write_text("\ufeff" + head + text, encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main([*common, str(bom), "--dataset", str(path)]) == 0
+        assert bom.read_bytes() == plain.read_bytes()
+
+
 def _double(block):
     return [2 * x for x in block]
 

@@ -67,15 +67,22 @@ def test_read_examples_round_trip(tmp_path):
         "qtype": "who",
         "model_id": "m",
     }
-    path = _write(tmp_path, [io.JSONL_HEADER, json.dumps(record)])
-    examples = io.read_examples(path)
-    assert len(examples) == 1
-    ex = examples[0]
-    assert ex.references == ("a", "b")
-    assert ex.human_label is True
-    assert ex.rule is RuleLabel.R1
-    assert ex.qtype is QuestionType.WHO
-    assert ex.model_id == "m"
+    # a UTF-8 byte order mark at the start of a file, before its header or
+    # its first record, is dropped
+    for prefix in (io.JSONL_HEADER + "\n", "\ufeff" + io.JSONL_HEADER + "\n", "\ufeff"):
+        path = _write(tmp_path, [prefix + json.dumps(record)])
+        examples = io.read_examples(path)
+        assert len(examples) == 1
+        ex = examples[0]
+        assert ex.references == ("a", "b")
+        assert ex.human_label is True
+        assert ex.rule is RuleLabel.R1
+        assert ex.qtype is QuestionType.WHO
+        assert ex.model_id == "m"
+    # one after the start is a bad line
+    path = _write(tmp_path, [json.dumps(record), "\ufeff" + json.dumps(record)])
+    with pytest.raises(DatasetError, match=r":2: Unexpected UTF-8 BOM"):
+        io.read_examples(path)
 
 
 def test_comment_and_blank_lines_skipped(tmp_path):
@@ -144,7 +151,7 @@ def test_skip_bad_collects_errors(tmp_path):
         ],
     )
     seen = []
-    examples = [ex for _, ex in io.iter_examples(path, skip_bad=True, on_skip=seen.append)]
+    examples = list(io.iter_examples(path, on_skip=seen.append))
     assert len(examples) == 1
     assert [err.line_no for err in seen] == [1, 3]
 
@@ -155,14 +162,14 @@ def test_invalid_utf8_is_an_error_of_its_line(tmp_path, newline):
     good = json.dumps(record, ensure_ascii=False).encode()
     lines = [b"# comment", good, good.replace(b"caf", b"c\xe9f"), b"", b"\xff", good, b""]
     path = tmp_path / "data.jsonl"
-    path.write_bytes(newline.join(lines))
-    with pytest.raises(DatasetError, match=r":3: 'utf-8' codec can't decode byte 0xe9"):
-        list(io.iter_raw(path))
-    seen = []
-    read = list(io.iter_raw(path, skip_bad=True, on_skip=seen.append))
-    assert [line_no for line_no, _ in read] == [2, 6]
-    assert [obj for _, obj in read] == [record, record]
-    assert [err.line_no for err in seen] == [3, 5]
+    for bom in (b"", b"\xef\xbb\xbf"):  # a leading byte order mark moves no line
+        path.write_bytes(bom + newline.join(lines))
+        with pytest.raises(DatasetError, match=r":3: 'utf-8' codec can't decode byte 0xe9"):
+            list(io.iter_raw(path, dict))
+        seen = []
+        read = list(io.iter_raw(path, dict, on_skip=seen.append))
+        assert read == [record, record]
+        assert [err.line_no for err in seen] == [3, 5]
 
 
 def test_rating_converts_to_label(tmp_path):
@@ -185,7 +192,7 @@ def test_a_line_that_is_not_an_object_names_its_line(tmp_path):
     path = _write(tmp_path, [json.dumps({"question": "q", "references": ["a"], "candidate": "c"}),
                              "[1, 2]"])
     with pytest.raises(DatasetError, match=r":2: expected a JSON object, got list$"):
-        list(io.iter_raw(path))
+        list(io.iter_raw(path, dict))
     # the record parser, which the readers never reach with one, says the same
     with pytest.raises(ValueError, match=r"^expected a JSON object, got list$"):
         QAExample.from_dict([1, 2])
@@ -201,9 +208,9 @@ def test_dataset_file_records_are_iter_examples(tmp_path):
         ],
     )
     seen = []
-    records = list(io.DatasetFile(path).records(skip_bad=True, on_skip=seen.append))
-    assert records == list(io.iter_examples(path, skip_bad=True))
-    assert [line_no for line_no, _ in records] == [2, 3]
+    records = list(io.DatasetFile(path).records(on_skip=seen.append))
+    assert records == list(io.iter_examples(path, on_skip=lambda err: None))
+    assert [ex.question for ex in records] == ["q", "q2"]
     assert [err.line_no for err in seen] == [1]
     with pytest.raises(DatasetError, match=":1: "):
         list(io.DatasetFile(path).records())
@@ -260,7 +267,7 @@ def test_read_examples_reports_skips(tmp_path):
         ["{bad", json.dumps({"question": "q", "references": ["a"], "candidate": "c"})],
     )
     seen = []
-    assert len(io.read_examples(path, skip_bad=True, on_skip=seen.append)) == 1
+    assert len(io.read_examples(path, on_skip=seen.append)) == 1
     assert [err.line_no for err in seen] == [1]
 
 

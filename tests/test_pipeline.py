@@ -247,19 +247,13 @@ def test_seed_training_accuracy(seed_corpus, seed_model):
     assert sum(verdicts) / len(verdicts) >= 0.90
 
 
-def test_held_out_agreement_with_humans(seed_corpus):
+def test_held_out_agreement_with_humans(seed_corpus, held_out_judge):
     # Row i is held out in fold i mod 5 and judged by a bundle trained with
     # the default seed on the other folds; em and f1 >= 0.5 read the row
     # under the em preset, as the CLI's defaults do. 57 rows cannot
     # separate a difference of one or two rows: these counts are pinned so
     # that a change to them is seen, not as a ranking of the metrics.
-    k = 5
-    pedants = [None] * len(seed_corpus)
-    for fold in range(k):
-        held = range(fold, len(seed_corpus), k)
-        model = train_pedants([ex for i, ex in enumerate(seed_corpus) if i % k != fold])
-        for i, judgment in zip(held, judge_batch([seed_corpus[i] for i in held], model)):
-            pedants[i] = judgment.correct
+    pedants = [judgment.correct for judgment in held_out_judge(seed_corpus)]
     counts = {}  # (metric, "all", rule or type) -> its confusion counts
     for ex, verdict in zip(seed_corpus, pedants):
         verdicts = {

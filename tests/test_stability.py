@@ -4,14 +4,20 @@ removes (case, punctuation at the edges of words, runs of whitespace), made
 to any field of an example, leaves every field of its judgment identical.
 
 Reordering the references is not among them: among references with tied
-F1 the first is chosen, so today their order can move the confidence."""
+F1 the first is chosen, so today their order can move the confidence.
 
+And, measured on the 5-fold held-out bundles: how many verdicts a verbose
+wrapping of the candidate flips, per metric, and how many rows then agree
+with the human label."""
+
+import dataclasses
 import unicodedata
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pedants.io import load_seed_corpus
+from pedants.metrics import best_reference, exact_match
 from pedants.pipeline import QAExample, judge
 
 SEED_CORPUS = load_seed_corpus()
@@ -57,3 +63,36 @@ def test_surface_form_leaves_every_judgment_field_identical(seed_model, pair):
     ex, changed = pair
     assert judge(changed, seed_model) == judge(ex, seed_model)
 
+
+# Each template's flips and agreement with the human label, in em / f1 >= 0.5
+# / pedants order. 57 rows and three English templates: a count pinned so
+# that a change to it is seen, not a general measure of verbosity.
+WRAPPERS = {
+    "The answer is {c}": ((6, 12, 3), (28, 35, 34)),
+    "I think it is {c}, probably": ((6, 20, 6), (28, 29, 35)),
+    "{c} is the correct answer to this question": ((6, 20, 4), (28, 29, 35)),
+}
+
+
+def test_held_out_verdicts_under_verbose_candidates(seed_corpus, held_out_judge):
+    # em and f1 read the rows under the em preset, as in the held-out
+    # agreement test, and the judge is the held-out bundle of each row
+    def verdicts(examples):
+        return [
+            (exact_match(ex.candidate, ex.references),
+             best_reference(ex.candidate, ex.references)[1].f1 >= 0.5,
+             judgment.correct)
+            for ex, judgment in zip(examples, held_out_judge(examples))
+        ]
+
+    def agreement(rows):
+        return tuple(sum(row[m] == ex.human_label for ex, row in zip(seed_corpus, rows))
+                     for m in range(3))
+
+    base = verdicts(seed_corpus)
+    assert agreement(base) == (34, 37, 35)
+    for template, expected in WRAPPERS.items():
+        wrapped = verdicts([dataclasses.replace(ex, candidate=template.format(c=ex.candidate))
+                            for ex in seed_corpus])
+        flips = tuple(sum(a[m] != b[m] for a, b in zip(base, wrapped)) for m in range(3))
+        assert (flips, agreement(wrapped)) == expected, template
