@@ -4,7 +4,9 @@ Training is epoch-ordered SGD: one pass per epoch over a seed-shuffled
 permutation of the examples, inverse-scaling learning rate, L2 weight decay,
 and an epoch-loss stopping rule. The weights are held as a scalar times an
 array and the decay shrinks only the scalar, so a step costs O(classes x
-entries) of its example. (data, seed) fully determines the model;
+entries) of its example; at these sizes numpy's per-call overhead, not the
+arithmetic, is that cost, so a step makes only the calls its arithmetic
+needs (see ``train``). (data, seed) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
 pair of the score difference. ``vectorizer.Batch`` is the one sparse-row
@@ -171,6 +173,11 @@ def train(
     (including the zero initialization), so the final training loss never
     exceeds the initial one. Raises SingleClassCorpus when fewer than two
     labels are present and ValueError when a label is out of range.
+
+    A step is a fixed sequence of small numpy calls, through local names
+    and in place, as their per-call overhead is its cost. Its softmax is
+    ``_softmax``'s calls in order on the one vector, with scalar
+    reductions, so it has the bits ``_softmax`` gives one row.
     """
     if not batch:
         raise ValueError("no training examples")
@@ -201,23 +208,32 @@ def train(
 
     ys = labels.tolist()
     scores = np.empty(n_classes, dtype=np.float64)  # scores, probabilities, then the step
+    take, matmul, outer = v.take, np.matmul, np.multiply.outer
+    multiply, add, divide = np.multiply, np.add, np.divide
+    maximum, minimum, exp = np.maximum, np.minimum, np.exp
+    top, total = np.maximum.reduce, np.add.reduce
     for epoch in range(MAX_EPOCHS):
         eta = ETA0 / (1.0 + epoch) ** LR_POWER
         decay = max(0.0, 1.0 - eta * L2_PENALTY)
         for i in rng.permutation(len(examples)).tolist():
             idx, vals = examples[i]
-            rows = v.take(idx, axis=0)
-            np.matmul(rows.T, vals, out=scores)
-            np.multiply(scores, scale, out=scores)
-            np.add(scores, bias, out=scores)
-            _softmax(scores)
+            rows = take(idx, 0)
+            matmul(rows.T, vals, scores)
+            multiply(scores, scale, scores)
+            add(scores, bias, scores)
+            # _softmax of one vector, with scalar reductions: the same bits
+            maximum(scores, -LOGIT_CLAMP, out=scores)
+            minimum(scores, LOGIT_CLAMP, out=scores)
+            scores -= top(scores)
+            exp(scores, scores)
+            scores /= total(scores)
             scores[ys[i]] -= 1.0  # the gradient of the loss in the scores
-            np.multiply(eta, scores, out=scores)
+            multiply(eta, scores, scores)
             bias -= scores
             # w <- decay * w - eta * g x, as v under the decayed scale
             scale *= decay
-            np.divide(scores, scale, out=scores)
-            rows -= np.multiply.outer(vals, scores)
+            divide(scores, scale, scores)
+            rows -= outer(vals, scores)
             v[idx] = rows
             if scale < _MIN_SCALE:
                 v *= scale

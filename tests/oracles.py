@@ -3,14 +3,16 @@
 These deliberately take different computational routes from the code under
 test: dense full-batch gradient descent instead of sparse SGD, a trainer
 that keeps class-major weights and sums the epoch loss one example at a
-time instead of feature-major weights and one batched loss pass, explicit
-comparison branches instead of sign arithmetic, precision/recall-form F1
-instead of confusion-count form, a judge that re-normalizes every string
-in every public piece it calls and runs each linear model on one dense
-vector with its own softmax instead of preparing each string once and
-scoring a flattened batch of sparse rows, and
-normalization character by character over the whole string instead of
-token by token through a translate table. ``batch_of`` and
+time instead of feature-major weights and one batched loss pass, the
+lazy-scale step as plain expressions instead of one numpy call per
+operation, explicit comparison branches instead of sign arithmetic,
+precision/recall-form F1 instead of confusion-count form, a sweep that
+judges every example at every cutoff instead of counting each label's
+sorted F1 values, a judge that re-normalizes every string in every public
+piece it calls and runs each linear model on one dense vector with its own
+softmax instead of preparing each string once and scoring a flattened batch
+of sparse rows, and normalization character by character over the whole
+string instead of token by token through a translate table. ``batch_of`` and
 ``train_vectors`` are no oracles: they check rows of test arrays and hand
 them to the package's scorer and trainer.
 """
@@ -25,6 +27,7 @@ import numpy as np
 
 from pedants import linear, vectorizer
 from pedants.errors import SingleClassCorpus
+from pedants.harness import ConfusionCounts, SweepRow
 from pedants.metrics import token_prf
 from pedants.pipeline import Judgment, QuestionType, RuleLabel
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
@@ -143,6 +146,55 @@ def reference_train(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> 
     return linear.LinearModel(weights=best_weights, bias=best_bias)
 
 
+def lazy_reference_train(examples, dim, seed=linear.DEFAULT_SEED, n_classes=None) -> linear.LinearModel:
+    """The trainer's lazy-scale step as plain numpy expressions, on
+    ((indices, values), label) rows in ``dim`` columns: feature-major
+    weights v under a scalar scale, ``oracles.softmax`` on the one score
+    vector, and the scale folded into v below the trainer's floor. It reads
+    the trainer's fixed settings and scores the epoch loss with
+    ``linear._mean_loss``, so its bits are the trainer's with decay on."""
+    labels = [y for _, y in examples]
+    if n_classes is None:
+        n_classes = max(2, max(labels) + 1)
+    batch = batch_of([x for x, _ in examples], dim)
+    ys = np.array(labels, dtype=np.intp)
+    data = [(np.asarray(i, np.intp), np.asarray(v, np.float64)) for (i, v), _ in examples]
+    v = np.zeros((dim, n_classes), dtype=np.float64)
+    scale = 1.0
+    bias = np.zeros(n_classes, dtype=np.float64)
+
+    rng = np.random.default_rng(seed)
+    prev_loss = linear._mean_loss(v.T, bias, batch, ys)
+    best_loss = prev_loss
+    best_weights, best_bias = v.T.copy(), bias.copy()
+
+    for epoch in range(linear.MAX_EPOCHS):
+        eta = linear.ETA0 / (1.0 + epoch) ** linear.LR_POWER
+        decay = max(0.0, 1.0 - eta * linear.L2_PENALTY)
+        for i in rng.permutation(len(data)):
+            idx, vals = data[i]
+            rows = v[idx]
+            g = softmax(rows.T @ vals * scale + bias)
+            g[labels[i]] -= 1.0
+            step = eta * g
+            bias -= step
+            scale *= decay
+            v[idx] = rows - np.multiply.outer(vals, step / scale)
+            if scale < linear._MIN_SCALE:
+                v *= scale
+                scale = 1.0
+        wt = v * scale
+        loss = linear._mean_loss(wt.T, bias, batch, ys)
+        if loss < best_loss:
+            best_loss = loss
+            best_weights, best_bias = wt.T.copy(), bias.copy()
+        if prev_loss - loss < linear.TOLERANCE:
+            break
+        prev_loss = loss
+
+    return linear.LinearModel(weights=best_weights, bias=best_bias)
+
+
 def batch_of(rows, dim) -> vectorizer.Batch:
     """(indices, values) rows in ``dim`` columns as one ``Batch``, written
     out row by row: each row's entries, then its bias entry, column ``dim``
@@ -225,6 +277,18 @@ def macro_f1_oracle(labels, verdicts) -> float:
         return 2 * precision * recall / (precision + recall)
 
     return (class_f1(True) + class_f1(False)) / 2
+
+
+def reference_threshold_sweep(scored, thresholds) -> list[SweepRow]:
+    """The F1-threshold judge's agreement at each cutoff, judging every
+    example again at every cutoff."""
+    rows = []
+    for t in thresholds:
+        counts = ConfusionCounts()
+        for f1, label in scored:
+            counts.update(label, f1 >= t)
+        rows.append(SweepRow(t, counts.accuracy(), counts.macro_f1()))
+    return rows
 
 
 def first_max_reference(candidate, references, policy):

@@ -8,6 +8,7 @@ from oracles import (
     batch_gd_predict,
     batch_gd_train,
     batch_of,
+    lazy_reference_train,
     reference_mean_loss,
     reference_train,
     train_vectors,
@@ -313,6 +314,23 @@ def test_train_folds_a_small_weight_scale(n_classes, n_labels, signal, seed, mon
     monkeypatch.setattr(linear, "_MIN_SCALE", floor)
     examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
     _assert_tracks_reference(examples, 40, seed, n_classes, monkeypatch)
+
+
+@_TRAINER_CASES
+def test_train_matches_lazy_reference_with_decay_bit_for_bit(
+    n_classes, n_labels, signal, seed, monkeypatch
+):
+    # with decay on, the trainer's step has the bits of the same arithmetic
+    # written as plain expressions, at the default scale floor and at one
+    # the first epoch's decays cross, so the scale is also folded
+    assert L2_PENALTY > 0
+    assert (1.0 - linear.ETA0 * L2_PENALTY) ** 80 < 0.999
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    for floor in (linear._MIN_SCALE, 0.999):
+        monkeypatch.setattr(linear, "_MIN_SCALE", floor)
+        model = train_vectors(examples, 40, seed=seed, n_classes=n_classes)
+        reference = lazy_reference_train(examples, 40, seed=seed, n_classes=n_classes)
+        assert model.to_dict() == reference.to_dict()
 
 
 @pytest.mark.parametrize("empty_share", [0.0, 0.3, 1.0], ids=["full", "some-empty", "all-empty"])
