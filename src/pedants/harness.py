@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -116,9 +115,7 @@ def threshold_sweep(
 
     ``scored`` pairs each example's token F1 with its human label. Rows are
     piecewise-constant in the threshold: they only change at observed F1
-    values. Each label's F1 values are sorted once, and a cutoff t accepts
-    those from the first one >= t on, found by bisection, so the sweep
-    costs O((N + T) log N), not O(N T).
+    values.
     """
     if not scored:
         raise EmptyRecords("no scored records to sweep")
@@ -127,13 +124,11 @@ def threshold_sweep(
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"threshold out of [0, 1]: {t}")
-    positives = sorted(f1 for f1, label in scored if label)
-    negatives = sorted(f1 for f1, label in scored if not label)
     rows = []
     for t in thresholds:
-        tp = len(positives) - bisect_left(positives, t)
-        fp = len(negatives) - bisect_left(negatives, t)
-        counts = ConfusionCounts(tp, fp, len(positives) - tp, len(negatives) - fp)
+        counts = ConfusionCounts()
+        for f1, label in scored:
+            counts.update(label, f1 >= t)
         rows.append(SweepRow(t, counts.accuracy(), counts.macro_f1()))
     return rows
 

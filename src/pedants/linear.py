@@ -4,9 +4,7 @@ Training is epoch-ordered SGD: one pass per epoch over a seed-shuffled
 permutation of the examples, inverse-scaling learning rate, L2 weight decay,
 and an epoch-loss stopping rule. The weights are held as a scalar times an
 array and the decay shrinks only the scalar, so a step costs O(classes x
-entries) of its example; at these sizes numpy's per-call overhead, not the
-arithmetic, is that cost, so a step makes only the calls its arithmetic
-needs (see ``train``). (data, seed) fully determines the model;
+entries) of its example. (data, seed) fully determines the model;
 no ambient randomness is consulted. Multiclass probabilities come from a
 single multinomial softmax, which for two classes reduces to the sigmoid
 pair of the score difference. ``vectorizer.Batch`` is the one sparse-row
@@ -221,7 +219,7 @@ def train(
             matmul(rows.T, vals, scores)
             multiply(scores, scale, scores)
             add(scores, bias, scores)
-            # _softmax of one vector, with scalar reductions: the same bits
+            # the softmax, written out as the docstring says
             maximum(scores, -LOGIT_CLAMP, out=scores)
             minimum(scores, LOGIT_CLAMP, out=scores)
             scores -= top(scores)

@@ -6,13 +6,12 @@ that keeps class-major weights and sums the epoch loss one example at a
 time instead of feature-major weights and one batched loss pass, the
 lazy-scale step as plain expressions instead of one numpy call per
 operation, explicit comparison branches instead of sign arithmetic,
-precision/recall-form F1 instead of confusion-count form, a sweep that
-judges every example at every cutoff instead of counting each label's
-sorted F1 values, a judge that re-normalizes every string in every public
-piece it calls and runs each linear model on one dense vector with its own
-softmax instead of preparing each string once and scoring a flattened batch
-of sparse rows, and normalization character by character over the whole
-string instead of token by token through a translate table. ``batch_of`` and
+precision/recall-form F1 instead of confusion-count form, a judge that
+re-normalizes every string in every public piece it calls and runs each
+linear model on one dense vector with its own softmax instead of preparing
+each string once and scoring a flattened batch of sparse rows, and
+normalization character by character over the whole string instead of
+token by token through a translate table. ``batch_of`` and
 ``train_vectors`` are no oracles: they check rows of test arrays and hand
 them to the package's scorer and trainer.
 """
@@ -27,7 +26,6 @@ import numpy as np
 
 from pedants import linear, vectorizer
 from pedants.errors import SingleClassCorpus
-from pedants.harness import ConfusionCounts, SweepRow
 from pedants.metrics import token_prf
 from pedants.pipeline import Judgment, QuestionType, RuleLabel
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
@@ -277,18 +275,6 @@ def macro_f1_oracle(labels, verdicts) -> float:
         return 2 * precision * recall / (precision + recall)
 
     return (class_f1(True) + class_f1(False)) / 2
-
-
-def reference_threshold_sweep(scored, thresholds) -> list[SweepRow]:
-    """The F1-threshold judge's agreement at each cutoff, judging every
-    example again at every cutoff."""
-    rows = []
-    for t in thresholds:
-        counts = ConfusionCounts()
-        for f1, label in scored:
-            counts.update(label, f1 >= t)
-        rows.append(SweepRow(t, counts.accuracy(), counts.macro_f1()))
-    return rows
 
 
 def first_max_reference(candidate, references, policy):

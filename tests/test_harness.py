@@ -1,10 +1,8 @@
 import random
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
-from oracles import accuracy_oracle, macro_f1_oracle, pairwise_agreement, reference_threshold_sweep
+from oracles import accuracy_oracle, macro_f1_oracle, pairwise_agreement
 from pedants.errors import EmptyRecords, OutOfRangeScore, TooFewModels
 from pedants.harness import (
     ConfusionCounts,
@@ -183,21 +181,6 @@ def test_threshold_sweep_piecewise_constant():
             # between adjacent observed scores nothing can change
             assert row_a.accuracy == row_b.accuracy
             assert row_a.macro_f1 == row_b.macro_f1
-
-
-# F1 values from a small set, and cutoffs among them and between them, so
-# that ties, an F1 equal to a cutoff and inputs of one label all occur
-_F1S = [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from(_F1S), st.booleans()), min_size=1, max_size=30),
-    st.lists(st.sampled_from([*_F1S, 0.1, 0.4, 0.9]), min_size=1, max_size=8),
-)
-@example([(0.5, True), (0.5, True)], [0.5, 0.0, 1.0])
-@example([(0.25, False), (1.0, False)], [0.25, 0.5])
-def test_threshold_sweep_matches_per_threshold_reference(scored, thresholds):
-    assert threshold_sweep(scored, thresholds) == reference_threshold_sweep(scored, thresholds)
 
 
 def test_threshold_sweep_validation():
