@@ -23,8 +23,8 @@ _EXPORTS = {
             "OutOfRangeScore", "PedantsError", "SingleClassCorpus", "TooFewModels",
         ),
         "harness": (
-            "ConfusionCounts", "RankingInput", "SweepRow", "likert_to_binary",
-            "pairwise_ranking_accuracy", "threshold_sweep",
+            "ConfusionCounts", "RankingInput", "likert_to_binary", "pairwise_ranking_accuracy",
+            "threshold_sweep",
         ),
         "io": ("QAExample", "QuestionType", "RuleLabel"),
         "metrics": ("PrfScores", "best_reference", "exact_match", "token_prf"),

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from collections import Counter, deque
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
@@ -426,11 +425,8 @@ def cmd_sweep(args) -> int:
         (records["f1"]["f1"], bool(ex.human_label))
         for ex, records in _map_ordered(judger, examples, workers=1)
     ]
-    rows = threshold_sweep(scored, thresholds)
-    table = [{**asdict(row), "examples": len(scored)} for row in rows]
-    _write_report(
-        report, table, "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
-    )
+    line = "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
+    _write_report(report, threshold_sweep(scored, thresholds), line)
     return 0
 
 
@@ -507,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("judge", help="judge every example in a dataset")
     common(p, model=True, dataset=True, norm=True, workers=True, threshold=True)
-    p.add_argument("--metric", choices=METRIC_CHOICES, default="pedants")
+    p.add_argument("--metric", default="pedants", help="em, f1 or pedants (default %(default)s)")
     p.add_argument("--out", help="output JSONL path (default: stdout)")
     p.set_defaults(func=cmd_judge)
 

@@ -101,17 +101,12 @@ def pairwise_ranking_accuracy(ranking: RankingInput, metric: str) -> float:
     return agree / len(pairs)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    threshold: float
-    accuracy: float
-    macro_f1: float
-
-
 def threshold_sweep(
     scored: Sequence[tuple[float, bool]], thresholds: Sequence[float]
-) -> list[SweepRow]:
-    """Agreement stats of the F1-threshold judge at each cutoff.
+) -> list[dict]:
+    """Agreement stats of the F1-threshold judge at each cutoff: the rows
+    ``pedants sweep`` writes, one dict per cutoff with the keys threshold,
+    accuracy, macro_f1 and examples.
 
     ``scored`` pairs each example's token F1 with its human label. Rows are
     piecewise-constant in the threshold: they only change at observed F1
@@ -129,12 +124,19 @@ def threshold_sweep(
         counts = ConfusionCounts()
         for f1, label in scored:
             counts.update(label, f1 >= t)
-        rows.append(SweepRow(t, counts.accuracy(), counts.macro_f1()))
+        rows.append(
+            {
+                "threshold": t,
+                "accuracy": counts.accuracy(),
+                "macro_f1": counts.macro_f1(),
+                "examples": counts.total,
+            }
+        )
     return rows
 
 
-def likert_to_binary(score: float, cutoff: float = LIKERT_CUTOFF) -> bool:
-    """Convert a 1-5 rating to a correctness label: correct iff score >= cutoff."""
+def likert_to_binary(score: float) -> bool:
+    """Convert a 1-5 rating to a correctness label: correct iff score >= io.LIKERT_CUTOFF."""
     if not 1 <= score <= 5:
         raise OutOfRangeScore(f"Likert score must be in [1, 5], got {score}")
-    return score >= cutoff
+    return score >= LIKERT_CUTOFF

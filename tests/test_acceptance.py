@@ -61,7 +61,7 @@ def test_criterion_3_threshold_semantics(tmp_path):
     # at-least: an F1 equal to the cutoff is judged correct, by the sweep
     # and by judge --metric f1
     rows = threshold_sweep([(0.5, True)], [0.4, 0.5, 0.6])
-    assert [row.accuracy for row in rows] == [1.0, 1.0, 0.0]
+    assert [row["accuracy"] for row in rows] == [1.0, 1.0, 0.0]
     dataset = tmp_path / "biden.jsonl"
     record = {"question": "Who?", "references": ["Joe Biden"], "candidate": "Joseph Biden"}
     dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -83,7 +83,7 @@ def test_criterion_3_threshold_semantics(tmp_path):
             a = lo + (hi - lo) * 0.2
             b = lo + (hi - lo) * 0.8
             row_a, row_b = threshold_sweep(scored, [a, b])
-            assert (row_a.accuracy, row_a.macro_f1) == (row_b.accuracy, row_b.macro_f1)
+            assert (row_a["accuracy"], row_a["macro_f1"]) == (row_b["accuracy"], row_b["macro_f1"])
     _report("3 threshold semantics and sweep piecewise-constancy")
 
 

@@ -10,9 +10,11 @@ from importlib import resources
 import pytest
 
 from pedants.cli import POOL_BATCH, _map_ordered, build_parser, main
+from pedants.harness import threshold_sweep
 from pedants.io import load_seed_corpus
+from pedants.metrics import best_reference
 from pedants.pipeline import PedantsModel, QAExample, judge
-from pedants.textnorm import normalize
+from pedants.textnorm import POLICY_PRESETS, normalize
 
 ROWS = [
     {
@@ -119,8 +121,17 @@ def test_judge_byte_identical_reruns(tmp_path, dataset, seed_bundle_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_judge_workers_preserve_output(tmp_path, dataset, many, seed_bundle_path):
+# macOS starts processes with spawn, and Python 3.14 makes forkserver the
+# Linux default; under both, each worker unpickles the Judger, model included
+START_METHODS = ["fork", "spawn", "forkserver"]
+
+
+@pytest.mark.parametrize("start", START_METHODS)
+def test_judge_workers_preserve_output(
+    start, tmp_path, dataset, many, seed_bundle_path, monkeypatch
+):
     # one block is judged in this process; past one, a pool judges them
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(start).Pool)
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
     for data in (dataset, many):
         base = ["judge", "--dataset", str(data), "--model", str(seed_bundle_path)]
@@ -198,7 +209,11 @@ def test_eval_reports(tmp_path, dataset, seed_bundle_path, capsys):
     assert (out_dir / "report.csv").read_text().startswith("metric,")
 
 
-def test_eval_workers_match_serial(tmp_path, dataset, many, seed_bundle_path, capsys):
+@pytest.mark.parametrize("start", START_METHODS)
+def test_eval_workers_match_serial(
+    start, tmp_path, dataset, many, seed_bundle_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(start).Pool)
     for data in (dataset, many):
         base = ["eval", "--dataset", str(data), "--model", str(seed_bundle_path)]
         assert main(base) == 0
@@ -426,6 +441,22 @@ def test_sweep_rows_are_evals_f1_rows(tmp_path, norm, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("norm", ["em", "pedants"])
+def test_sweep_report_is_threshold_sweep(tmp_path, norm, capsys):
+    # the rows the library returns are the report the command writes
+    seed = str(resources.files("pedants") / "data" / "seed_corpus.jsonl")
+    cutoffs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    argv = ["sweep", "--dataset", seed, "--norm", norm, "--threshold", "0,0.25,0.5,0.75,1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    policy = POLICY_PRESETS[norm]
+    scored = [
+        (best_reference(ex.candidate, ex.references, policy)[1].f1, ex.human_label)
+        for ex in load_seed_corpus()
+    ]
+    assert json.loads((tmp_path / "sweep.json").read_text()) == threshold_sweep(scored, cutoffs)
+    capsys.readouterr()
+
+
 def test_sweep_rejects_repeated_threshold(tmp_path, dataset, capsys):
     out_dir = tmp_path / "sweep"
     rc = main(
@@ -467,8 +498,12 @@ def test_bad_threshold_rejected(dataset, capsys):
         assert capsys.readouterr().err == f"pedants: error: {message}\n"
 
 
-def test_unknown_metric_rejected(dataset, capsys):
-    assert main(["eval", "--dataset", str(dataset), "--metric", "bleu"]) == 1
+@pytest.mark.parametrize("command", ["judge", "eval", "rank"])
+def test_unknown_metric_rejected(command, dataset, capsys):
+    # Judger checks every metric name, so the three commands share one message
+    assert main([command, "--dataset", str(dataset), "--metric", "bleu"]) == 1
+    err = capsys.readouterr().err
+    assert err == "pedants: error: unknown metric 'bleu'; choose from em, f1, pedants\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "rank"])

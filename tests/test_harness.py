@@ -151,20 +151,20 @@ def test_threshold_sweep_extremes():
     scored = [(0.0, True), (0.4, False), (1.0, True)]
     rows = threshold_sweep(scored, [0.0, 1.0])
     # cutoff 0 accepts everything
-    assert rows[0].accuracy == pytest.approx(2 / 3)
+    assert rows[0]["accuracy"] == pytest.approx(2 / 3)
     # cutoff 1.0 accepts only perfect scores
-    assert rows[1].accuracy == pytest.approx(2 / 3)
+    assert rows[1]["accuracy"] == pytest.approx(2 / 3)
 
 
 def test_threshold_sweep_hand_case():
     scored = [(0.45, True), (0.35, False), (0.8, True)]
     rows = threshold_sweep(scored, [0.3, 0.5])
     # theta=0.3: all accepted -> verdicts (1,1,1) vs labels (1,0,1)
-    assert rows[0].accuracy == pytest.approx(accuracy_oracle([1, 0, 1], [1, 1, 1]))
-    assert rows[0].macro_f1 == pytest.approx(macro_f1_oracle([1, 0, 1], [1, 1, 1]))
+    assert rows[0]["accuracy"] == pytest.approx(accuracy_oracle([1, 0, 1], [1, 1, 1]))
+    assert rows[0]["macro_f1"] == pytest.approx(macro_f1_oracle([1, 0, 1], [1, 1, 1]))
     # theta=0.5: only 0.8 accepted -> verdicts (0,0,1)
-    assert rows[1].accuracy == pytest.approx(accuracy_oracle([1, 0, 1], [0, 0, 1]))
-    assert rows[1].macro_f1 == pytest.approx(macro_f1_oracle([1, 0, 1], [0, 0, 1]))
+    assert rows[1]["accuracy"] == pytest.approx(accuracy_oracle([1, 0, 1], [0, 0, 1]))
+    assert rows[1]["macro_f1"] == pytest.approx(macro_f1_oracle([1, 0, 1], [0, 0, 1]))
 
 
 def test_threshold_sweep_piecewise_constant():
@@ -179,8 +179,8 @@ def test_threshold_sweep_piecewise_constant():
         for at_value, inside_a, inside_b in probes:
             row_a, row_b = threshold_sweep(scored, [inside_a, inside_b])
             # between adjacent observed scores nothing can change
-            assert row_a.accuracy == row_b.accuracy
-            assert row_a.macro_f1 == row_b.macro_f1
+            assert row_a["accuracy"] == row_b["accuracy"]
+            assert row_a["macro_f1"] == row_b["macro_f1"]
 
 
 def test_threshold_sweep_validation():
