@@ -246,47 +246,17 @@ def _write_report(paths: tuple[Path, ...], rows: list[dict], line: str) -> None:
         io.write_report_json(json_path, rows)
 
 
-def _read_labeled(
-    path: str, skip_bad: bool, required: tuple[str, ...] = (), one_kind: bool = False
-) -> Iterator[tuple[QAExample, dict | None]]:
-    """Stream (example, verdicts) of the records of a dataset, each of which
-    must carry a human label and every QAExample field named in ``required``;
-    one that does not is a bad line, skipped under --skip-bad.
-
-    With ``one_kind``, every record must be of the kind of the first one
-    read: pre-judged records carry a "verdicts" map of metric names to
-    booleans, plain ones carry none, and a file does not mix the two.
-    ``verdicts`` is None unless the record is pre-judged and ``one_kind`` set.
-    """
-    first_prejudged = None
-
-    def parse(obj: dict) -> tuple[QAExample, dict | None]:
-        nonlocal first_prejudged
-        example = io.example_from_dict(obj)
-        if example.human_label is None:
-            raise ValueError("record has no human label")
-        for field in required:
-            if getattr(example, field) is None:
-                raise ValueError(f"record has no {field}")
-        if not one_kind:
-            return example, None
-        prejudged = "verdicts" in obj
-        if first_prejudged is not None and prejudged != first_prejudged:
-            raise ValueError(
-                f"record {'has' if prejudged else 'has no'} 'verdicts', unlike the first "
-                "record: a file holds pre-judged or plain records, not both"
-            )
-        verdicts = obj["verdicts"] if prejudged else None
-        if prejudged and not (
-            isinstance(verdicts, dict)
-            and verdicts
-            and all(isinstance(v, bool) for v in verdicts.values())
-        ):
-            raise ValueError("'verdicts' must map metric names to booleans")
-        first_prejudged = prejudged
-        return example, verdicts
-
-    return io.iter_raw(path, parse, _report_skip if skip_bad else None)
+def _labeled(obj: dict, required: tuple[str, ...] = ()) -> QAExample:
+    """The example of a record that carries a human label and every
+    QAExample field named in ``required``; ValueError saying which it lacks,
+    which the readers make a bad line, skipped under --skip-bad."""
+    example = io.example_from_dict(obj)
+    if example.human_label is None:
+        raise ValueError("record has no human label")
+    for field in required:
+        if getattr(example, field) is None:
+            raise ValueError(f"record has no {field}")
+    return example
 
 
 def cmd_train(args) -> int:
@@ -296,7 +266,8 @@ def cmd_train(args) -> int:
     from .pipeline import train_pedants
 
     if args.corpus:
-        corpus = [ex for ex, _ in _read_labeled(args.corpus, args.skip_bad, ("rule", "qtype"))]
+        skip = _report_skip if args.skip_bad else None
+        corpus = list(io.iter_raw(args.corpus, lambda obj: _labeled(obj, ("rule", "qtype")), skip))
         source = args.corpus
     else:
         corpus = io.load_seed_corpus()
@@ -325,13 +296,34 @@ def cmd_eval(args) -> int:
     from .harness import ConfusionCounts
 
     report = _report_paths(args.out, "report")
-    # the first good record sets the kind of the file, pre-judged or plain
-    records = _read_labeled(args.dataset, args.skip_bad, one_kind=True)
+    prejudged = None  # the file's kind, pre-judged or plain, set by its first good record
+
+    def parse(obj: dict) -> tuple[QAExample, dict | None]:
+        """A labeled record and its "verdicts", a map of metric names to
+        booleans that only pre-judged records carry; every record is of the
+        file's kind."""
+        nonlocal prejudged
+        example, verdicts = _labeled(obj), obj.get("verdicts")
+        kind = "verdicts" in obj
+        if prejudged is not None and kind != prejudged:
+            raise ValueError(
+                f"record {'has' if kind else 'has no'} 'verdicts', unlike the first "
+                "record: a file holds pre-judged or plain records, not both"
+            )
+        if kind and not (
+            isinstance(verdicts, dict)
+            and verdicts
+            and all(isinstance(v, bool) for v in verdicts.values())
+        ):
+            raise ValueError("'verdicts' must map metric names to booleans")
+        prejudged = kind
+        return example, verdicts
+
+    records = io.iter_raw(args.dataset, parse, _report_skip if args.skip_bad else None)
     first = next(records, None)
     if first is None:
         raise PedantsError(f"no records in {args.dataset}")
     records = itertools.chain([first], records)
-    prejudged = first[1] is not None
     # pre-judged verdicts were computed elsewhere, possibly by metrics this
     # package does not implement: a --metric list filters them by name, and
     # with none every name present is reported
@@ -343,9 +335,7 @@ def cmd_eval(args) -> int:
     for example, verdicts in records:
         for name, verdict in verdicts.items():
             if names is None or name in names:
-                counts.setdefault(name, ConfusionCounts()).update(
-                    bool(example.human_label), verdict
-                )
+                counts.setdefault(name, ConfusionCounts()).update(example.human_label, verdict)
     if not counts:
         raise PedantsError("no verdicts matched the requested metrics")
     if prejudged:
@@ -391,7 +381,8 @@ def cmd_rank(args) -> int:
         # per model: its records, and how many humans and each metric judge correct
         records: Counter[str] = Counter()
         correct = {name: Counter() for name in ("human", *names)}
-        examples = (ex for ex, _ in _read_labeled(args.dataset, args.skip_bad, ("model_id",)))
+        skip = _report_skip if args.skip_bad else None
+        examples = io.iter_raw(args.dataset, lambda obj: _labeled(obj, ("model_id",)), skip)
         for example, verdicts in _map_ordered(judger.verdicts, examples, workers=1):
             records[example.model_id] += 1
             correct["human"][example.model_id] += example.human_label
@@ -420,9 +411,9 @@ def cmd_sweep(args) -> int:
     thresholds = _parse_thresholds(args.threshold)
     # each example's token F1 as eval's f1 metric scores it; the cutoff is unused
     judger = Judger(["f1"], args.norm, DEFAULT_THRESHOLD, None)
-    examples = (ex for ex, _ in _read_labeled(args.dataset, args.skip_bad))
+    examples = io.iter_raw(args.dataset, _labeled, _report_skip if args.skip_bad else None)
     scored = [
-        (records["f1"]["f1"], bool(ex.human_label))
+        (records["f1"]["f1"], ex.human_label)
         for ex, records in _map_ordered(judger, examples, workers=1)
     ]
     line = "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linear, vectorizer
-from .errors import MissingAnnotations
+from .errors import MissingAnnotations, SingleClassCorpus
 from .io import QAExample, QuestionType, RuleLabel, open_atomic
 from .linear import DEFAULT_SEED, LinearModel
 from .metrics import PrfScores, _best_tokens
@@ -305,7 +305,9 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     """Train the full bundle on examples annotated with label, rule, and type.
 
     Deterministic given (data, seed): retraining yields a byte-identical
-    serialized bundle.
+    serialized bundle. Raises MissingAnnotations naming the examples that
+    lack one of the three, and SingleClassCorpus naming a field, qtype, rule
+    or label, whose one value every example has.
     """
     missing = [
         i
@@ -314,6 +316,12 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     ]
     if missing:
         raise MissingAnnotations(missing)
+    qtypes, rules = [ex.qtype for ex in train_set], [ex.rule for ex in train_set]
+    labels = [int(ex.human_label) for ex in train_set]
+    for name, values in (("qtype", qtypes), ("rule", rules), ("label", labels)):
+        if len(set(values)) == 1:  # the value as a record writes it, not its class code
+            one = getattr(values[0], "value", values[0])
+            raise SingleClassCorpus(f"every example has {name} {one!r}; need at least 2 classes")
 
     # one object per distinct token keeps the corpus's documents small
     canon: dict[str, str] = {}
@@ -327,7 +335,6 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     del canon
     # one triple vectorizer serves the rule extractor and the judge, and each
     # pair and triple is encoded once, for the fits and the judge's inputs
-    qtypes, rules = [ex.qtype for ex in train_set], [ex.rule for ex in train_set]
     type_vec, type_model, pairs = train_type_extractor(pairs, qtypes, seed)
     triple_vec, rule_model, triples = train_rule_extractor(triples, rules, seed)
 
@@ -337,7 +344,6 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     inputs = _judge_block(_prefix(scores, token_scores), triples)
     # the encodings are not needed by the judge's fit, where memory peaks
     del pairs, triples, kernels, scores
-    labels = [int(ex.human_label) for ex in train_set]
     judge_model = linear.train(inputs, labels, 2, seed)
 
     models = type_vec, type_model, triple_vec, rule_model, judge_model

@@ -11,9 +11,10 @@ import pytest
 
 from pedants.cli import POOL_BATCH, _map_ordered, build_parser, main
 from pedants.harness import threshold_sweep
-from pedants.io import load_seed_corpus
+from pedants.errors import SingleClassCorpus
+from pedants.io import load_seed_corpus, read_examples
 from pedants.metrics import best_reference
-from pedants.pipeline import PedantsModel, QAExample, judge
+from pedants.pipeline import PedantsModel, QAExample, judge, train_pedants
 from pedants.textnorm import POLICY_PRESETS, normalize
 
 ROWS = [
@@ -222,21 +223,32 @@ def test_eval_workers_match_serial(
         assert capsys.readouterr().out == serial
 
 
-def test_eval_requires_labels(tmp_path, seed_bundle_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "rank", "sweep", "train"])
+def test_eval_requires_labels(command, tmp_path, capsys):
+    # every command that reads human labels holds its records to one rule
     path = tmp_path / "unlabeled.jsonl"
-    path.write_text(json.dumps({"question": "q", "references": ["a"], "candidate": "c"}) + "\n")
-    rc = main(["eval", "--dataset", str(path), "--metric", "em"])
-    assert rc == 1
-    assert "human label" in capsys.readouterr().err
-    # sweep holds its records to the same rule, and --skip-bad skips them
-    assert main(["sweep", "--dataset", str(path)]) == 1
+    unlabeled = {"question": "q", "references": ["a"], "candidate": "c", "model_id": "m1"}
+    path.write_text(json.dumps(unlabeled) + "\n")
+    argv = {
+        "eval": ["--dataset", str(path), "--metric", "em"],
+        "rank": ["--dataset", str(path), "--metric", "em"],
+        "sweep": ["--dataset", str(path), "--threshold", "0.5"],
+        "train": ["--corpus", str(path), "--out", str(tmp_path / "bundle.json")],
+    }[command]
+    assert main([command, *argv]) == 1
     assert capsys.readouterr().err == f"pedants: error: {path}:1: record has no human label\n"
+    # --skip-bad skips the line: the output is the one of the labeled records
+    rows = [ex.to_dict() for ex in load_seed_corpus()] if command == "train" else ROWS
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main([command, *(a.replace(str(path), str(labeled)) for a in argv)]) == 0
+    expected = capsys.readouterr().out.replace(str(labeled), str(path))
     with path.open("a") as handle:
-        handle.write(json.dumps(ROWS[0]) + "\n")
-    assert main(["sweep", "--dataset", str(path), "--skip-bad", "--threshold", "0.5"]) == 0
+        handle.write(labeled.read_text())
+    assert main([command, *argv, "--skip-bad"]) == 0
     captured = capsys.readouterr()
     assert captured.err == f"skipping bad line: {path}:1: record has no human label\n"
-    assert "accuracy=1.0000" in captured.out
+    assert captured.out == expected
 
 
 def test_eval_empty_metric_list_rejected(tmp_path, dataset, capsys):
@@ -941,12 +953,10 @@ REPORT_STEMS = {"eval": "report", "rank": "ranking", "sweep": "sweep"}
 )
 @pytest.mark.parametrize("command", ["eval", "rank", "sweep"])
 def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, monkeypatch, capsys):
-    import pedants.cli as cli
-
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} read its dataset")
 
-    monkeypatch.setattr(cli, "_read_labeled", refuse)
+    monkeypatch.setattr("pedants.io.iter_raw", refuse)
     # an --out that is a file or lies under one, or a report path that is a
     # directory, stops the command before it reads its dataset, and creates
     # nothing
@@ -1025,6 +1035,37 @@ def test_train_corpus_record_without_annotation_is_a_bad_line(tmp_path, field, m
     assert main(["train", "--corpus", str(corpus), "--skip-bad", "--out", str(out)]) == 0
     assert f"skipping bad line: {corpus}:6: {message}\n" in capsys.readouterr().err
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("qtype", "what", "qtype 'what'"), ("rule", "R5", "rule 'R5'"), ("label", 1, "label 1"),
+], ids=["qtype", "rule", "label"])
+def test_training_with_one_class_names_the_field(tmp_path, field, value, shown, capsys):
+    # the message names the annotation and its value, not the value's class code
+    rows = [dict(ex.to_dict(), **{field: value}) for ex in load_seed_corpus()]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "bundle.json"
+    message = f"every example has {shown}; need at least 2 classes"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pedants: error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(SingleClassCorpus) as exc:
+        train_pedants(read_examples(corpus))
+    assert str(exc.value) == message
+
+
+def test_train_seed_reaches_the_bundle(tmp_path, seed_bundle_path, capsys):
+    out = tmp_path / "seed7.json"
+    assert main(["train", "--seed", "7", "--out", str(out)]) == 0
+    bundle = json.loads(out.read_text())
+    sections = ("type_extractor", "rule_extractor", "final_judge")
+    seeds = [bundle["config"]["seed"], bundle["fingerprint"]["seed"]]
+    assert seeds + [bundle[s]["model"]["config"]["seed"] for s in sections] == [7] * 5
+    expected = tmp_path / "expected.json"
+    train_pedants(load_seed_corpus(), 7).save(expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert out.read_bytes() != seed_bundle_path.read_bytes()
 
 
 @pytest.mark.parametrize("prejudged_first", [True, False], ids=["prejudged-first", "plain-first"])
