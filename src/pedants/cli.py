@@ -1,11 +1,15 @@
 """Command-line surface: train, judge, eval, rank, and sweep subcommands.
 
-Judging and evaluation stream their input line by line in blocks of
-POOL_BATCH records, so memory stays flat regardless of dataset size. With
---workers N > 1 and more than one block, each block is one task of a
-process pool: up to 2N blocks are in flight while this process reads on,
-and results are emitted in input order; one block is judged in this
-process. The only randomness is training's, drawn from train's --seed.
+judge, eval, rank and sweep stream their input in blocks of POOL_BATCH
+lines, so memory stays flat regardless of dataset size. One block function
+per command (``_Block``) is their only judging path: it parses each line of
+a block, judges the good records together, and returns one result per
+line, or the line's DatasetError. This process only reads lines, and writes
+or tallies the results in input order; it raises or reports each bad line
+as its block's results are consumed. With --workers N > 1 and more than one
+block, each block is one task of a process pool, and up to 2N blocks are in
+flight while this process reads on; one block is judged in this process.
+The only randomness is training's, drawn from train's --seed.
 Exit codes: 0 success, 1 validation failure, 2 unexpected runtime failure.
 """
 
@@ -80,7 +84,8 @@ class Judger:
         return out
 
     def verdicts(self, examples: list[QAExample]) -> list[dict[str, bool]]:
-        """Each metric's verdict alone, so a worker sends back little."""
+        """Each metric's verdict alone: what eval and rank tally, so the
+        block function of a pool worker sends back little."""
         return [{name: r["correct"] for name, r in records.items()} for records in self(examples)]
 
     def _string_records(self, example: QAExample, prepared: _Prepared | None = None) -> dict:
@@ -128,9 +133,10 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
     of POOL_BATCH items and yield (item, result) pairs in order. With
     workers > 1 and a second block to read, each block is one task of a
     process pool, and up to 2 x workers blocks are in flight while this
-    process reads on; the items stay in this process. One block is judged
-    here, since it would occupy one worker and the pool would cost its
-    start and stop besides."""
+    process reads on. The commands' items are raw lines and fn a ``_Block``,
+    so this process pickles only lines and unpickles only results. One
+    block is judged here, since it would occupy one worker and the pool
+    would cost its start and stop besides."""
     blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
     head = list(itertools.islice(blocks, 2 if workers > 1 else 1))
     if len(head) < 2:
@@ -145,19 +151,141 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
     try:
         with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
             pending = deque()
-            for block in itertools.chain(head, blocks):
-                pending.append((block, pool.apply_async(_apply_pool_fn, (block,))))
-                if len(pending) == 2 * workers:
-                    done, results = pending.popleft()
+            try:
+                for block in itertools.chain(head, blocks):
+                    pending.append((block, pool.apply_async(_apply_pool_fn, (block,))))
+                    if len(pending) == 2 * workers:
+                        done, results = pending.popleft()
+                        yield from zip(done, results.get())
+                for done, results in pending:
                     yield from zip(done, results.get())
-            for done, results in pending:
-                yield from zip(done, results.get())
+            finally:
+                # the pool's terminate can hang while its task thread still
+                # pickles or sends a block (a bad line's error, or a closed
+                # stdout, stops the caller early): let each sent block finish
+                for _, results in pending:
+                    results.wait()
     finally:
         gc.unfreeze()
 
 
 def _report_skip(err: DatasetError) -> None:
     print(f"skipping bad line: {err}", file=sys.stderr)
+
+
+def _good(result, skip_bad: bool) -> bool:
+    """Whether a block's result is not a bad line's DatasetError, which is
+    raised, or with --skip-bad reported."""
+    if not isinstance(result, DatasetError):
+        return True
+    if not skip_bad:
+        raise result
+    _report_skip(result)
+    return False
+
+
+class _Block:
+    """The one judging path of judge, eval, rank and sweep, serial or
+    pooled: maps a block of (line_no, line) pairs of the dataset at ``path``
+    to one result per line, in order. Each line is read by ``io.parse_line``
+    with ``parse``, a labeled record unless a command says otherwise, and a
+    line that fails comes back as its DatasetError. The good records are
+    judged together by ``judge``, which makes the command's results.
+    Instances are picklable: a pool worker takes one when it starts, then
+    each block as a task, and sends back only the results."""
+
+    def __init__(self, path: str, judger: Judger | None):
+        self.path, self.judger = path, judger
+
+    def __call__(self, block: list[tuple[int, str]]) -> list:
+        results, good = [], []
+        for line_no, line in block:
+            try:
+                record = io.parse_line(self.path, line_no, line, self.parse)
+            except DatasetError as err:
+                results.append(err)
+                continue
+            good.append(len(results))
+            results.append(record)
+        for i, result in zip(good, self.judge([results[i] for i in good])):
+            results[i] = result
+        return results
+
+    def parse(self, obj: dict):
+        return _labeled(obj)
+
+
+class _JudgeBlock(_Block):
+    """judge: each record's output line under the one --metric, serialized."""
+
+    def parse(self, obj: dict) -> QAExample:
+        return io.example_from_dict(obj)
+
+    def judge(self, examples: list[QAExample]) -> list[str]:
+        [metric] = self.judger.metrics
+        return [json.dumps(records[metric]) for records in self.judger(examples)]
+
+
+class _EvalBlock(_Block):
+    """eval: each record's human label and verdicts, judged, or read from
+    its "verdicts" when there is no judger, as a pre-judged file is tallied.
+    Every record is of the file's kind, ``prejudged``; None takes either."""
+
+    def __init__(self, path: str, judger: Judger | None, prejudged: bool | None):
+        super().__init__(path, judger)
+        self.prejudged = prejudged
+
+    def parse(self, obj: dict):
+        example, verdicts = _labeled(obj), obj.get("verdicts")
+        kind = "verdicts" in obj
+        if self.prejudged is not None and kind != self.prejudged:
+            raise ValueError(
+                f"record {'has' if kind else 'has no'} 'verdicts', unlike the first "
+                "record: a file holds pre-judged or plain records, not both"
+            )
+        if kind and not (
+            isinstance(verdicts, dict)
+            and verdicts
+            and all(isinstance(v, bool) for v in verdicts.values())
+        ):
+            raise ValueError("'verdicts' must map metric names to booleans")
+        return example if self.judger else (example.human_label, verdicts)
+
+    def judge(self, records: list) -> list[tuple[bool, dict]]:
+        if self.judger is None:
+            return records
+        return list(zip([ex.human_label for ex in records], self.judger.verdicts(records)))
+
+
+class _RankBlock(_Block):
+    """rank: each record's human label, verdicts and model_id."""
+
+    def parse(self, obj: dict) -> QAExample:
+        return _labeled(obj, ("model_id",))
+
+    def judge(self, examples: list[QAExample]) -> list[tuple[bool, dict, str]]:
+        verdicts = self.judger.verdicts(examples)
+        return [(ex.human_label, v, ex.model_id) for ex, v in zip(examples, verdicts)]
+
+
+class _SweepBlock(_Block):
+    """sweep: each record's token F1, as eval's f1 metric scores it, and its
+    human label."""
+
+    def judge(self, examples: list[QAExample]) -> list[tuple[float, bool]]:
+        records = self.judger(examples)
+        return [(r["f1"]["f1"], ex.human_label) for ex, r in zip(examples, records)]
+
+
+def _results(block: _Block, lines: Iterator, workers: int, skip_bad: bool) -> Iterator:
+    """``block``'s results of the good lines among ``lines``, in input
+    order, through ``_map_ordered``; each bad line's DatasetError is raised,
+    or with --skip-bad reported, as its block is consumed. A raise closes
+    the pool at once."""
+    with contextlib.closing(_map_ordered(block, lines, workers)) as pairs:
+        for _, result in pairs:
+            if _good(result, skip_bad):
+                yield result
 
 
 def _resolve_model_path(args) -> str:
@@ -280,12 +408,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_judge(args) -> int:
-    judger = _build_judger([args.metric], args)
-    examples = io.iter_examples(args.dataset, _report_skip if args.skip_bad else None)
-    records = (r[args.metric] for _, r in _map_ordered(judger, examples, args.workers))
+    block = _JudgeBlock(args.dataset, _build_judger([args.metric], args))
+    lines = _results(block, io.iter_lines(args.dataset), args.workers, args.skip_bad)
     started = time.perf_counter()
     with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
-        n = io.write_jsonl(handle, records)
+        n = io.write_jsonl(handle, lines)
     elapsed = time.perf_counter() - started
     rate = n / elapsed if elapsed > 0 else float("inf")
     print(f"judged {n} examples in {elapsed:.2f}s ({rate:.0f}/s)", file=sys.stderr)
@@ -296,46 +423,31 @@ def cmd_eval(args) -> int:
     from .harness import ConfusionCounts
 
     report = _report_paths(args.out, "report")
-    prejudged = None  # the file's kind, pre-judged or plain, set by its first good record
-
-    def parse(obj: dict) -> tuple[QAExample, dict | None]:
-        """A labeled record and its "verdicts", a map of metric names to
-        booleans that only pre-judged records carry; every record is of the
-        file's kind."""
-        nonlocal prejudged
-        example, verdicts = _labeled(obj), obj.get("verdicts")
-        kind = "verdicts" in obj
-        if prejudged is not None and kind != prejudged:
-            raise ValueError(
-                f"record {'has' if kind else 'has no'} 'verdicts', unlike the first "
-                "record: a file holds pre-judged or plain records, not both"
-            )
-        if kind and not (
-            isinstance(verdicts, dict)
-            and verdicts
-            and all(isinstance(v, bool) for v in verdicts.values())
-        ):
-            raise ValueError("'verdicts' must map metric names to booleans")
-        prejudged = kind
-        return example, verdicts
-
-    records = io.iter_raw(args.dataset, parse, _report_skip if args.skip_bad else None)
-    first = next(records, None)
-    if first is None:
+    # the first good record, read here, sets the file's kind: pre-judged or plain
+    lines = io.iter_lines(args.dataset)
+    any_kind = _EvalBlock(args.dataset, None, None)
+    for first in lines:
+        [result] = any_kind([first])
+        if _good(result, args.skip_bad):
+            break
+    else:
         raise PedantsError(f"no records in {args.dataset}")
-    records = itertools.chain([first], records)
+    _, verdicts = result
+    prejudged = verdicts is not None
     # pre-judged verdicts were computed elsewhere, possibly by metrics this
     # package does not implement: a --metric list filters them by name, and
     # with none every name present is reported
     names = None if prejudged and args.metric is None else _parse_metrics(args.metric)
-    if not prejudged:
-        judger = _build_judger(names, args)
-        records = _map_ordered(judger.verdicts, (ex for ex, _ in records), args.workers)
+    block = _EvalBlock(args.dataset, None if prejudged else _build_judger(names, args), prejudged)
     counts: dict[str, ConfusionCounts] = {}
-    for example, verdicts in records:
+    lines = itertools.chain([first], lines)
+    # a pre-judged record is only parsed, which costs less than a pool's
+    # pickling of its line and its verdicts
+    workers = 1 if prejudged else args.workers
+    for label, verdicts in _results(block, lines, workers, args.skip_bad):
         for name, verdict in verdicts.items():
             if names is None or name in names:
-                counts.setdefault(name, ConfusionCounts()).update(example.human_label, verdict)
+                counts.setdefault(name, ConfusionCounts()).update(label, verdict)
     if not counts:
         raise PedantsError("no verdicts matched the requested metrics")
     if prejudged:
@@ -381,13 +493,13 @@ def cmd_rank(args) -> int:
         # per model: its records, and how many humans and each metric judge correct
         records: Counter[str] = Counter()
         correct = {name: Counter() for name in ("human", *names)}
-        skip = _report_skip if args.skip_bad else None
-        examples = io.iter_raw(args.dataset, lambda obj: _labeled(obj, ("model_id",)), skip)
-        for example, verdicts in _map_ordered(judger.verdicts, examples, workers=1):
-            records[example.model_id] += 1
-            correct["human"][example.model_id] += example.human_label
+        block = _RankBlock(args.dataset, judger)
+        lines = io.iter_lines(args.dataset)
+        for label, verdicts, model_id in _results(block, lines, 1, args.skip_bad):
+            records[model_id] += 1
+            correct["human"][model_id] += label
             for name in names:
-                correct[name][example.model_id] += verdicts[name]
+                correct[name][model_id] += verdicts[name]
         rates = {name: {m: c[m] / n for m, n in records.items()} for name, c in correct.items()}
         ranking = RankingInput(human_rates=rates.pop("human"), metric_rates=rates)
 
@@ -410,12 +522,8 @@ def cmd_sweep(args) -> int:
     report = _report_paths(args.out, "sweep")
     thresholds = _parse_thresholds(args.threshold)
     # each example's token F1 as eval's f1 metric scores it; the cutoff is unused
-    judger = Judger(["f1"], args.norm, DEFAULT_THRESHOLD, None)
-    examples = io.iter_raw(args.dataset, _labeled, _report_skip if args.skip_bad else None)
-    scored = [
-        (records["f1"]["f1"], ex.human_label)
-        for ex, records in _map_ordered(judger, examples, workers=1)
-    ]
+    block = _SweepBlock(args.dataset, Judger(["f1"], args.norm, DEFAULT_THRESHOLD, None))
+    scored = list(_results(block, io.iter_lines(args.dataset), 1, args.skip_bad))
     line = "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
     _write_report(report, threshold_sweep(scored, thresholds), line)
     return 0

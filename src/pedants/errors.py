@@ -49,9 +49,14 @@ class DatasetError(PedantsError):
     """
 
     def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
+        self.message = message
         self.path = path
         self.line_no = line_no
         prefix = ""
         if path is not None:
             prefix = f"{path}: " if line_no is None else f"{path}:{line_no}: "
         super().__init__(f"{prefix}{message}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so one a pool worker returns keeps them
+        return type(self), (self.message, self.path, self.line_no)

@@ -10,14 +10,15 @@ schema/version comments and are skipped. A record needs "question",
 
 ``QAExample.from_dict`` is the one parser of a record, ``QAExample``'s
 constructor the one check of its fields, and ``example_from_dict`` names the
-parser for the readers. ``iter_raw`` is the one loop over a file's lines,
-and the readers yield records, not line numbers. A line that is not UTF-8,
+parser for the readers. ``iter_lines`` is the one loop over a file's
+lines and ``parse_line`` the one parse of a line: a line that is not UTF-8,
 not a JSON object, or that the caller's parse rejects is a DatasetError
-naming ``file:line``: raised, or, when the reader is given an ``on_skip``
-callback, passed to it and the line skipped. A leading UTF-8 byte order
-mark is dropped. The other readers here, the bundled seed corpus's among
-them, are ``iter_raw`` with ``example_from_dict``; the CLI's parse adds the
-fields each command requires.
+naming ``file:line``. ``iter_raw`` joins them and yields records: a bad
+line's error is raised or, given an ``on_skip`` callback, passed to it and
+the line skipped. The other readers here, the bundled seed corpus's among
+them, are ``iter_raw`` with ``example_from_dict``. The CLI's parse adds the
+fields each command requires, and its judging commands call ``parse_line``
+in the block that judges each line.
 """
 
 from __future__ import annotations
@@ -175,39 +176,47 @@ example_from_dict = QAExample.from_dict
 _OnSkip = Callable[[DatasetError], None] | None
 
 
+def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line_no, line) for each line of a JSONL file that holds a record,
+    stripped; blank and "#" lines are passed over, and a UTF-8 byte order
+    mark at the start of the file is dropped. Bytes that are not UTF-8 read
+    as lone surrogates, for ``parse_line`` to reject, so a bad line does not
+    end the file. Memory use is one line at a time."""
+    with Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield line_no, stripped
+
+
+def parse_line(path: str | Path, line_no: int, line: str, parse: Callable[[dict], object]):
+    """What ``parse`` makes of one line of ``iter_lines``. A line that is
+    malformed (invalid UTF-8 among them), not an object, or that ``parse``
+    rejects raises a DatasetError naming ``file:line``."""
+    try:
+        if not line.isascii():  # decoding the line again raises a bad byte's error
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        return parse(obj)
+    except Exception as exc:
+        raise DatasetError(str(exc), path=str(path), line_no=line_no) from exc
+
+
 def iter_raw(
     path: str | Path, parse: Callable[[dict], object], on_skip: _OnSkip = None
 ) -> Iterator:
-    """Stream what ``parse`` makes of each line's JSON object in a JSONL file.
-
-    A line that is malformed (invalid UTF-8 among them), not an object, or
-    that ``parse`` rejects is a DatasetError naming ``file:line``: raised,
-    or with ``on_skip`` passed to it and the line skipped. A UTF-8 byte
-    order mark at the start of the file is dropped. Memory use is one line
-    at a time.
-    """
-    path = Path(path)
-    # bytes that are not UTF-8 read as lone surrogates, so a bad line does not
-    # end the file; decoding the line again raises the codec's error for it
-    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                if not stripped.isascii():
-                    stripped.encode("utf-8", "surrogateescape").decode("utf-8")
-                obj = json.loads(stripped)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                record = parse(obj)
-            except Exception as exc:
-                err = DatasetError(str(exc), path=str(path), line_no=line_no)
-                if on_skip is None:
-                    raise err from exc
-                on_skip(err)
-                continue
-            yield record
+    """Stream what ``parse`` makes of each line's JSON object in a JSONL
+    file: ``parse_line`` over ``iter_lines``. A bad line's DatasetError is
+    raised, or with ``on_skip`` passed to it and the line skipped."""
+    for line_no, line in iter_lines(path):
+        try:
+            yield parse_line(path, line_no, line, parse)
+        except DatasetError as err:
+            if on_skip is None:
+                raise
+            on_skip(err)
 
 
 def iter_examples(path: str | Path, on_skip: _OnSkip = None) -> Iterator[QAExample]:
@@ -258,12 +267,13 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         raise
 
 
-def write_jsonl(handle: TextIO, records: Iterable[dict]) -> int:
-    """Write records as JSON lines after the schema comment; returns the count."""
+def write_jsonl(handle: TextIO, lines: Iterable[str]) -> int:
+    """Write records, each serialized to one line of JSON, after the schema
+    comment; returns the count."""
     handle.write(JSONL_HEADER + "\n")
     n = 0
-    for record in records:
-        handle.write(json.dumps(record) + "\n")
+    for line in lines:
+        handle.write(line + "\n")
         n += 1
     return n
 

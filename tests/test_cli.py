@@ -2,6 +2,7 @@ import gc
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -76,6 +77,17 @@ def many(tmp_path):
     return path
 
 
+@pytest.fixture()
+def many_bad(tmp_path, many):
+    """``many`` with a bad line in its first block and one in its third."""
+    lines = many.read_text().splitlines()
+    lines.insert(3, "{broken")
+    lines.insert(2 * POOL_BATCH + 2, "[1, 2]")
+    path = tmp_path / "many-bad.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
 def _judgment_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
@@ -123,22 +135,27 @@ def test_judge_byte_identical_reruns(tmp_path, dataset, seed_bundle_path):
 
 
 # macOS starts processes with spawn, and Python 3.14 makes forkserver the
-# Linux default; under both, each worker unpickles the Judger, model included
+# Linux default; under both, each worker unpickles the block function, its
+# Judger and model included, and each block's results come back pickled,
+# a bad line's DatasetError among them
 START_METHODS = ["fork", "spawn", "forkserver"]
 
 
 @pytest.mark.parametrize("start", START_METHODS)
 def test_judge_workers_preserve_output(
-    start, tmp_path, dataset, many, seed_bundle_path, monkeypatch
+    start, tmp_path, dataset, many, many_bad, seed_bundle_path, monkeypatch, capsys
 ):
     # one block is judged in this process; past one, a pool judges them
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(start).Pool)
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    for data in (dataset, many):
-        base = ["judge", "--dataset", str(data), "--model", str(seed_bundle_path)]
+    for data, skip in ((dataset, []), (many, []), (many_bad, ["--skip-bad"])):
+        base = ["judge", "--dataset", str(data), "--model", str(seed_bundle_path), *skip]
         assert main(base + ["--out", str(serial)]) == 0
+        skipped = capsys.readouterr().err.splitlines()[:-1]  # the timing line aside
         assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
+        assert capsys.readouterr().err.splitlines()[:-1] == skipped
         assert serial.read_bytes() == parallel.read_bytes()
+    assert [line.split(": ")[1] for line in skipped] == [f"{many_bad}:4", f"{many_bad}:515"]
 
 
 def test_judge_em_and_f1_need_no_model(tmp_path, dataset, capsys):
@@ -212,15 +229,17 @@ def test_eval_reports(tmp_path, dataset, seed_bundle_path, capsys):
 
 @pytest.mark.parametrize("start", START_METHODS)
 def test_eval_workers_match_serial(
-    start, tmp_path, dataset, many, seed_bundle_path, monkeypatch, capsys
+    start, tmp_path, dataset, many, many_bad, seed_bundle_path, monkeypatch, capsys
 ):
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(start).Pool)
-    for data in (dataset, many):
-        base = ["eval", "--dataset", str(data), "--model", str(seed_bundle_path)]
+    for data, skip in ((dataset, []), (many, []), (many_bad, ["--skip-bad"])):
+        base = ["eval", "--dataset", str(data), "--model", str(seed_bundle_path), *skip]
         assert main(base) == 0
-        serial = capsys.readouterr().out
+        serial = capsys.readouterr()
         assert main(base + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
+        assert capsys.readouterr() == serial
+    assert serial.err.count("skipping bad line: ") == 2
+    assert f"n={2 * POOL_BATCH + 5}" in serial.out
 
 
 @pytest.mark.parametrize("command", ["eval", "rank", "sweep", "train"])
@@ -291,6 +310,24 @@ def test_eval_prejudged_records(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "pedants: error: no verdicts matched the requested metrics\n"
     )
+
+
+def test_eval_of_a_prejudged_file_starts_no_pool(tmp_path, many, monkeypatch, capsys):
+    # its records are only parsed, which a pool would cost more than it saves
+    path = tmp_path / "judged.jsonl"
+    rows = [json.loads(line) for line in many.read_text().splitlines()]
+    path.write_text("".join(json.dumps(dict(r, verdicts={"em": i % 3 == 0})) + "\n"
+                            for i, r in enumerate(rows)))
+    assert main(["eval", "--dataset", str(path)]) == 0
+    serial = capsys.readouterr().out
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert main(["eval", "--dataset", str(path), "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert f"n={2 * POOL_BATCH + 5}" in serial
 
 
 @pytest.mark.parametrize("verdicts", [{}, {"em": 1}, {"em": None}, ["em"], None, "em"])
@@ -957,6 +994,7 @@ def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, mo
         raise AssertionError(f"{command} read its dataset")
 
     monkeypatch.setattr("pedants.io.iter_raw", refuse)
+    monkeypatch.setattr("pedants.io.iter_lines", refuse)
     # an --out that is a file or lies under one, or a report path that is a
     # directory, stops the command before it reads its dataset, and creates
     # nothing
@@ -1217,27 +1255,39 @@ def test_block_boundary_same_output_for_any_worker_count(tmp_path, seed_bundle_p
     assert "skipping bad line" in capsys.readouterr().err
 
 
-def test_skip_bad_output_and_stderr_same_for_any_worker_count(tmp_path, seed_bundle_path, capsys):
-    """Three blocks with a bad line in each: judge and eval with --skip-bad
-    print the same output, reports and skip messages with 1 and 2 workers,
-    judge's timing line aside."""
-    lines = [json.dumps(r) for r in _seed_rows(2 * POOL_BATCH + 20)]
-    bad = {6: "{broken", 301: json.dumps(dict(ROWS[0], label=2)), 521: "[1, 2]"}
-    for line_no, line in bad.items():
-        lines.insert(line_no - 1, line)
-    path = tmp_path / "data.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    common = ["--dataset", str(path), "--skip-bad"]
+def test_skip_bad_output_and_stderr_same_for_any_worker_count(
+    tmp_path, seed_bundle_path, monkeypatch, capsys
+):
+    """Three blocks with bad lines before eval's first good record and in
+    each block: judge and eval with --skip-bad print the same output,
+    reports and skip messages with 1, 2 and 3 workers, judge's timing line
+    aside. Without --skip-bad each run exits 1 naming the first bad line,
+    also when that line is in the third block, judged while the pool runs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # --workers 3 on any host
+    good = [json.dumps(r) for r in _seed_rows(2 * POOL_BATCH + 20)]
+
+    def dataset(name, bad):
+        lines = list(good)
+        for line_no, line in bad.items():
+            lines.insert(line_no - 1, line)
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    bad = {1: "{broken", 6: "{broken", 301: json.dumps(dict(ROWS[0], label=2)), 521: "[1, 2]"}
+    path = dataset("data.jsonl", bad)
+    third = dataset("third.jsonl", {521: "[1, 2]"})
     runs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         out_dir = tmp_path / f"eval-{workers}"
-        judge_args = ["judge", *common, "--model", str(seed_bundle_path), "--workers", workers]
-        assert main(judge_args) == 0
+        model = ["--model", str(seed_bundle_path), "--workers", workers]
+        judge_args = ["judge", "--dataset", str(path), *model]
+        eval_args = ["eval", "--dataset", str(path), "--metric", "em,f1", "--workers", workers]
+        assert main([*judge_args, "--skip-bad"]) == 0
         judged = capsys.readouterr()
         timing = judged.err.splitlines()[-1]
         assert timing.startswith(f"judged {2 * POOL_BATCH + 20} examples in ")
-        eval_args = ["eval", *common, "--metric", "em,f1", "--workers", workers]
-        assert main([*eval_args, "--out", str(out_dir)]) == 0
+        assert main([*eval_args, "--skip-bad", "--out", str(out_dir)]) == 0
         evaluated = capsys.readouterr()
         reports = [(out_dir / name).read_bytes() for name in ("report.csv", "report.json")]
         runs.append((judged.out, judged.err.removesuffix(timing + "\n"), evaluated, reports))
@@ -1245,7 +1295,14 @@ def test_skip_bad_output_and_stderr_same_for_any_worker_count(tmp_path, seed_bun
         assert len(skipped) == len(bad)
         for line, line_no in zip(skipped, bad):
             assert line.startswith(f"skipping bad line: {path}:{line_no}: ")
-    assert runs[0] == runs[1]
+        for data, line_no in ((path, 1), (third, 521)):
+            for args in (judge_args, eval_args):
+                args = [*args[:2], str(data), *args[3:]]
+                assert main(args) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"pedants: error: {data}:{line_no}: "), (args, err)
+                assert err.count("\n") == 1
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][1] == runs[0][2].err
 
 
@@ -1261,6 +1318,28 @@ def test_judge_reads_a_file_that_starts_with_a_bom(tmp_path, dataset, seed_bundl
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert main([*common, str(bom), "--dataset", str(path)]) == 0
         assert bom.read_bytes() == plain.read_bytes()
+
+
+def test_block_gives_one_result_per_line_and_each_bad_lines_error():
+    # the one judging path: results in line order, a bad line's DatasetError
+    # in its place, and all of them as they were after a pickle round trip,
+    # as a pool worker sends them back
+    from pedants.cli import Judger, _JudgeBlock
+    from pedants.errors import DatasetError
+
+    good = json.dumps({"question": "q", "references": ["Paris"], "candidate": "paris"})
+    block = _JudgeBlock("data.jsonl", Judger(["em"], "em", 0.5, None))
+    results = block([(1, good), (2, "{broken"), (4, "[1, 2]"), (5, good)])
+    assert results[0] == results[3] == '{"correct": true}'
+    assert [type(r) for r in results[1:3]] == [DatasetError] * 2
+    assert str(results[2]) == "data.jsonl:4: expected a JSON object, got list"
+    assert block([]) == []
+    returned = pickle.loads(pickle.dumps(results))
+    assert [str(r) for r in returned] == [str(r) for r in results]
+    assert [(e.message, e.path, e.line_no) for e in returned[1:3]] == [
+        (e.message, "data.jsonl", e.line_no) for e in results[1:3]
+    ]
+    assert [e.line_no for e in returned[1:3]] == [2, 4]
 
 
 def _double(block):
@@ -1307,6 +1386,25 @@ def test_pool_reads_ahead_two_blocks_per_worker_and_no_more():
     # the first result waits for 2 x workers blocks read, no fewer or more
     assert ahead[0] == 2 * workers * POOL_BATCH - 1
     assert max(ahead) < 2 * workers * POOL_BATCH
+
+
+def _mark_done(block):
+    """Each item unchanged, after a pause; then the block's file exists."""
+    time.sleep(0.2)
+    directory, first = block[0]
+    (directory / str(first)).touch()
+    return block
+
+
+def test_pool_lets_every_sent_block_finish_when_its_caller_stops(tmp_path):
+    # the pool's terminate can hang while its task thread is still sending a
+    # block, so when the caller stops early (a bad line's error), each block
+    # already sent to the pool finishes first
+    items = ((tmp_path, i) for i in range(10 * POOL_BATCH))
+    pairs = _map_ordered(_mark_done, items, 2)
+    next(pairs)
+    pairs.close()
+    assert sorted(int(p.name) for p in tmp_path.iterdir()) == [k * POOL_BATCH for k in range(4)]
 
 
 def test_pooled_run_leaves_no_object_frozen():
@@ -1376,6 +1474,19 @@ def test_process_exit_code_of_a_bad_line(tmp_path, many, seed_bundle_path):
     line = 2 * POOL_BATCH + 6  # in the third block, judged while the pool runs
     assert f"pedants: error: {bad}:{line}: missing required field 'candidate'" in proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
+
+
+def test_process_judging_to_stdout_stops_at_a_bad_line_for_any_worker_count(tmp_path, many):
+    # every record before the bad line is printed, as its block's results
+    # are written before the bad line's error is raised
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(many.read_text() + "{broken\n" + many.read_text())
+    runs = [_process("judge", "--metric", "f1", "--dataset", bad, "--workers", w) for w in "12"]
+    assert [proc.returncode for proc in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.splitlines()) == 1 + 2 * POOL_BATCH + 5
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.decode().startswith(f"pedants: error: {bad}:{2 * POOL_BATCH + 6}: ")
 
 
 def test_process_with_a_pool_ends_with_its_workers(many):

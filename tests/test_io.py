@@ -219,7 +219,7 @@ def test_dataset_file_records_are_iter_examples(tmp_path):
 def test_write_jsonl_emits_header(tmp_path):
     path = tmp_path / "out.jsonl"
     with path.open("w") as handle:
-        n = io.write_jsonl(handle, [{"x": 1}, {"x": 2}])
+        n = io.write_jsonl(handle, [json.dumps({"x": 1}), json.dumps({"x": 2})])
     assert n == 2
     lines = path.read_text().splitlines()
     assert lines[0] == io.JSONL_HEADER
