@@ -1,14 +1,16 @@
 """Command-line surface: train, judge, eval, rank, and sweep subcommands.
 
-judge, eval, rank and sweep stream their input in blocks of POOL_BATCH
-lines, so memory stays flat regardless of dataset size. One block function
-per command (``_Block``) is their only judging path: it parses each line of
-a block, judges the good records together, and returns one result per
-line, or the line's DatasetError. This process only reads lines, and writes
-or tallies the results in input order; it raises or reports each bad line
-as its block's results are consumed. With --workers N > 1 and more than one
-block, each block is one task of a process pool, and up to 2N blocks are in
-flight while this process reads on; one block is judged in this process.
+The commands that read a dataset (judge, eval, rank, sweep and train
+--corpus) stream it in blocks of POOL_BATCH lines, so memory stays flat
+regardless of dataset size. Each builds one object (a ``_Block``): it
+parses each line of a block, scores the good records together under the
+command's metrics, and makes the command's result of each line, or holds
+the line's DatasetError. It is the only object a pool worker receives.
+This process only reads lines, and writes or tallies the results in input
+order; it raises or reports each bad line as its block's results are
+consumed. With --workers N > 1 and more than one block, each block is one
+task of a process pool, and up to 2N blocks are in flight while this
+process reads on; one block is judged in this process.
 The only randomness is training's, drawn from train's --seed.
 Exit codes: 0 success, 1 validation failure, 2 unexpected runtime failure.
 """
@@ -38,7 +40,7 @@ from .textnorm import PEDANTS_POLICY, POLICY_PRESETS, tokens
 # string metrics, pre-judged eval, sweep and rank --rates start without it.
 # harness is imported by eval, rank and sweep, the commands that use it.
 if TYPE_CHECKING:
-    from .pipeline import PedantsModel, _Prepared
+    from .pipeline import _Prepared
 
 MODEL_ENV_VAR = "PEDANTS_MODEL"
 DEFAULT_THRESHOLD = 0.5
@@ -47,73 +49,6 @@ DEFAULT_THRESHOLD = 0.5
 POOL_BATCH = 256
 
 METRIC_CHOICES = ("em", "f1", "pedants")
-
-
-class Judger:
-    """Maps a block of examples to one output record per metric for each;
-    the one place a metric name becomes a score, so a name outside
-    METRIC_CHOICES is an error here. Instances are picklable so worker
-    processes can share one immutable configuration.
-
-    em and f1 read one token list of the candidate and of each reference
-    under the --norm policy. The references are normalized as em reaches
-    them, so em alone still stops at the first one that matches. Beside the
-    pedants metric under its own policy (--norm pedants), em and f1 read the
-    token lists, best reference and scores the judge prepared.
-    """
-
-    def __init__(self, metrics: list[str], norm: str, threshold: float, model: PedantsModel | None):
-        for name in metrics:
-            if name not in METRIC_CHOICES:
-                choices = ", ".join(METRIC_CHOICES)
-                raise PedantsError(f"unknown metric {name!r}; choose from {choices}")
-        self.metrics = metrics
-        self.policy = POLICY_PRESETS[norm]
-        self.threshold = threshold
-        self.model = model
-
-    def __call__(self, examples: list[QAExample]) -> list[dict[str, dict]]:
-        if "pedants" not in self.metrics:
-            return [self._string_records(example) for example in examples]
-        from .pipeline import _judgments, _prepare
-
-        prepared = [_prepare(example) for example in examples]
-        out = [self._string_records(example, p) for example, p in zip(examples, prepared)]
-        for records, judgment in zip(out, _judgments(prepared, self.model)):
-            records["pedants"] = judgment.to_dict()
-        return out
-
-    def verdicts(self, examples: list[QAExample]) -> list[dict[str, bool]]:
-        """Each metric's verdict alone: what eval and rank tally, so the
-        block function of a pool worker sends back little."""
-        return [{name: r["correct"] for name, r in records.items()} for records in self(examples)]
-
-    def _string_records(self, example: QAExample, prepared: _Prepared | None = None) -> dict:
-        """em and f1, when asked for; from the judge's ``prepared`` example
-        when it was prepared under the --norm policy."""
-        records: dict[str, dict] = {}
-        best = None
-        if prepared is not None and self.policy == PEDANTS_POLICY:
-            candidate, references = prepared.candidate, prepared.references
-            best = prepared.ref_index, prepared.scores
-        elif "em" in self.metrics or "f1" in self.metrics:
-            candidate = tokens(example.candidate, self.policy)
-            references = (tokens(ref, self.policy) for ref in example.references)
-        if "f1" in self.metrics:
-            references = list(references)
-        if "em" in self.metrics:  # token lists are equal where their joins are
-            records["em"] = {"correct": candidate in references}
-        if "f1" in self.metrics:
-            idx, scores = best or _best_tokens(candidate, references)
-            records["f1"] = {
-                "correct": scores.f1 >= self.threshold,
-                "f1": scores.f1,
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "threshold": self.threshold,
-                "reference_index": idx,
-            }
-        return records
 
 
 _POOL_FN: Callable = None
@@ -169,74 +104,143 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
         gc.unfreeze()
 
 
-def _report_skip(err: DatasetError) -> None:
-    print(f"skipping bad line: {err}", file=sys.stderr)
-
-
-def _good(result, skip_bad: bool) -> bool:
-    """Whether a block's result is not a bad line's DatasetError, which is
-    raised, or with --skip-bad reported."""
-    if not isinstance(result, DatasetError):
-        return True
-    if not skip_bad:
-        raise result
-    _report_skip(result)
-    return False
-
-
 class _Block:
-    """The one judging path of judge, eval, rank and sweep, serial or
-    pooled: maps a block of (line_no, line) pairs of the dataset at ``path``
-    to one result per line, in order. Each line is read by ``io.parse_line``
-    with ``parse``, a labeled record unless a command says otherwise, and a
-    line that fails comes back as its DatasetError. The good records are
-    judged together by ``judge``, which makes the command's results.
-    Instances are picklable: a pool worker takes one when it starts, then
-    each block as a task, and sends back only the results."""
+    """The one object of each command that reads a dataset, serial or
+    pooled: it maps a block of (line_no, line) pairs of the dataset at
+    ``path`` to one result per line, in order, and is the one place a metric
+    name becomes a score. Each line is read by ``io.parse_line`` with
+    ``parse``, a labeled record unless a command says otherwise, and a line
+    that fails comes back as its DatasetError. The good records are scored
+    together under ``metrics``, and ``results`` makes the command's result of
+    each. Instances are picklable: a pool worker takes one when it starts,
+    then each block as a task, and sends back only the results.
 
-    def __init__(self, path: str, judger: Judger | None):
-        self.path, self.judger = path, judger
+    em and f1 read one token list of the candidate and of each reference
+    under the --norm policy. The references are normalized as em reaches
+    them, so em alone still stops at the first one that matches. Beside the
+    pedants metric under its own policy (--norm pedants), em and f1 read the
+    token lists, best reference and scores the judge prepared.
+    """
+
+    # whether a record must carry a human label, and the QAExample fields it
+    # must set besides
+    labeled, required = True, ()
+
+    def __init__(self, path: str, norm="em", threshold=DEFAULT_THRESHOLD, metrics=(), model=None):
+        self.path, self.policy, self.threshold = path, POLICY_PRESETS[norm], threshold
+        self.metrics, self.model = metrics, model
+
+    def score(self, metrics: list[str], args) -> _Block:
+        """This block, set to score ``metrics``. A name outside
+        METRIC_CHOICES is an error, raised before the bundle of --model (or
+        $PEDANTS_MODEL) is loaded for pedants."""
+        for name in metrics:
+            if name not in METRIC_CHOICES:
+                choices = ", ".join(METRIC_CHOICES)
+                raise PedantsError(f"unknown metric {name!r}; choose from {choices}")
+        self.metrics = metrics
+        if "pedants" in metrics:
+            from .pipeline import PedantsModel
+
+            path = args.model or os.environ.get(MODEL_ENV_VAR)
+            if not path:
+                need = f"a model bundle is required: pass --model or set ${MODEL_ENV_VAR}"
+                raise PedantsError(need)
+            if not Path(path).exists():
+                raise PedantsError(f"model bundle not found: {path}")
+            self.model = PedantsModel.load(path)
+        return self
 
     def __call__(self, block: list[tuple[int, str]]) -> list:
-        results, good = [], []
+        out, good, parse = [], [], self.parse
         for line_no, line in block:
             try:
-                record = io.parse_line(self.path, line_no, line, self.parse)
+                record = io.parse_line(self.path, line_no, line, parse)
             except DatasetError as err:
-                results.append(err)
+                out.append(err)
                 continue
-            good.append(len(results))
-            results.append(record)
-        for i, result in zip(good, self.judge([results[i] for i in good])):
-            results[i] = result
-        return results
+            good.append(len(out))
+            out.append(record)
+        for i, result in zip(good, self.results([out[i] for i in good])):
+            out[i] = result
+        return out
 
     def parse(self, obj: dict):
-        return _labeled(obj)
+        """The example of a record, with a human label if ``labeled`` and
+        every ``required`` field; ValueError saying which it lacks, which
+        makes the line bad."""
+        example = io.example_from_dict(obj)
+        if self.labeled and example.human_label is None:
+            raise ValueError("record has no human label")
+        for field in self.required:
+            if getattr(example, field) is None:
+                raise ValueError(f"record has no {field}")
+        return example
+
+    def results(self, records: list) -> list:
+        return records
+
+    def records(self, examples: list[QAExample]) -> list[dict[str, dict]]:
+        """Each example's output record under each metric."""
+        if "pedants" not in self.metrics:
+            return [self._string_records(example) for example in examples]
+        from .pipeline import _judgments, _prepare
+
+        prepared = [_prepare(example) for example in examples]
+        out = [self._string_records(example, p) for example, p in zip(examples, prepared)]
+        for records, judgment in zip(out, _judgments(prepared, self.model)):
+            records["pedants"] = judgment.to_dict()
+        return out
+
+    def _string_records(self, example: QAExample, prepared: _Prepared | None = None) -> dict:
+        """em and f1, when asked for; from the judge's ``prepared`` example
+        when it was prepared under the --norm policy."""
+        records: dict[str, dict] = {}
+        best = None
+        if prepared is not None and self.policy == PEDANTS_POLICY:
+            candidate, references = prepared.candidate, prepared.references
+            best = prepared.ref_index, prepared.scores
+        elif "em" in self.metrics or "f1" in self.metrics:
+            candidate = tokens(example.candidate, self.policy)
+            references = (tokens(ref, self.policy) for ref in example.references)
+        if "f1" in self.metrics:
+            references = list(references)
+        if "em" in self.metrics:  # token lists are equal where their joins are
+            records["em"] = {"correct": candidate in references}
+        if "f1" in self.metrics:
+            idx, scores = best or _best_tokens(candidate, references)
+            records["f1"] = {
+                "correct": scores.f1 >= self.threshold,
+                "f1": scores.f1,
+                "precision": scores.precision,
+                "recall": scores.recall,
+                "threshold": self.threshold,
+                "reference_index": idx,
+            }
+        return records
 
 
 class _JudgeBlock(_Block):
     """judge: each record's output line under the one --metric, serialized."""
 
-    def parse(self, obj: dict) -> QAExample:
-        return io.example_from_dict(obj)
+    labeled = False
 
-    def judge(self, examples: list[QAExample]) -> list[str]:
-        [metric] = self.judger.metrics
-        return [json.dumps(records[metric]) for records in self.judger(examples)]
+    def results(self, examples: list[QAExample]) -> list[str]:
+        [metric] = self.metrics
+        return [json.dumps(records[metric]) for records in self.records(examples)]
 
 
 class _EvalBlock(_Block):
     """eval: each record's human label and verdicts, judged, or read from
-    its "verdicts" when there is no judger, as a pre-judged file is tallied.
-    Every record is of the file's kind, ``prejudged``; None takes either."""
+    its "verdicts" in a pre-judged file. Every record is of the file's kind,
+    ``prejudged``; until the first good record sets it, a record of either
+    kind comes back as parsed, a plain one unjudged."""
 
-    def __init__(self, path: str, judger: Judger | None, prejudged: bool | None):
-        super().__init__(path, judger)
-        self.prejudged = prejudged
+    prejudged: bool | None = None
 
     def parse(self, obj: dict):
-        example, verdicts = _labeled(obj), obj.get("verdicts")
+        # the base parse named outright: super() would cost a lookup per line
+        example, verdicts = _Block.parse(self, obj), obj.get("verdicts")
         kind = "verdicts" in obj
         if self.prejudged is not None and kind != self.prejudged:
             raise ValueError(
@@ -249,69 +253,74 @@ class _EvalBlock(_Block):
             and all(isinstance(v, bool) for v in verdicts.values())
         ):
             raise ValueError("'verdicts' must map metric names to booleans")
-        return example if self.judger else (example.human_label, verdicts)
+        return (example.human_label, verdicts) if kind else example
 
-    def judge(self, records: list) -> list[tuple[bool, dict]]:
-        if self.judger is None:
-            return records
-        return list(zip([ex.human_label for ex in records], self.judger.verdicts(records)))
+    def results(self, records: list) -> list[tuple[bool, dict]]:
+        if self.prejudged is not False:
+            return records  # pre-judged, or parsed to set the file's kind
+        return [
+            (ex.human_label, {name: r["correct"] for name, r in judged.items()})
+            for ex, judged in zip(records, self.records(records))
+        ]
 
 
 class _RankBlock(_Block):
     """rank: each record's human label, verdicts and model_id."""
 
-    def parse(self, obj: dict) -> QAExample:
-        return _labeled(obj, ("model_id",))
+    required = ("model_id",)
 
-    def judge(self, examples: list[QAExample]) -> list[tuple[bool, dict, str]]:
-        verdicts = self.judger.verdicts(examples)
-        return [(ex.human_label, v, ex.model_id) for ex, v in zip(examples, verdicts)]
+    def results(self, examples: list[QAExample]) -> list[tuple[bool, dict, str]]:
+        return [
+            (ex.human_label, {name: r["correct"] for name, r in judged.items()}, ex.model_id)
+            for ex, judged in zip(examples, self.records(examples))
+        ]
 
 
 class _SweepBlock(_Block):
     """sweep: each record's token F1, as eval's f1 metric scores it, and its
     human label."""
 
-    def judge(self, examples: list[QAExample]) -> list[tuple[float, bool]]:
-        records = self.judger(examples)
-        return [(r["f1"]["f1"], ex.human_label) for ex, r in zip(examples, records)]
+    def results(self, examples: list[QAExample]) -> list[tuple[float, bool]]:
+        return [(r["f1"]["f1"], ex.human_label) for ex, r in zip(examples, self.records(examples))]
 
 
-def _results(block: _Block, lines: Iterator, workers: int, skip_bad: bool) -> Iterator:
-    """``block``'s results of the good lines among ``lines``, in input
-    order, through ``_map_ordered``; each bad line's DatasetError is raised,
-    or with --skip-bad reported, as its block is consumed. A raise closes
-    the pool at once."""
+class _TrainBlock(_Block):
+    """train --corpus: each record, labeled and with its rule and type."""
+
+    required = ("rule", "qtype")
+
+
+def _each(block: _Block, lines: Iterator, workers: int, skip_bad: bool) -> Iterator:
+    """``block``'s result of each good line among ``lines``, in input order,
+    through ``_map_ordered``. Each bad line's DatasetError is raised, or with
+    --skip-bad reported, as its block is consumed; a raise closes the pool at
+    once. The caller closes ``lines``: a kept error holds its block's frames,
+    and through them the reader, until a collection."""
     with contextlib.closing(_map_ordered(block, lines, workers)) as pairs:
         for _, result in pairs:
-            if _good(result, skip_bad):
+            if not isinstance(result, DatasetError):
                 yield result
+            elif skip_bad:
+                print(f"skipping bad line: {result}", file=sys.stderr)
+            else:
+                raise result
 
 
-def _resolve_model_path(args) -> str:
-    path = args.model or os.environ.get(MODEL_ENV_VAR)
-    if not path:
-        raise PedantsError(
-            f"a model bundle is required: pass --model or set ${MODEL_ENV_VAR}"
-        )
-    if not Path(path).exists():
-        raise PedantsError(f"model bundle not found: {path}")
-    return path
-
-
-def _build_judger(metrics: list[str], args) -> Judger:
-    judger = Judger(metrics, args.norm, args.threshold, None)  # names checked before the load
-    if "pedants" in metrics:
-        from .pipeline import PedantsModel
-
-        judger.model = PedantsModel.load(_resolve_model_path(args))
-    return judger
+@contextlib.contextmanager
+def _about(path: str) -> Iterator[None]:
+    """Name the file at ``path`` in a PedantsError or ValueError raised
+    inside, which is about its records as a whole (too few models or
+    classes, say) or its content."""
+    try:
+        yield
+    except (PedantsError, ValueError) as exc:
+        raise PedantsError(f"{path}: {exc}") from exc
 
 
 def _parse_metrics(spec: str | None) -> list[str]:
     """The names of a --metric list, each given once; every metric when
     unset. The names need not be known metrics, as a pre-judged file may
-    carry others: Judger rejects an unknown one it is asked to score."""
+    carry others: a block rejects an unknown one it is asked to score."""
     if spec is None:
         return list(METRIC_CHOICES)
     names = [m.strip() for m in spec.split(",") if m.strip()]
@@ -374,19 +383,6 @@ def _write_report(paths: tuple[Path, ...], rows: list[dict], line: str) -> None:
         io.write_report_json(json_path, rows)
 
 
-def _labeled(obj: dict, required: tuple[str, ...] = ()) -> QAExample:
-    """The example of a record that carries a human label and every
-    QAExample field named in ``required``; ValueError saying which it lacks,
-    which the readers make a bad line, skipped under --skip-bad."""
-    example = io.example_from_dict(obj)
-    if example.human_label is None:
-        raise ValueError("record has no human label")
-    for field in required:
-        if getattr(example, field) is None:
-            raise ValueError(f"record has no {field}")
-    return example
-
-
 def cmd_train(args) -> int:
     if not _is_dir(Path(args.out).parent, args.out):  # fail before the fit, not after
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
@@ -394,13 +390,14 @@ def cmd_train(args) -> int:
     from .pipeline import train_pedants
 
     if args.corpus:
-        skip = _report_skip if args.skip_bad else None
-        corpus = list(io.iter_raw(args.corpus, lambda obj: _labeled(obj, ("rule", "qtype")), skip))
+        with contextlib.closing(io.iter_lines(args.corpus)) as lines:
+            corpus = list(_each(_TrainBlock(args.corpus), lines, 1, args.skip_bad))
         source = args.corpus
     else:
         corpus = io.load_seed_corpus()
         source = "bundled seed corpus"
-    model = train_pedants(corpus, args.seed)
+    with _about(source):
+        model = train_pedants(corpus, args.seed)
     model.save(args.out)
     size = Path(args.out).stat().st_size
     print(f"trained on {len(corpus)} examples from {source} -> {args.out} ({size} bytes)")
@@ -408,11 +405,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_judge(args) -> int:
-    block = _JudgeBlock(args.dataset, _build_judger([args.metric], args))
-    lines = _results(block, io.iter_lines(args.dataset), args.workers, args.skip_bad)
+    block = _JudgeBlock(args.dataset, args.norm, args.threshold).score([args.metric], args)
     started = time.perf_counter()
-    with io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
-        n = io.write_jsonl(handle, lines)
+    with contextlib.closing(io.iter_lines(args.dataset)) as lines, (
+        io.open_atomic(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    ) as handle:
+        n = io.write_jsonl(handle, _each(block, lines, args.workers, args.skip_bad))
     elapsed = time.perf_counter() - started
     rate = n / elapsed if elapsed > 0 else float("inf")
     print(f"judged {n} examples in {elapsed:.2f}s ({rate:.0f}/s)", file=sys.stderr)
@@ -423,34 +421,32 @@ def cmd_eval(args) -> int:
     from .harness import ConfusionCounts
 
     report = _report_paths(args.out, "report")
-    # the first good record, read here, sets the file's kind: pre-judged or plain
-    lines = io.iter_lines(args.dataset)
-    any_kind = _EvalBlock(args.dataset, None, None)
-    for first in lines:
-        [result] = any_kind([first])
-        if _good(result, args.skip_bad):
-            break
-    else:
-        raise PedantsError(f"no records in {args.dataset}")
-    _, verdicts = result
-    prejudged = verdicts is not None
-    # pre-judged verdicts were computed elsewhere, possibly by metrics this
-    # package does not implement: a --metric list filters them by name, and
-    # with none every name present is reported
-    names = None if prejudged and args.metric is None else _parse_metrics(args.metric)
-    block = _EvalBlock(args.dataset, None if prejudged else _build_judger(names, args), prejudged)
+    block = _EvalBlock(args.dataset, args.norm, args.threshold)
     counts: dict[str, ConfusionCounts] = {}
-    lines = itertools.chain([first], lines)
-    # a pre-judged record is only parsed, which costs less than a pool's
-    # pickling of its line and its verdicts
-    workers = 1 if prejudged else args.workers
-    for label, verdicts in _results(block, lines, workers, args.skip_bad):
-        for name, verdict in verdicts.items():
-            if names is None or name in names:
-                counts.setdefault(name, ConfusionCounts()).update(label, verdict)
+    with contextlib.closing(io.iter_lines(args.dataset)) as lines:
+        # the first good record, read here, sets the file's kind: pre-judged or plain
+        read = (r for line in lines for r in _each(block, iter([line]), 1, args.skip_bad))
+        first = next(read, None)
+        if first is None:
+            raise PedantsError(f"no records in {args.dataset}")
+        block.prejudged = isinstance(first, tuple)
+        # pre-judged verdicts were computed elsewhere, possibly by metrics this
+        # package does not implement: a --metric list filters them by name, and
+        # with none every name present is reported
+        names = None if block.prejudged and args.metric is None else _parse_metrics(args.metric)
+        if not block.prejudged:
+            [first] = block.score(names, args).results([first])
+        # a pre-judged record is only parsed, which costs less than a pool's
+        # pickling of its line and its verdicts
+        workers = 1 if block.prejudged else args.workers
+        rest = _each(block, lines, workers, args.skip_bad)
+        for label, verdicts in itertools.chain([first], rest):
+            for name, verdict in verdicts.items():
+                if names is None or name in names:
+                    counts.setdefault(name, ConfusionCounts()).update(label, verdict)
     if not counts:
-        raise PedantsError("no verdicts matched the requested metrics")
-    if prejudged:
+        raise PedantsError(f"{args.dataset}: no verdicts matched the requested metrics")
+    if block.prejudged:
         names = sorted(counts)
 
     rows = [
@@ -477,31 +473,29 @@ def cmd_rank(args) -> int:
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise PedantsError(f"--rates cannot be combined with {', '.join(given)}")
-        try:  # a bad rate table is an error naming its file
+        with _about(args.rates):
             data = json.loads(Path(args.rates).read_text(encoding="utf-8"))
             if not (isinstance(data, dict) and "human" in data and "metrics" in data):
                 raise ValueError('expected an object with "human" and "metrics" keys')
             ranking = RankingInput(human_rates=data["human"], metric_rates=data["metrics"])
-        except (ValueError, PedantsError) as exc:
-            raise PedantsError(f"{args.rates}: {exc}") from exc
         names = sorted(ranking.metric_rates)
     else:
         if not args.dataset:
             raise PedantsError("rank needs --rates or --dataset")
         names = _parse_metrics(args.metric)
-        judger = _build_judger(names, args)
+        block = _RankBlock(args.dataset, args.norm, args.threshold).score(names, args)
         # per model: its records, and how many humans and each metric judge correct
         records: Counter[str] = Counter()
         correct = {name: Counter() for name in ("human", *names)}
-        block = _RankBlock(args.dataset, judger)
-        lines = io.iter_lines(args.dataset)
-        for label, verdicts, model_id in _results(block, lines, 1, args.skip_bad):
-            records[model_id] += 1
-            correct["human"][model_id] += label
-            for name in names:
-                correct[name][model_id] += verdicts[name]
+        with contextlib.closing(io.iter_lines(args.dataset)) as lines:
+            for label, verdicts, model_id in _each(block, lines, 1, args.skip_bad):
+                records[model_id] += 1
+                correct["human"][model_id] += label
+                for name in names:
+                    correct[name][model_id] += verdicts[name]
         rates = {name: {m: c[m] / n for m, n in records.items()} for name, c in correct.items()}
-        ranking = RankingInput(human_rates=rates.pop("human"), metric_rates=rates)
+        with _about(args.dataset):
+            ranking = RankingInput(human_rates=rates.pop("human"), metric_rates=rates)
 
     rows = [
         {
@@ -522,10 +516,13 @@ def cmd_sweep(args) -> int:
     report = _report_paths(args.out, "sweep")
     thresholds = _parse_thresholds(args.threshold)
     # each example's token F1 as eval's f1 metric scores it; the cutoff is unused
-    block = _SweepBlock(args.dataset, Judger(["f1"], args.norm, DEFAULT_THRESHOLD, None))
-    scored = list(_results(block, io.iter_lines(args.dataset), 1, args.skip_bad))
+    block = _SweepBlock(args.dataset, args.norm, metrics=["f1"])
+    with contextlib.closing(io.iter_lines(args.dataset)) as lines:
+        scored = list(_each(block, lines, 1, args.skip_bad))
+    with _about(args.dataset):
+        rows = threshold_sweep(scored, thresholds)
     line = "threshold={threshold:.2f}: accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
-    _write_report(report, threshold_sweep(scored, thresholds), line)
+    _write_report(report, rows, line)
     return 0
 
 

@@ -350,11 +350,6 @@ def train_pedants(train_set: Sequence[QAExample], seed: int = DEFAULT_SEED) -> P
     return PedantsModel(*models, seed, _corpus_fingerprint(train_set, seed))
 
 
-def _argmax(values: Sequence[float]) -> int:
-    """Index of the largest value; ties resolve to the lowest index."""
-    return max(range(len(values)), key=values.__getitem__)
-
-
 def _question_type(question: Sequence[str], type_probs: Sequence[float]) -> QuestionType:
     """Extractor argmax, with a wh-word fallback when the extractor is unsure.
 
@@ -363,7 +358,7 @@ def _question_type(question: Sequence[str], type_probs: Sequence[float]) -> Ques
     to "what". The fallback affects only the reported type, never the
     judge's input.
     """
-    top = _argmax(type_probs)
+    top = type_probs.index(max(type_probs))  # a tie goes to the lowest index
     if type_probs[top] >= 0.5:
         return QuestionType.from_code(top)
     for tok in question:
@@ -389,12 +384,13 @@ def _judgments(prepared: Sequence[_Prepared], model: PedantsModel) -> list[Judgm
         Judgment(
             correct=negative < positive,  # the argmax; a tie is the negative class
             confidence=positive,
-            predicted_rule=RuleLabel.from_code(_argmax(row[N_TYPES : N_TYPES + N_RULES])),
+            predicted_rule=RuleLabel.from_code(rules.index(max(rules))),  # ties: the lowest
             predicted_type=_question_type(p.question, row[:N_TYPES]),
             token_scores=p.scores,
             chosen_reference=p.ref_index,
         )
         for p, row, (negative, positive) in zip(prepared, prefix.tolist(), probs.tolist())
+        for rules in [row[N_TYPES : N_TYPES + N_RULES]]
     ]
 
 

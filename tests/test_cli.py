@@ -135,8 +135,8 @@ def test_judge_byte_identical_reruns(tmp_path, dataset, seed_bundle_path):
 
 
 # macOS starts processes with spawn, and Python 3.14 makes forkserver the
-# Linux default; under both, each worker unpickles the block function, its
-# Judger and model included, and each block's results come back pickled,
+# Linux default; under both, each worker unpickles the command's block
+# object, its model included, and each block's results come back pickled,
 # a bad line's DatasetError among them
 START_METHODS = ["fork", "spawn", "forkserver"]
 
@@ -308,7 +308,7 @@ def test_eval_prejudged_records(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--dataset", str(path), "--metric", "rouge"]) == 1
     assert capsys.readouterr().err == (
-        "pedants: error: no verdicts matched the requested metrics\n"
+        f"pedants: error: {path}: no verdicts matched the requested metrics\n"
     )
 
 
@@ -549,7 +549,7 @@ def test_bad_threshold_rejected(dataset, capsys):
 
 @pytest.mark.parametrize("command", ["judge", "eval", "rank"])
 def test_unknown_metric_rejected(command, dataset, capsys):
-    # Judger checks every metric name, so the three commands share one message
+    # the block object checks every metric name, so the three commands share one message
     assert main([command, "--dataset", str(dataset), "--metric", "bleu"]) == 1
     err = capsys.readouterr().err
     assert err == "pedants: error: unknown metric 'bleu'; choose from em, f1, pedants\n"
@@ -1086,7 +1086,8 @@ def test_training_with_one_class_names_the_field(tmp_path, field, value, shown, 
     out = tmp_path / "bundle.json"
     message = f"every example has {shown}; need at least 2 classes"
     assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"pedants: error: {message}\n"
+    # an error of the corpus as a whole names its file
+    assert capsys.readouterr().err == f"pedants: error: {corpus}: {message}\n"
     assert not out.exists()
     with pytest.raises(SingleClassCorpus) as exc:
         train_pedants(read_examples(corpus))
@@ -1166,25 +1167,26 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
 
     monkeypatch.setattr(textnorm, "normalize", counted)
     monkeypatch.setattr(metrics, "normalize", counted)
-    em = cli.Judger(["em"], norm, 0.5, None)
-    f1 = cli.Judger(["f1"], norm, 0.5, None)
-    both, em_only = cli.Judger(["em", "f1"], norm, 0.5, None), em
+    em, f1, both = (cli._Block("", norm, 0.5, names) for names in (["em"], ["f1"], ["em", "f1"]))
+    # rank's block sends back each metric's verdict alone, as eval's does
+    verdicts, em_only = (cli._RankBlock("", norm, 0.5, names) for names in (["em", "f1"], ["em"]))
     for ex in seed_corpus:
-        separate = {**em([ex])[0], **f1([ex])[0]}
+        separate = {**em.records([ex])[0], **f1.records([ex])[0]}
         calls.clear()
-        assert both([ex]) == [separate]
+        assert both.records([ex]) == [separate]
         assert len(calls) == 1 + len(ex.references)
         calls.clear()
-        assert both.verdicts([ex]) == [{name: r["correct"] for name, r in separate.items()}]
+        tallied = {name: r["correct"] for name, r in separate.items()}
+        assert verdicts.results([ex]) == [(ex.human_label, tallied, None)]
         assert len(calls) == 1 + len(ex.references)
         calls.clear()
-        assert em_only.verdicts([ex]) == [{"em": separate["em"]["correct"]}]
+        assert em_only.results([ex]) == [(ex.human_label, {"em": tallied["em"]}, None)]
         assert len(calls) <= 1 + len(ex.references)
 
     # exact match stops at the first reference that matches
     ex = QAExample("q", ("Paris", "Paris, France"), "paris")
     calls.clear()
-    assert em_only.verdicts([ex]) == [{"em": True}]
+    assert em_only.results([ex]) == [(None, {"em": True}, None)]
     assert calls == ["paris", "Paris"]
 
 
@@ -1215,10 +1217,12 @@ def test_string_metrics_share_the_judges_preparation(
     shared = capsys.readouterr().out
     # the same verdicts as each metric computed on its own
     model = PedantsModel.load(seed_bundle_path)
-    together = cli.Judger(["em", "f1", "pedants"], norm, 0.5, model)
-    apart = [cli.Judger([name], norm, 0.5, model) for name in ("em", "f1", "pedants")]
+    together = cli._Block("", norm, 0.5, ["em", "f1", "pedants"], model)
+    apart = [cli._Block("", norm, 0.5, [name], model) for name in ("em", "f1", "pedants")]
     for ex in seed_corpus:
-        assert together([ex]) == [{k: v for j in apart for k, v in j([ex])[0].items()}]
+        assert together.records([ex]) == [
+            {k: v for b in apart for k, v in b.records([ex])[0].items()}
+        ]
     assert "n=57" in shared
 
 
@@ -1324,11 +1328,11 @@ def test_block_gives_one_result_per_line_and_each_bad_lines_error():
     # the one judging path: results in line order, a bad line's DatasetError
     # in its place, and all of them as they were after a pickle round trip,
     # as a pool worker sends them back
-    from pedants.cli import Judger, _JudgeBlock
+    from pedants.cli import _JudgeBlock
     from pedants.errors import DatasetError
 
     good = json.dumps({"question": "q", "references": ["Paris"], "candidate": "paris"})
-    block = _JudgeBlock("data.jsonl", Judger(["em"], "em", 0.5, None))
+    block = _JudgeBlock("data.jsonl", metrics=["em"])
     results = block([(1, good), (2, "{broken"), (4, "[1, 2]"), (5, good)])
     assert results[0] == results[3] == '{"correct": true}'
     assert [type(r) for r in results[1:3]] == [DatasetError] * 2

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import first_max_reference, per_call_judge
-from pedants.cli import Judger
+from pedants.cli import _Block
 from pedants.io import load_seed_corpus
 from pedants.linear import LinearModel
 from pedants.metrics import best_reference, exact_match
@@ -115,8 +115,8 @@ def test_cli_string_records_are_exact_match_and_best_reference(seed_model, norm,
             "reference_index": idx,
         },
     }
-    assert Judger(["em", "f1"], norm, threshold, None)([ex]) == [want]
-    (records,) = Judger(["em", "f1", "pedants"], norm, threshold, seed_model)([ex])
+    assert _Block("", norm, threshold, ["em", "f1"]).records([ex]) == [want]
+    (records,) = _Block("", norm, threshold, ["em", "f1", "pedants"], seed_model).records([ex])
     assert {name: records[name] for name in want} == want
 
 def _restricted(tfidf, keep):

@@ -1,5 +1,7 @@
 """The string metrics' CLI outputs on the bundled seed corpus, byte for byte,
-and the pedants judge's output on it, field by field.
+and the pedants judge's output on it, field by field; and the outputs of
+judge, eval, rank and sweep on that corpus repeated to three blocks, with
+one bad line in each, byte for byte.
 
 The string metrics involve no BLAS call and no trained model, so their
 bytes are the same on every machine. Each digest is the sha256 of a file the command
@@ -10,6 +12,7 @@ output must keep every digest.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,105 @@ def test_pedants_judge_matches_its_golden_output(seed_bundle_path, tmp_path):
         assert [row[k] for k in EXACT] == [golden[k] for k in EXACT]
         for key in CLOSE:
             assert row[key] == pytest.approx(golden[key], abs=1e-12, rel=0)
+
+
+# The seed corpus repeated to 570 records, as CI builds it, so that a command
+# reads three blocks of POOL_BATCH lines and --workers 2 starts a pool. Each
+# record carries a model_id, round-robin over five, for rank, and each block
+# holds one bad line. Each digest covers a run's exit code, stdout, stderr
+# (judge's timing line cut to its count) and written files, recorded before
+# each command's block object took over the CLI judger's work. Paths in the
+# messages are relative, as each run starts in the dataset's directory.
+BAD_LINES = {
+    100: b"[1, 2]",
+    300: b'{"question": "q", "references": ["a"]}',
+    530: b'{"question": "q", "references": ["a"], "candidate": "\xff"}',
+}
+
+# name: (argv, digest with --skip-bad, digest without it)
+BLOCKS_GOLDEN = {
+    "judge-em-out": (
+        ("judge", "--metric", "em", "--out", "judged.jsonl"),
+        "f3e5761cc044e97df5a4efbfb731e1d80dc8228718e99f6d924b6ae331118932",
+        "bf1f319adacb68bf25b3a53fdd5f3bfcaa9f94916df3100d4a546364a2c1b9ba",
+    ),
+    "judge-em-stdout": (
+        ("judge", "--metric", "em"),
+        "47018fe8b9ca0a945146cf01181448cd7d8b825970afe257a7cb5068e8bb5039",
+        "d119fd55677d56d583ef95a78923e872cc2d8a43100eff4665c7da7ba9e88495",
+    ),
+    "judge-f1-out": (
+        ("judge", "--metric", "f1", "--out", "judged.jsonl"),
+        "1653d533657eab58cd0a475b978e1bf19b5f53a7d61f6a3ec1fce5eaa8c0f819",
+        "bf1f319adacb68bf25b3a53fdd5f3bfcaa9f94916df3100d4a546364a2c1b9ba",
+    ),
+    "judge-f1-stdout": (
+        ("judge", "--metric", "f1"),
+        "135a41e4a33aa23534de7281036ea640edd8d7e5605d3060d5496abef953937e",
+        "5e9c71a28d0779ad07e47ffcd0fdb9e09df52bddc1f29a6a45ca37866f929553",
+    ),
+    "eval": (
+        ("eval", "--metric", "em,f1", "--out", "reports"),
+        "ffa8c2c3b52ee32b3ccb1b22299b617caf4386b57659176b769fd3e3e343eb36",
+        "bf1f319adacb68bf25b3a53fdd5f3bfcaa9f94916df3100d4a546364a2c1b9ba",
+    ),
+    "sweep": (
+        ("sweep", "--out", "reports"),
+        "c824a16fbc44387ea0b5d02d724dff3e6ca2e9b857c48360c123b0822bcfccd7",
+        "bf1f319adacb68bf25b3a53fdd5f3bfcaa9f94916df3100d4a546364a2c1b9ba",
+    ),
+    "rank": (
+        ("rank", "--metric", "em,f1", "--out", "reports"),
+        "d50eb6202a4db5b320dbd1d66dc17fb9be063e551fd03cc05df599f4373916f2",
+        "bf1f319adacb68bf25b3a53fdd5f3bfcaa9f94916df3100d4a546364a2c1b9ba",
+    ),
+}
+BLOCKS_CASES = {
+    f"{name}-w{workers}": (*case, workers)
+    for name, case in BLOCKS_GOLDEN.items()
+    for workers in ((1, 2) if case[0][0] in ("judge", "eval") else (1,))
+}
+
+
+@pytest.fixture(scope="module")
+def blocks_dir(tmp_path_factory):
+    lines = SEED_CORPUS.read_bytes().splitlines()
+    records = [line for line in lines if not line.startswith(b"#")]
+    rows = [b"# pedants seed corpus v1"]
+    for i in range(570):
+        rows.append(records[i % len(records)][:-1] + b', "model_id": "m%d"}' % (i % 5))
+        if i in BAD_LINES:
+            rows.append(BAD_LINES[i])
+    path = tmp_path_factory.mktemp("blocks")
+    (path / "data.jsonl").write_bytes(b"\n".join(rows) + b"\n")
+    return path
+
+
+def _run_digest(argv, capsys):
+    """The sha256 of one run's exit code, stdout, stderr and written files."""
+    code = main([*argv, "--dataset", "data.jsonl"])
+    out, err = capsys.readouterr()
+    err = re.sub(r"(?m)^(judged \d+ examples) in .*$", r"\1", err)
+    digest = hashlib.sha256(f"{code}\n{out}\n{err}\n".encode())
+    for path in sorted(Path(".").rglob("*")):
+        if path.is_file() and path.name != "data.jsonl":
+            digest.update(path.as_posix().encode() + b"\n" + path.read_bytes())
+            path.unlink()
+    return digest.hexdigest(), err
+
+
+@pytest.mark.parametrize(
+    "argv, skipping, stopping, workers",
+    BLOCKS_CASES.values(),
+    ids=BLOCKS_CASES,
+)
+def test_blocks_with_bad_lines_are_byte_identical(
+    argv, skipping, stopping, workers, blocks_dir, monkeypatch, capsys
+):
+    monkeypatch.chdir(blocks_dir)
+    if argv[0] in ("judge", "eval"):
+        argv = (*argv, "--workers", str(workers))
+    assert _run_digest([*argv, "--skip-bad"], capsys)[0] == skipping
+    digest, err = _run_digest(argv, capsys)
+    assert err.endswith("pedants: error: data.jsonl:103: expected a JSON object, got list\n")
+    assert digest == stopping

@@ -369,16 +369,26 @@ def test_type_fallback_heuristic():
     def qtype(question, probs):
         return _question_type(tokens(question, PEDANTS_POLICY), probs)
 
-    uncertain = np.full(7, 1 / 7)
+    uncertain = [1 / 7] * 7  # the judge passes each row as a list
     assert qtype("When did it happen?", uncertain) is QuestionType.WHEN
     assert qtype("In 2011, what airport was busiest?", uncertain) is QuestionType.WHAT
     assert qtype("Name a primary color.", uncertain) is QuestionType.WHAT
     assert qtype("WHO? Where, or which?", uncertain) is QuestionType.WHO  # earliest wins
-    confident = np.zeros(7)
+    confident = [0.0] * 7
     confident[QuestionType.WHERE.code] = 0.9
     confident[QuestionType.WHAT.code] = 0.1
     # confident extractor wins even when the text says otherwise
     assert qtype("When did it happen?", confident) is QuestionType.WHERE
+
+
+def test_a_tie_among_rules_goes_to_the_lowest_index(seed_model, seed_corpus):
+    # a rule model of zeros gives every rule the same probability, bit for
+    # bit, so each record's rule is a seven-way tie, which R1 wins
+    rule = seed_model.rule_model
+    flat = linear.LinearModel(np.zeros_like(rule.weights), np.zeros_like(rule.bias))
+    model = dataclasses.replace(seed_model, rule_model=flat)
+    assert len({j.predicted_rule for j in judge_batch(seed_corpus, seed_model)}) > 1
+    assert {j.predicted_rule for j in judge_batch(seed_corpus, model)} == {RuleLabel.R1}
 
 
 def test_one_triple_vectorizer_after_train_and_load(seed_model, seed_bundle_path):
