@@ -157,7 +157,9 @@ class _Block:
             try:
                 record = io.parse_line(self.path, line_no, line, parse)
             except DatasetError as err:
-                out.append(err)
+                # rebuilt from its fields, as a pool worker sends it back: the
+                # raised error's tracebacks hold this frame, so ``out``, in a cycle
+                out.append(DatasetError(err.message, err.path, err.line_no))
                 continue
             good.append(len(out))
             out.append(record)
@@ -187,20 +189,23 @@ class _Block:
         from .pipeline import _judgments, _prepare
 
         prepared = [_prepare(example) for example in examples]
-        out = [self._string_records(example, p) for example, p in zip(examples, prepared)]
+        if "em" in self.metrics or "f1" in self.metrics:
+            out = [self._string_records(example, p) for example, p in zip(examples, prepared)]
+        else:
+            out = [{} for _ in examples]
         for records, judgment in zip(out, _judgments(prepared, self.model)):
             records["pedants"] = judgment.to_dict()
         return out
 
     def _string_records(self, example: QAExample, prepared: _Prepared | None = None) -> dict:
-        """em and f1, when asked for; from the judge's ``prepared`` example
-        when it was prepared under the --norm policy."""
+        """em and f1, whichever is asked for, one at least; from the judge's
+        ``prepared`` example when it was prepared under the --norm policy."""
         records: dict[str, dict] = {}
         best = None
         if prepared is not None and self.policy == PEDANTS_POLICY:
             candidate, references = prepared.candidate, prepared.references
             best = prepared.ref_index, prepared.scores
-        elif "em" in self.metrics or "f1" in self.metrics:
+        else:
             candidate = tokens(example.candidate, self.policy)
             references = (tokens(ref, self.policy) for ref in example.references)
         if "f1" in self.metrics:
@@ -294,8 +299,7 @@ def _each(block: _Block, lines: Iterator, workers: int, skip_bad: bool) -> Itera
     """``block``'s result of each good line among ``lines``, in input order,
     through ``_map_ordered``. Each bad line's DatasetError is raised, or with
     --skip-bad reported, as its block is consumed; a raise closes the pool at
-    once. The caller closes ``lines``: a kept error holds its block's frames,
-    and through them the reader, until a collection."""
+    once. The caller closes ``lines``."""
     with contextlib.closing(_map_ordered(block, lines, workers)) as pairs:
         for _, result in pairs:
             if not isinstance(result, DatasetError):

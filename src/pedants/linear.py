@@ -173,9 +173,14 @@ def train(
     labels are present and ValueError when a label is out of range.
 
     A step is a fixed sequence of small numpy calls, through local names
-    and in place, as their per-call overhead is its cost. Its softmax is
-    ``_softmax``'s calls in order on the one vector, with scalar
-    reductions, so it has the bits ``_softmax`` gives one row.
+    and in place, as their per-call overhead is its cost. A call with a
+    Python or numpy scalar operand costs nearly twice one with array
+    operands, so the step's scalars (the weight scale, the learning rate,
+    the clamp bounds, and the softmax's max and sum) are 0-d arrays,
+    written in place. Its softmax is ``_softmax``'s operations in order on
+    the one vector, so it has the bits ``_softmax`` gives one row: the max
+    is read from the scores as a list, and the clamp, which leaves a score
+    within its bounds as it is, runs only when a score lies outside them.
     """
     if not batch:
         raise ValueError("no training examples")
@@ -206,36 +211,44 @@ def train(
 
     ys = labels.tolist()
     scores = np.empty(n_classes, dtype=np.float64)  # scores, probabilities, then the step
-    take, matmul, outer = v.take, np.matmul, np.multiply.outer
-    multiply, add, divide = np.multiply, np.add, np.divide
-    maximum, minimum, exp = np.maximum, np.minimum, np.exp
-    top, total = np.maximum.reduce, np.add.reduce
+    # the step's scalar operands, as 0-d arrays written in place
+    cur_scale, cur_eta, top, norm = (np.ones((), np.float64) for _ in range(4))
+    low, high = np.array(-LOGIT_CLAMP), np.array(LOGIT_CLAMP)
+    take, matmul, multiply, add = v.take, np.matmul, np.multiply, np.add
+    subtract, divide, maximum, minimum = np.subtract, np.divide, np.maximum, np.minimum
+    exp, total = np.exp, np.add.reduce
     for epoch in range(MAX_EPOCHS):
-        eta = ETA0 / (1.0 + epoch) ** LR_POWER
+        cur_eta[()] = eta = ETA0 / (1.0 + epoch) ** LR_POWER
         decay = max(0.0, 1.0 - eta * L2_PENALTY)
         for i in rng.permutation(len(examples)).tolist():
             idx, vals = examples[i]
             rows = take(idx, 0)
             matmul(rows.T, vals, scores)
-            multiply(scores, scale, scores)
+            multiply(scores, cur_scale, scores)
             add(scores, bias, scores)
             # the softmax, written out as the docstring says
-            maximum(scores, -LOGIT_CLAMP, out=scores)
-            minimum(scores, LOGIT_CLAMP, out=scores)
-            scores -= top(scores)
+            listed = scores.tolist()
+            top[()] = hi = max(listed)
+            if hi > LOGIT_CLAMP or min(listed) < -LOGIT_CLAMP:
+                maximum(scores, low, out=scores)
+                minimum(scores, high, out=scores)
+                top[()] = max(scores.tolist())
+            subtract(scores, top, scores)
             exp(scores, scores)
-            scores /= total(scores)
+            total(scores, out=norm)
+            divide(scores, norm, scores)
             scores[ys[i]] -= 1.0  # the gradient of the loss in the scores
-            multiply(eta, scores, scores)
-            bias -= scores
+            multiply(cur_eta, scores, scores)
+            subtract(bias, scores, bias)
             # w <- decay * w - eta * g x, as v under the decayed scale
             scale *= decay
-            divide(scores, scale, scores)
-            rows -= outer(vals, scores)
+            cur_scale[()] = scale
+            divide(scores, cur_scale, scores)
+            subtract(rows, multiply(vals[:, None], scores), rows)
             v[idx] = rows
             if scale < _MIN_SCALE:
                 v *= scale
-                scale = 1.0
+                scale = cur_scale[()] = 1.0
         wt = v * scale
         loss = _mean_loss(wt.T, bias, batch, labels)
         if loss < best_loss:

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import time
+import weakref
 from importlib import resources
 
 import pytest
@@ -1344,6 +1345,48 @@ def test_block_gives_one_result_per_line_and_each_bad_lines_error():
         (e.message, "data.jsonl", e.line_no) for e in results[1:3]
     ]
     assert [e.line_no for e in returned[1:3]] == [2, 4]
+
+
+def test_block_with_a_bad_line_is_freed_without_a_collection():
+    # a bad line's error is kept without the frames it was raised through,
+    # which would hold the block's results until a collection
+    from pedants.cli import _JudgeBlock
+
+    class Marker:
+        pass
+
+    class Marked(_JudgeBlock):
+        def results(self, examples):
+            return [Marker() for _ in examples]
+
+    good = json.dumps({"question": "q", "references": ["Paris"], "candidate": "paris"})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = Marked("data.jsonl", metrics=["em"])([(1, good), (2, "[1, 2]")])
+        marker, error = weakref.ref(results[0]), results[1]
+        del results
+        assert marker() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert str(error) == "data.jsonl:2: expected a JSON object, got list"
+
+
+def test_pedants_alone_makes_no_string_records(seed_corpus, seed_bundle_path, monkeypatch):
+    import pedants.cli as cli
+
+    calls = []
+    string_records = cli._Block._string_records
+
+    def counted(self, *args):
+        calls.append(args)
+        return string_records(self, *args)
+
+    monkeypatch.setattr(cli._Block, "_string_records", counted)
+    block = cli._Block("", "pedants", 0.5, ["pedants"], PedantsModel.load(seed_bundle_path))
+    assert [list(r) for r in block.records(seed_corpus)] == [["pedants"]] * len(seed_corpus)
+    assert calls == []
 
 
 def _double(block):

@@ -220,16 +220,17 @@ def test_final_loss_never_exceeds_initial():
     assert final <= initial + 1e-12
 
 
-def _random_examples(rng, n, dim, n_labels, signal=0.0, empty_share=0.15):
-    """Rows of normal noise on features n_labels and up, plus feature `label`
-    set to `signal` when that is nonzero. Some rows have no entries, and the
-    first two carry labels 0 and 1, so at least two classes are present."""
+def _random_examples(rng, n, dim, n_labels, signal=0.0, noise=1.0, empty_share=0.15):
+    """Rows of normal noise of deviation `noise` on features n_labels and up,
+    plus feature `label` set to `signal` when that is nonzero. Some rows have
+    no entries, and the first two carry labels 0 and 1, so at least two
+    classes are present."""
     examples = []
     for i in range(n):
         label = i if i < 2 else int(rng.integers(n_labels))
         nnz = 0 if rng.random() < empty_share else int(rng.integers(1, 9))
         entries = dict(zip(rng.choice(range(n_labels, dim), nnz, replace=False).tolist(),
-                           rng.normal(0.0, 1.0, nnz).tolist()))
+                           rng.normal(0.0, noise, nnz).tolist()))
         if nnz and signal:
             entries[label] = signal
         idx = sorted(entries)
@@ -237,23 +238,50 @@ def _random_examples(rng, n, dim, n_labels, signal=0.0, empty_share=0.15):
     return examples
 
 
+# Steps of the clamped cases cross the clamp: those of "2-class-clamped"
+# cross both bounds, "7-class-clamped" adds steps past +30 alone, and
+# "low-clamped" steps past -30 alone, so a clamp that tests one bound fails.
+_CASES = {
+    "2-class": (2, 2, 0.0, 1.0, 1),
+    "7-class": (7, 7, 0.0, 1.0, 2),
+    "2-class-clamped": (2, 2, 20.0, 1.0, 3),
+    "7-class-clamped": (7, 7, 20.0, 1.0, 4),
+    "unused-classes": (7, 4, 0.0, 1.0, 5),
+    "low-clamped": (7, 3, 5.0, 4.0, 10),
+}
 _TRAINER_CASES = pytest.mark.parametrize(
-    "n_classes, n_labels, signal, seed",
-    [(2, 2, 0.0, 1), (7, 7, 0.0, 2), (2, 2, 20.0, 3), (7, 7, 20.0, 4), (7, 4, 0.0, 5)],
-    ids=["2-class", "7-class", "2-class-clamped", "7-class-clamped", "unused-classes"],
+    "n_classes, n_labels, signal, noise, seed", list(_CASES.values()), ids=list(_CASES)
 )
+
+
+def test_low_clamped_case_has_steps_past_the_lower_bound_alone(monkeypatch):
+    # lazy_reference_train passes each step's scores, and only those, to
+    # oracles.softmax: it scores its epoch loss with linear._mean_loss
+    n_classes, n_labels, signal, noise, seed = _CASES["low-clamped"]
+    steps = []
+    softmax = oracles.softmax
+
+    def recorded(scores):
+        steps.append((scores.max(), scores.min()))
+        return softmax(scores)
+
+    monkeypatch.setattr(oracles, "softmax", recorded)
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal, noise)
+    lazy_reference_train(examples, 40, seed=seed, n_classes=n_classes)
+    assert len(steps) > len(examples)  # more than one epoch
+    assert any(hi <= LOGIT_CLAMP < -lo for hi, lo in steps)
 
 
 @_TRAINER_CASES
 def test_train_matches_reference_trainer_bit_for_bit(
-    n_classes, n_labels, signal, seed, monkeypatch
+    n_classes, n_labels, signal, noise, seed, monkeypatch
 ):
     # with no decay the weight scale stays exactly 1.0, so the lazy-scale
     # trainer must give the eager oracle's bits (the oracle reads the same
     # constant)
     monkeypatch.setattr(linear, "L2_PENALTY", 0.0)
     rng = np.random.default_rng(seed)
-    examples = _random_examples(rng, 80, 40, n_labels, signal)
+    examples = _random_examples(rng, 80, 40, n_labels, signal, noise)
     assert any(not idx for (idx, _), _ in examples)
     model = train_vectors(examples, 40, seed=seed, n_classes=n_classes)
     reference = reference_train(examples, 40, seed=seed, n_classes=n_classes)
@@ -299,33 +327,37 @@ def _assert_tracks_reference(examples, dim, seed, n_classes, monkeypatch):
 
 
 @_TRAINER_CASES
-def test_train_tracks_eager_reference_with_decay(n_classes, n_labels, signal, seed, monkeypatch):
+def test_train_tracks_eager_reference_with_decay(
+    n_classes, n_labels, signal, noise, seed, monkeypatch
+):
     assert L2_PENALTY > 0
-    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal, noise)
     _assert_tracks_reference(examples, 40, seed, n_classes, monkeypatch)
 
 
 @_TRAINER_CASES
-def test_train_folds_a_small_weight_scale(n_classes, n_labels, signal, seed, monkeypatch):
+def test_train_folds_a_small_weight_scale(
+    n_classes, n_labels, signal, noise, seed, monkeypatch
+):
     # the first epoch's 80 decays take the scale below this floor, so the
     # trainer folds the scale into the weights within that epoch
     floor = 0.999
     assert (1.0 - linear.ETA0 * L2_PENALTY) ** 80 < floor
     monkeypatch.setattr(linear, "_MIN_SCALE", floor)
-    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal, noise)
     _assert_tracks_reference(examples, 40, seed, n_classes, monkeypatch)
 
 
 @_TRAINER_CASES
 def test_train_matches_lazy_reference_with_decay_bit_for_bit(
-    n_classes, n_labels, signal, seed, monkeypatch
+    n_classes, n_labels, signal, noise, seed, monkeypatch
 ):
     # with decay on, the trainer's step has the bits of the same arithmetic
     # written as plain expressions, at the default scale floor and at one
     # the first epoch's decays cross, so the scale is also folded
     assert L2_PENALTY > 0
     assert (1.0 - linear.ETA0 * L2_PENALTY) ** 80 < 0.999
-    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal)
+    examples = _random_examples(np.random.default_rng(seed), 80, 40, n_labels, signal, noise)
     for floor in (linear._MIN_SCALE, 0.999):
         monkeypatch.setattr(linear, "_MIN_SCALE", floor)
         model = train_vectors(examples, 40, seed=seed, n_classes=n_classes)
