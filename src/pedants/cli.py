@@ -4,13 +4,14 @@ The commands that read a dataset (judge, eval, rank, sweep and train
 --corpus) stream it in blocks of POOL_BATCH lines, so memory stays flat
 regardless of dataset size. Each builds one object (a ``_Block``): it
 parses each line of a block, scores the good records together under the
-command's metrics, and makes the command's result of each line, or holds
-the line's DatasetError. It is the only object a pool worker receives.
-This process only reads lines, and writes or tallies the results in input
-order; it raises or reports each bad line as its block's results are
-consumed. With --workers N > 1 and more than one block, each block is one
-task of a process pool, and up to 2N blocks are in flight while this
-process reads on; one block is judged in this process.
+command's metrics, and makes the command's result of each line, or keeps
+the DatasetError ``io.parse_line`` returned. It is the only object a pool
+worker receives. This process only reads lines, and writes or tallies the
+results in input order; ``io._good``, the library readers' loop too, raises
+or reports each bad line as its block's results are consumed. With
+--workers N > 1 and more than one block, each block is one task of a
+process pool, and up to 2N blocks are in flight while this process reads
+on; one block is judged in this process.
 The only randomness is training's, drawn from train's --seed.
 Exit codes: 0 success, 1 validation failure, 2 unexpected runtime failure.
 """
@@ -63,9 +64,9 @@ def _apply_pool_fn(item):
     return _POOL_FN(item)
 
 
-def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]:
+def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[list]:
     """Apply fn, which maps a list of items to a list of results, to blocks
-    of POOL_BATCH items and yield (item, result) pairs in order. With
+    of POOL_BATCH items and yield each block's results in order. With
     workers > 1 and a second block to read, each block is one task of a
     process pool, and up to 2 x workers blocks are in flight while this
     process reads on. The commands' items are raw lines and fn a ``_Block``,
@@ -75,8 +76,7 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
     blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
     head = list(itertools.islice(blocks, 2 if workers > 1 else 1))
     if len(head) < 2:
-        for block in itertools.chain(head, blocks):
-            yield from zip(block, fn(block))
+        yield from map(fn, itertools.chain(head, blocks))
         return
     import multiprocessing
 
@@ -88,17 +88,16 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[tuple]
             pending = deque()
             try:
                 for block in itertools.chain(head, blocks):
-                    pending.append((block, pool.apply_async(_apply_pool_fn, (block,))))
+                    pending.append(pool.apply_async(_apply_pool_fn, (block,)))
                     if len(pending) == 2 * workers:
-                        done, results = pending.popleft()
-                        yield from zip(done, results.get())
-                for done, results in pending:
-                    yield from zip(done, results.get())
+                        yield pending.popleft().get()
+                for results in pending:
+                    yield results.get()
             finally:
                 # the pool's terminate can hang while its task thread still
                 # pickles or sends a block (a bad line's error, or a closed
                 # stdout, stops the caller early): let each sent block finish
-                for _, results in pending:
+                for results in pending:
                     results.wait()
     finally:
         gc.unfreeze()
@@ -110,7 +109,7 @@ class _Block:
     ``path`` to one result per line, in order, and is the one place a metric
     name becomes a score. Each line is read by ``io.parse_line`` with
     ``parse``, a labeled record unless a command says otherwise, and a line
-    that fails comes back as its DatasetError. The good records are scored
+    that fails keeps the DatasetError it returned. The good records are scored
     together under ``metrics``, and ``results`` makes the command's result of
     each. Instances are picklable: a pool worker takes one when it starts,
     then each block as a task, and sends back only the results.
@@ -152,17 +151,9 @@ class _Block:
         return self
 
     def __call__(self, block: list[tuple[int, str]]) -> list:
-        out, good, parse = [], [], self.parse
-        for line_no, line in block:
-            try:
-                record = io.parse_line(self.path, line_no, line, parse)
-            except DatasetError as err:
-                # rebuilt from its fields, as a pool worker sends it back: the
-                # raised error's tracebacks hold this frame, so ``out``, in a cycle
-                out.append(DatasetError(err.message, err.path, err.line_no))
-                continue
-            good.append(len(out))
-            out.append(record)
+        path, parse = self.path, self.parse
+        out = [io.parse_line(path, line_no, line, parse) for line_no, line in block]
+        good = [i for i, record in enumerate(out) if not isinstance(record, DatasetError)]
         for i, result in zip(good, self.results([out[i] for i in good])):
             out[i] = result
         return out
@@ -295,19 +286,17 @@ class _TrainBlock(_Block):
     required = ("rule", "qtype")
 
 
+def _skip(err: DatasetError) -> None:  # --skip-bad's report of a bad line
+    print(f"skipping bad line: {err}", file=sys.stderr)
+
+
 def _each(block: _Block, lines: Iterator, workers: int, skip_bad: bool) -> Iterator:
-    """``block``'s result of each good line among ``lines``, in input order,
-    through ``_map_ordered``. Each bad line's DatasetError is raised, or with
-    --skip-bad reported, as its block is consumed; a raise closes the pool at
-    once. The caller closes ``lines``."""
-    with contextlib.closing(_map_ordered(block, lines, workers)) as pairs:
-        for _, result in pairs:
-            if not isinstance(result, DatasetError):
-                yield result
-            elif skip_bad:
-                print(f"skipping bad line: {result}", file=sys.stderr)
-            else:
-                raise result
+    """``block``'s result of each good line among ``lines``, in input order:
+    ``io._good`` over the blocks of ``_map_ordered``. A bad line's error is
+    raised, or with --skip-bad reported, as its block is consumed; a raise
+    closes the pool at once. The caller closes ``lines``."""
+    with contextlib.closing(_map_ordered(block, lines, workers)) as blocks:
+        yield from io._good(itertools.chain.from_iterable(blocks), _skip if skip_bad else None)
 
 
 @contextlib.contextmanager
@@ -429,8 +418,8 @@ def cmd_eval(args) -> int:
     counts: dict[str, ConfusionCounts] = {}
     with contextlib.closing(io.iter_lines(args.dataset)) as lines:
         # the first good record, read here, sets the file's kind: pre-judged or plain
-        read = (r for line in lines for r in _each(block, iter([line]), 1, args.skip_bad))
-        first = next(read, None)
+        read = (result for line in lines for result in block([line]))
+        first = next(io._good(read, _skip if args.skip_bad else None), None)
         if first is None:
             raise PedantsError(f"no records in {args.dataset}")
         block.prejudged = isinstance(first, tuple)

@@ -12,13 +12,13 @@ schema/version comments and are skipped. A record needs "question",
 constructor the one check of its fields, and ``example_from_dict`` names the
 parser for the readers. ``iter_lines`` is the one loop over a file's
 lines and ``parse_line`` the one parse of a line: a line that is not UTF-8,
-not a JSON object, or that the caller's parse rejects is a DatasetError
-naming ``file:line``. ``iter_raw`` joins them and yields records: a bad
-line's error is raised or, given an ``on_skip`` callback, passed to it and
-the line skipped. The other readers here, the bundled seed corpus's among
-them, are ``iter_raw`` with ``example_from_dict``. The CLI's parse adds the
-fields each command requires, and its judging commands call ``parse_line``
-in the block that judges each line.
+not a JSON object, or that the caller's parse rejects gives back a
+DatasetError naming ``file:line``. ``_good``, the one skip-or-fail loop,
+raises each such error or, given an ``on_skip`` callback, passes it on and
+skips the line; ``iter_raw`` is that loop over ``parse_line`` of each line.
+The other readers, the bundled seed corpus's among them, are ``iter_raw``
+with ``example_from_dict``. The CLI's parse adds the fields each command
+requires: its blocks call ``parse_line``, and ``_good`` reads their results.
 """
 
 from __future__ import annotations
@@ -118,7 +118,9 @@ class QAExample:
             optional = key not in ("question", "candidate")
             if not isinstance(value, kind) and not (optional and value is None):
                 name = "a string" if kind is str else f"a {kind.__name__}"
-                raise ValueError(f"{key!r} must be {name}, got {type(value).__name__}")
+                got, module = type(value).__qualname__, type(value).__module__
+                got = got if module == "builtins" else f"{module}.{got}"  # numpy.bool, say
+                raise ValueError(f"{key!r} must be {name}, got {got}")
 
     def to_dict(self) -> dict:
         """The example as a record: its fields that are set, enums by value."""
@@ -192,7 +194,8 @@ def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def parse_line(path: str | Path, line_no: int, line: str, parse: Callable[[dict], object]):
     """What ``parse`` makes of one line of ``iter_lines``. A line that is
     malformed (invalid UTF-8 among them), not an object, or that ``parse``
-    rejects raises a DatasetError naming ``file:line``."""
+    rejects gives a DatasetError naming ``file:line``, returned, never
+    raised, so that it holds no traceback and no frame of its caller."""
     try:
         if not line.isascii():  # decoding the line again raises a bad byte's error
             line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -201,22 +204,27 @@ def parse_line(path: str | Path, line_no: int, line: str, parse: Callable[[dict]
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         return parse(obj)
     except Exception as exc:
-        raise DatasetError(str(exc), path=str(path), line_no=line_no) from exc
+        return DatasetError(str(exc), path=str(path), line_no=line_no)
+
+
+def _good(results: Iterable, on_skip: _OnSkip = None) -> Iterator:
+    """Each of ``results`` that is not a DatasetError. Each that is, a bad
+    line's, is raised, or with ``on_skip`` passed to it and skipped."""
+    for result in results:
+        if not isinstance(result, DatasetError):
+            yield result
+        elif on_skip is None:
+            raise result
+        else:
+            on_skip(result)
 
 
 def iter_raw(
     path: str | Path, parse: Callable[[dict], object], on_skip: _OnSkip = None
 ) -> Iterator:
     """Stream what ``parse`` makes of each line's JSON object in a JSONL
-    file: ``parse_line`` over ``iter_lines``. A bad line's DatasetError is
-    raised, or with ``on_skip`` passed to it and the line skipped."""
-    for line_no, line in iter_lines(path):
-        try:
-            yield parse_line(path, line_no, line, parse)
-        except DatasetError as err:
-            if on_skip is None:
-                raise
-            on_skip(err)
+    file: ``_good`` over ``parse_line`` of each line of ``iter_lines``."""
+    return _good((parse_line(path, n, line, parse) for n, line in iter_lines(path)), on_skip)
 
 
 def iter_examples(path: str | Path, on_skip: _OnSkip = None) -> Iterator[QAExample]:

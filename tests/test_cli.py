@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import sys
 import time
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -620,7 +622,7 @@ def test_seed_checked_before_reading_the_corpus(value, tmp_path, monkeypatch, ca
     def no_read(*args, **kwargs):
         raise AssertionError("the corpus was read")
 
-    monkeypatch.setattr("pedants.io.iter_raw", no_read)
+    monkeypatch.setattr("pedants.io.iter_lines", no_read)
     out = tmp_path / "bundle.json"
     with pytest.raises(SystemExit) as exc:
         main(["train", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
@@ -1410,9 +1412,10 @@ def _fail_second_block(block):
 
 def test_pool_keeps_order_when_later_blocks_finish_first():
     n = 4 * POOL_BATCH + 3
-    pairs = list(_map_ordered(_stamped, iter(range(n)), 2))
-    assert [(x, doubled) for x, (doubled, _) in pairs] == [(x, 2 * x) for x in range(n)]
-    done = [stamp for _, (_, stamp) in pairs[::POOL_BATCH]]  # one per block
+    blocks = list(_map_ordered(_stamped, iter(range(n)), 2))
+    assert [len(block) for block in blocks] == [POOL_BATCH] * 4 + [3]
+    assert [doubled for block in blocks for doubled, _ in block] == [2 * x for x in range(n)]
+    done = [block[0][1] for block in blocks]  # one stamp per block
     assert min(done[1:]) < done[0]
 
 
@@ -1425,14 +1428,15 @@ def test_pool_reads_ahead_two_blocks_per_worker_and_no_more():
             drawn += 1
             yield i
 
-    ahead = []
-    for consumed, (x, doubled) in enumerate(_map_ordered(_double, items(), workers), 1):
-        assert doubled == 2 * x
-        ahead.append(drawn - consumed)
-    assert len(ahead) == 10 * POOL_BATCH + 7
-    # the first result waits for 2 x workers blocks read, no fewer or more
-    assert ahead[0] == 2 * workers * POOL_BATCH - 1
-    assert max(ahead) < 2 * workers * POOL_BATCH
+    ahead, consumed = [], 0
+    for block in _map_ordered(_double, items(), workers):
+        assert block == [2 * x for x in range(consumed, consumed + len(block))]
+        ahead.append(drawn - consumed)  # items read, and not yet handed out
+        consumed += len(block)
+    assert consumed == 10 * POOL_BATCH + 7
+    # the first block waits for 2 x workers blocks read, no fewer or more
+    assert ahead[0] == 2 * workers * POOL_BATCH
+    assert max(ahead) <= 2 * workers * POOL_BATCH
 
 
 def _mark_done(block):
@@ -1458,7 +1462,8 @@ def test_pooled_run_leaves_no_object_frozen():
     # the parent's objects are frozen while the pool runs, and thawed when
     # it closes, also when a block fails
     items = range(3 * POOL_BATCH)
-    assert [x for x, _ in _map_ordered(_double, iter(items), 2)] == list(items)
+    blocks = _map_ordered(_double, iter(items), 2)
+    assert [y for block in blocks for y in block] == [2 * x for x in items]
     assert gc.get_freeze_count() == 0
     with pytest.raises(ValueError, match="second block"):
         list(_map_ordered(_fail_second_block, iter(items), 2))
@@ -1486,12 +1491,13 @@ def test_one_block_starts_no_pool(tmp_path, seed_bundle_path, size, monkeypatch,
     assert f"judged {size} examples" in capsys.readouterr().err
 
 
-def _process(*argv, **kwargs) -> subprocess.CompletedProcess:
+def _process(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
     """Run ``python -m pedants`` with ``argv``, which ends with os._exit once
-    its output is flushed. PYTHONUNBUFFERED is unset, so that stdout holds
-    output in its buffer until that flush; the timeout fails a run that a
-    process left alive (a pool worker) would keep from ending."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    its output is flushed, and with the variables of ``env`` set besides.
+    PYTHONUNBUFFERED is unset, so that stdout holds output in its buffer
+    until that flush; the timeout fails a run that a process left alive (a
+    pool worker) would keep from ending."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "pedants", *map(str, argv)],
@@ -1569,3 +1575,35 @@ def test_process_stdout_that_cannot_be_written_is_an_error(dataset):
         proc = _process("judge", "--metric", "f1", "--dataset", dataset, stdout=full)
     assert proc.returncode == 1
     assert proc.stderr.decode().endswith("pedants: error: [Errno 28] No space left on device\n")
+
+
+def test_process_trains_the_same_bytes_under_any_string_hash_seed(tmp_path):
+    # the bundle does not depend on set or dict order, at the default seed or
+    # another; and the training seed, unlike the string-hash seed, moves it
+    bundles = {}
+    for seed in ("default", "7"):
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"bundle-{seed}-hash{hash_seed}.json"
+            argv = ["train", "--out", out] + (["--seed", seed] if seed != "default" else [])
+            proc = _process(*argv, env={"PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            bundles[seed, hash_seed] = out.read_bytes()
+    assert bundles["default", "1"] == bundles["default", "2"]
+    assert bundles["7", "1"] == bundles["7", "2"]
+    assert bundles["7", "1"] != bundles["default", "1"]
+
+
+def test_process_trains_a_wide_corpus_to_a_bundle_that_saves_back_to_its_bytes(
+    tmp_path, monkeypatch
+):
+    # the benchmark's train-wide corpus: 2,000 records over a 3,000-word
+    # vocabulary, from its generator, which imports no pedants module
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    corpus, bundle, resaved = (tmp_path / name for name in ("wide.jsonl", "wide.json", "re.json"))
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in gen.train_wide(11, 2000, 3000)[0]))
+    proc = _process("train", "--corpus", corpus, "--out", bundle)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().startswith("trained on 2000 examples from ")
+    PedantsModel.load(bundle).save(resaved)
+    assert resaved.read_bytes() == bundle.read_bytes()

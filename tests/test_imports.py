@@ -13,6 +13,7 @@ import ast
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +190,10 @@ def test_star_import_dir_and_unknown_names():
         "print(sorted(set(pedants.__all__) - set(dir(pedants))), 'numpy' in sys.modules)"
     )
     assert listed == "[] False"
+
+
+def test_package_version_is_the_project_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    [version] = re.findall(r'(?m)^version = "([^"]*)"$', text)
+    assert pedants.__version__ == version

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from pedants import io
@@ -29,24 +31,32 @@ def test_open_atomic_replaces_on_success_and_keeps_target_on_failure(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+MISTYPED_FIELDS = [
+    ({"references": [None]}, "'references' must be a non-empty array of strings"),
+    ({"references": [b"a"]}, "'references' must be a non-empty array of strings"),
+    ({"question": 5}, "'question' must be a string, got int"),
+    ({"candidate": None}, "'candidate' must be a string, got NoneType"),
+    ({"human_label": "yes"}, "'human_label' must be a bool, got str"),
+    ({"human_label": 1}, "'human_label' must be a bool, got int"),
+    ({"rule": "R1"}, "'rule' must be a RuleLabel, got str"),
+    ({"qtype": "who"}, "'qtype' must be a QuestionType, got str"),
+    ({"model_id": 7}, "'model_id' must be a string, got int"),
+    ({"dataset_id": ["d"]}, "'dataset_id' must be a string, got list"),
+    # a type from outside builtins is named with its module: numpy 2 names
+    # its bool "bool", which alone would read as Python's
+    (
+        {"human_label": np.True_},
+        f"'human_label' must be a bool, got numpy.{type(np.True_).__name__}",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "fields",
-    [
-        {"references": [None]},
-        {"references": [b"a"]},
-        {"question": 5},
-        {"candidate": None},
-        {"human_label": "yes"},
-        {"human_label": 1},
-        {"rule": "R1"},
-        {"qtype": "who"},
-        {"model_id": 7},
-        {"dataset_id": ["d"]},
-    ],
+    "fields, message", MISTYPED_FIELDS, ids=[f"fields{i}" for i in range(len(MISTYPED_FIELDS))]
 )
-def test_constructor_checks_every_field(fields):
+def test_constructor_checks_every_field(fields, message):
     # the constructor, not only the record parser, rejects a mistyped field
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         QAExample(**{"question": "q", "references": ["a"], "candidate": "c", **fields})
 
 
@@ -186,6 +196,18 @@ def test_rating_converts_to_label(tmp_path):
     rated = [QAExample.from_dict(dict(rows[0], rating=r)).human_label for r in ratings]
     assert rated == [likert_to_binary(r) for r in ratings] == [r >= 4 for r in ratings]
     assert io.LIKERT_CUTOFF == 4
+
+
+def test_parse_line_returns_a_bad_lines_error_unraised():
+    # built from the message alone, the error holds no traceback, and so no
+    # frame of its caller, and chains no parser exception
+    assert io.parse_line("data.jsonl", 3, '{"a": 1}', dict) == {"a": 1}
+    for line in ("{broken", "[1, 2]", '{"question": "q"}'):
+        err = io.parse_line("data.jsonl", 3, line, QAExample.from_dict)
+        assert isinstance(err, DatasetError)
+        assert (err.path, err.line_no) == ("data.jsonl", 3)
+        assert str(err).startswith("data.jsonl:3: ")
+        assert err.__traceback__ is None and err.__cause__ is None and err.__context__ is None
 
 
 def test_a_line_that_is_not_an_object_names_its_line(tmp_path):
