@@ -11,7 +11,7 @@ results in input order; ``io._good``, the library readers' loop too, raises
 or reports each bad line as its block's results are consumed. With
 --workers N > 1 and more than one block, each block is one task of a
 process pool, and up to 2N blocks are in flight while this process reads
-on; one block is judged in this process.
+on, keeping none once sent; one block is judged in this process.
 The only randomness is training's, drawn from train's --seed.
 Exit codes: 0 success, 1 validation failure, 2 unexpected runtime failure.
 """
@@ -70,9 +70,10 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[list]:
     workers > 1 and a second block to read, each block is one task of a
     process pool, and up to 2 x workers blocks are in flight while this
     process reads on. The commands' items are raw lines and fn a ``_Block``,
-    so this process pickles only lines and unpickles only results. One
-    block is judged here, since it would occupy one worker and the pool
-    would cost its start and stop besides."""
+    so this process pickles only lines and unpickles only results, and
+    keeps no block once the pool has it. One block is judged here, since it
+    would occupy one worker and the pool would cost its start and stop
+    besides."""
     blocks = iter(lambda: list(itertools.islice(items, POOL_BATCH)), [])
     head = list(itertools.islice(blocks, 2 if workers > 1 else 1))
     if len(head) < 2:
@@ -87,8 +88,10 @@ def _map_ordered(fn: Callable, items: Iterator, workers: int) -> Iterator[list]:
         with multiprocessing.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
             pending = deque()
             try:
-                for block in itertools.chain(head, blocks):
+                # each block leaves this frame once sent, head's two as well
+                for block in itertools.chain((head.pop(0) for _ in range(2)), blocks):
                     pending.append(pool.apply_async(_apply_pool_fn, (block,)))
+                    del block
                     if len(pending) == 2 * workers:
                         yield pending.popleft().get()
                 for results in pending:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyReferences
-from .textnorm import EM_POLICY, NormPolicy, normalize, tokens
+from .textnorm import EM_POLICY, NormPolicy, tokens
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,13 @@ class PrfScores:
 
 
 def exact_match(candidate: str, references: Sequence[str], policy: NormPolicy = EM_POLICY) -> bool:
-    """True iff the normalized candidate equals any normalized reference."""
+    """True iff the candidate's token list equals any reference's."""
     if isinstance(references, str):  # not read one character at a time
         raise ValueError("exact_match needs a sequence of references, not one string")
     if not references:
         raise EmptyReferences("exact_match needs at least one reference")
-    cand = normalize(candidate, policy)
-    return any(cand == normalize(ref, policy) for ref in references)
+    cand = tokens(candidate, policy)
+    return any(cand == tokens(ref, policy) for ref in references)
 
 
 def _best_tokens(

@@ -52,6 +52,8 @@ ROWS = [
     },
 ]
 
+SEED_CORPUS = Path(resources.files("pedants") / "data" / "seed_corpus.jsonl")
+
 
 @pytest.fixture()
 def dataset(tmp_path):
@@ -475,7 +477,7 @@ def test_sweep_outputs_rows(tmp_path, dataset, capsys):
 def test_sweep_rows_are_evals_f1_rows(tmp_path, norm, capsys):
     # sweep scores F1 as eval's f1 metric does, so each of its rows is the
     # f1 row of eval at that cutoff
-    seed = str(resources.files("pedants") / "data" / "seed_corpus.jsonl")
+    seed = str(SEED_CORPUS)
     cutoffs = ["0", "0.25", "0.5", "0.75", "1"]
     sweep_out = tmp_path / "sweep"
     argv = ["sweep", "--dataset", seed, "--norm", norm, "--threshold", ",".join(cutoffs)]
@@ -496,7 +498,7 @@ def test_sweep_rows_are_evals_f1_rows(tmp_path, norm, capsys):
 @pytest.mark.parametrize("norm", ["em", "pedants"])
 def test_sweep_report_is_threshold_sweep(tmp_path, norm, capsys):
     # the rows the library returns are the report the command writes
-    seed = str(resources.files("pedants") / "data" / "seed_corpus.jsonl")
+    seed = str(SEED_CORPUS)
     cutoffs = (0.0, 0.25, 0.5, 0.75, 1.0)
     argv = ["sweep", "--dataset", seed, "--norm", norm, "--threshold", "0,0.25,0.5,0.75,1"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -996,7 +998,6 @@ def test_report_out_checked_before_any_work(tmp_path, dataset, command, kind, mo
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} read its dataset")
 
-    monkeypatch.setattr("pedants.io.iter_raw", refuse)
     monkeypatch.setattr("pedants.io.iter_lines", refuse)
     # an --out that is a file or lies under one, or a report path that is a
     # directory, stops the command before it reads its dataset, and creates
@@ -1076,6 +1077,9 @@ def test_train_corpus_record_without_annotation_is_a_bad_line(tmp_path, field, m
     assert main(["train", "--corpus", str(corpus), "--skip-bad", "--out", str(out)]) == 0
     assert f"skipping bad line: {corpus}:6: {message}\n" in capsys.readouterr().err
     assert out.read_bytes() == expected.read_bytes()
+    # which loads and saves back to the bytes train wrote
+    PedantsModel.load(out).save(expected)
+    assert expected.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("field, value, shown", [
@@ -1159,7 +1163,6 @@ def test_eval_reads_a_pipe():
 @pytest.mark.parametrize("norm", ["em", "pedants"])
 def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkeypatch):
     import pedants.cli as cli
-    import pedants.metrics as metrics
     import pedants.textnorm as textnorm
 
     calls = []
@@ -1169,7 +1172,6 @@ def test_em_and_f1_together_normalize_each_string_once(norm, seed_corpus, monkey
         return normalize(text, policy)
 
     monkeypatch.setattr(textnorm, "normalize", counted)
-    monkeypatch.setattr(metrics, "normalize", counted)
     em, f1, both = (cli._Block("", norm, 0.5, names) for names in (["em"], ["f1"], ["em", "f1"]))
     # rank's block sends back each metric's verdict alone, as eval's does
     verdicts, em_only = (cli._RankBlock("", norm, 0.5, names) for names in (["em", "f1"], ["em"]))
@@ -1470,6 +1472,35 @@ def test_pooled_run_leaves_no_object_frozen():
     assert gc.get_freeze_count() == 0
 
 
+class _Watched:
+    """An item a weak reference can watch."""
+
+
+def _ones(block):
+    return [1] * len(block)
+
+
+def test_pool_keeps_no_block_it_has_sent():
+    # after the sixth block, no local of the generator is a list of items,
+    # and the items of the first two blocks, read before the pool started,
+    # are freed
+    watched = []
+
+    def items():
+        for _ in range(10 * POOL_BATCH):
+            item = _Watched()
+            watched.append(weakref.ref(item))
+            yield item
+
+    blocks = _map_ordered(_ones, items(), 2)
+    for _ in range(6):
+        assert next(blocks) == [1] * POOL_BATCH
+    held = [v for v in blocks.gi_frame.f_locals.values() if isinstance(v, list) and v]
+    assert held == []
+    assert [ref for ref in watched[:2 * POOL_BATCH] if ref() is not None] == []
+    blocks.close()
+
+
 @pytest.mark.parametrize("size", [1, POOL_BATCH])
 def test_one_block_starts_no_pool(tmp_path, seed_bundle_path, size, monkeypatch, capsys):
     path = tmp_path / "data.jsonl"
@@ -1607,3 +1638,83 @@ def test_process_trains_a_wide_corpus_to_a_bundle_that_saves_back_to_its_bytes(
     assert proc.stdout.decode().startswith("trained on 2000 examples from ")
     PedantsModel.load(bundle).save(resaved)
     assert resaved.read_bytes() == bundle.read_bytes()
+
+
+def _seed_copy(path, edit):
+    """The seed corpus with each record line replaced by ``edit(line_no, record)``."""
+    lines = SEED_CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(
+        line if line.startswith("#") else json.dumps(edit(n, json.loads(line))) + "\n"
+        for n, line in enumerate(lines, 1)
+    ), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["judge", "eval-prejudged", "rank", "sweep"])
+def test_process_writes_the_same_bytes_under_any_string_hash_seed(
+    command, tmp_path, seed_bundle_path
+):
+    # no output depends on set or dict order: the pedants judge's, a
+    # pre-judged eval's whose --metric names one verdict the file has and one
+    # it lacks, rank's over five model_ids and sweep's
+    argv = {
+        "judge": ["judge", "--model", seed_bundle_path, "--dataset", SEED_CORPUS],
+        "eval-prejudged": ["eval", "--metric", "em,rouge", "--dataset", _seed_copy(
+            tmp_path / "prejudged.jsonl",
+            lambda n, row: dict(row, verdicts={"em": n % 2 == 1, "bertscore": n % 3 != 0}),
+        )],
+        "rank": ["rank", "--model", seed_bundle_path, "--dataset", _seed_copy(
+            tmp_path / "ranked.jsonl", lambda n, row: dict(row, model_id=f"m{n % 5}")
+        )],
+        "sweep": ["sweep", "--dataset", SEED_CORPUS],
+    }[command]
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed / "out"
+        out.parent.mkdir()
+        proc = _process(*argv, "--out", out, env={"PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        files = [out] if out.is_file() else sorted(out.iterdir())
+        runs.append((proc.stdout, {f.name: f.read_bytes() for f in files}))
+    assert runs[0] == runs[1]
+    if command == "eval-prejudged":
+        assert [r["metric"] for r in json.loads(runs[0][1]["report.json"])] == ["em"]
+
+
+def test_process_eval_of_a_rated_or_bom_prefixed_copy_is_the_labeled_report(tmp_path):
+    # ratings 4 and 3 straddle the one Likert cutoff as labels 1 and 0 do,
+    # under either string-hash seed; a UTF-8 byte order mark is dropped
+    rated = _seed_copy(tmp_path / "rated.jsonl", lambda n, row: {
+        **{k: v for k, v in row.items() if k != "label"}, "rating": 4 if row["label"] else 3
+    })
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(b"\xef\xbb\xbf" + SEED_CORPUS.read_bytes())
+    reports = []
+    for data, hash_seed in ((SEED_CORPUS, "1"), (rated, "1"), (rated, "2"), (bom, "1")):
+        out = tmp_path / f"{data.stem}-{hash_seed}"
+        proc = _process("eval", "--metric", "em,f1", "--dataset", data, "--out", out,
+                        env={"PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        reports.append([(out / f"report.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert reports[1] == reports[2] == reports[3] == reports[0]
+
+
+def test_process_eval_beside_the_pedants_metric_is_the_same_for_any_worker_count(
+    tmp_path, seed_bundle_path
+):
+    # the seed corpus ten times over, 570 records in three blocks, so that
+    # --workers 2 starts a pool; under --norm pedants em and f1 read the
+    # judge's preparation
+    multi = tmp_path / "multi.jsonl"
+    multi.write_bytes(SEED_CORPUS.read_bytes() * 10)
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"eval-{workers}"
+        proc = _process("eval", "--workers", workers, "--metric", "em,f1,pedants",
+                        "--norm", "pedants", "--model", seed_bundle_path, "--dataset", multi,
+                        "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        reports = [(out / f"report.{ext}").read_bytes() for ext in ("csv", "json")]
+        runs.append([proc.stdout, *reports])
+    assert runs[0] == runs[1]
+    assert [r["examples"] for r in json.loads(runs[0][2])] == [570] * 3

@@ -87,8 +87,8 @@ def test_pedants_judge_matches_its_golden_output(seed_bundle_path, tmp_path):
             assert row[key] == pytest.approx(golden[key], abs=1e-12, rel=0)
 
 
-# The seed corpus repeated to 570 records, as CI builds it, so that a command
-# reads three blocks of POOL_BATCH lines and --workers 2 starts a pool. Each
+# The seed corpus repeated to 570 records, so that a command reads three
+# blocks of POOL_BATCH lines and --workers 2 starts a pool. Each
 # record carries a model_id, round-robin over five, for rank, and each block
 # holds one bad line. Each digest covers a run's exit code, stdout, stderr
 # (judge's timing line cut to its count) and written files, recorded before

@@ -133,12 +133,13 @@ def test_import_loads_no_submodule():
     assert _fresh(code) == "[]"
 
 
-@pytest.mark.parametrize("command", ["judge", "train"])
+@pytest.mark.parametrize("command", ["judge", "judge-f1", "train"])
 def test_judge_and_train_leave_harness_unloaded(command, files, seed_bundle_path):
     one = files["plain"].with_name("one.jsonl")
     one.write_text(json.dumps(ROWS[0]) + "\n")
     argv = {
         "judge": ["judge", "--metric", "pedants", "--model", seed_bundle_path, "--dataset", one],
+        "judge-f1": ["judge", "--metric", "f1", "--dataset", one],
         "train": ["train"],
     }[command]
     loaded = (
@@ -192,8 +193,17 @@ def test_star_import_dir_and_unknown_names():
     assert listed == "[] False"
 
 
+def _pyproject() -> str:
+    # read by regexes, not tomllib, which Python 3.10 lacks
+    return (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+
+
 def test_package_version_is_the_project_version():
-    # a regex, not tomllib, which Python 3.10 lacks
-    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    [version] = re.findall(r'(?m)^version = "([^"]*)"$', text)
+    [version] = re.findall(r'(?m)^version = "([^"]*)"$', _pyproject())
     assert pedants.__version__ == version
+
+
+def test_console_script_is_cli_run():
+    # the one script pip installs runs cli.run, as python -m pedants does
+    [scripts] = re.findall(r"(?ms)^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", _pyproject())
+    assert re.findall(r'(?m)^(\S+) = "([^"]*)"$', scripts) == [("pedants", "pedants.cli:run")]
