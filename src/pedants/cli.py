@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
@@ -418,7 +418,7 @@ def cmd_eval(args) -> int:
 
     report = _report_paths(args.out, "report")
     block = _EvalBlock(args.dataset, args.norm, args.threshold)
-    counts: dict[str, ConfusionCounts] = {}
+    counts: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     with contextlib.closing(io.iter_lines(args.dataset)) as lines:
         # the first good record, read here, sets the file's kind: pre-judged or plain
         read = (result for line in lines for result in block([line]))
@@ -439,7 +439,7 @@ def cmd_eval(args) -> int:
         for label, verdicts in itertools.chain([first], rest):
             for name, verdict in verdicts.items():
                 if names is None or name in names:
-                    counts.setdefault(name, ConfusionCounts()).update(label, verdict)
+                    counts[name].update(label, verdict)
     if not counts:
         raise PedantsError(f"{args.dataset}: no verdicts matched the requested metrics")
     if block.prejudged:

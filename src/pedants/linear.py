@@ -137,6 +137,9 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
     Scores are clamped first, so no NaN/Inf can leave it. Every reduction
     runs along the contiguous class axis, the same for any number of rows.
+    The reductions keep their dimensions: dropping them and broadcasting
+    back through ``[..., None]`` gives the same bits but costs more per call
+    on the few rows of a one-row judge.
     """
     np.maximum(scores, -LOGIT_CLAMP, out=scores)
     np.minimum(scores, LOGIT_CLAMP, out=scores)

@@ -9,7 +9,6 @@ overlap, matching the usual short-answer convention.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +41,9 @@ def _best_tokens(
     """Index and bag-overlap scores of the reference token list (one or
     more) with the highest F1 against the candidate's; ties keep the first.
     Two empty lists agree vacuously (all ones); one empty list scores zero."""
-    counts = Counter(candidate)
+    counts: dict[str, int] = {}
+    for tok in candidate:
+        counts[tok] = counts.get(tok, 0) + 1
     best_idx, best = 0, None
     for i, ref in enumerate(references):
         if not candidate or not ref:

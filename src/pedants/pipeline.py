@@ -119,6 +119,12 @@ class PedantsModel:
         holds no copy."""
         return _stack(self.type_model, self.rule_model, self.judge_model)
 
+    @functools.cached_property
+    def _dense_weights(self) -> np.ndarray:
+        """The judge's (2, 17) weights of the dense prefix, copied once on
+        first use, so no block slices them again."""
+        return np.ascontiguousarray(self.judge_model.weights[:, :DENSE_DIM])
+
     def to_dict(self) -> dict:
         out = {"format_version": BUNDLE_FORMAT_VERSION, "fingerprint": self.fingerprint}
         out["config"] = linear.config_dict(self.seed)
@@ -376,7 +382,7 @@ def _judgments(prepared: Sequence[_Prepared], model: PedantsModel) -> list[Judgm
     block, scores = _score(prepared, model)
     prefix = _prefix(scores, [p.scores for p in prepared])
     # the judge's scores: its prefix terms summed along each row, then the text
-    dense = prefix[:, None, :] * model.judge_model.weights[:, :DENSE_DIM]
+    dense = prefix[:, None, :] * model._dense_weights
     judge_scores = np.add.reduce(dense, axis=2)
     judge_scores += scores[len(prepared) :, N_RULES:]
     probs = linear._softmax(judge_scores)
@@ -401,6 +407,6 @@ def judge_batch(examples: Sequence[QAExample], model: PedantsModel) -> list[Judg
 
 
 def judge(example: QAExample, model: PedantsModel) -> Judgment:
-    """Run the full pipeline on one example: a batch of one, with the same
-    bits as in any batch."""
-    return judge_batch([example], model)[0]
+    """Run the full pipeline on one example: ``judge_batch``'s body on a
+    batch of one, with the same bits as in any batch."""
+    return _judgments([_prepare(example)], model)[0]

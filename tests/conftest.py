@@ -1,6 +1,9 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
-from pedants.io import load_seed_corpus
+from pedants.io import QAExample, load_seed_corpus
 from pedants.pipeline import judge_batch, train_pedants
 
 
@@ -41,3 +44,18 @@ def held_out_judge(seed_corpus):
         return out
 
     return judged
+
+
+@pytest.fixture(scope="session")
+def wide_library():
+    """A small bundle over a wide vocabulary and 240 library rows for it,
+    whose words are mostly in that vocabulary, from the benchmark's
+    generator (it imports no pedants module): (model, rows). Trained once
+    per session."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        gen = importlib.import_module("gen")
+    records, truths = gen.train_wide(11, 400, 600)
+    model = train_pedants([QAExample.from_dict(r) for r in records])
+    vocab = sorted({w for t in truths for w in t.question[1:] + t.references[t.best]})
+    return model, [QAExample.from_dict(r) for r in gen.judge_library(11, 240, vocab)[0]]

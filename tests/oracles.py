@@ -6,27 +6,31 @@ that keeps class-major weights and sums the epoch loss one example at a
 time instead of feature-major weights and one batched loss pass, the
 lazy-scale step as plain expressions instead of one numpy call per
 operation, explicit comparison branches instead of sign arithmetic,
-precision/recall-form F1 instead of confusion-count form, a judge that
-re-normalizes every string in every public piece it calls and runs each
-linear model on one dense vector with its own softmax instead of preparing
-each string once and scoring a flattened batch of sparse rows, and
-normalization character by character over the whole string instead of
+precision/recall-form F1 instead of confusion-count form, a bag overlap
+from a ``Counter`` intersection instead of a count-down dict, a judge
+that re-normalizes every string in every public piece it calls and runs
+each linear model on one dense vector with its own softmax instead of
+preparing each string once and scoring a flattened batch of sparse rows,
+and normalization character by character over the whole string instead of
 token by token through a translate table. ``batch_of`` and
 ``train_vectors`` are no oracles: they check rows of test arrays and hand
-them to the package's scorer and trainer.
+them to the package's scorer and trainer. Nor is ``keepdims_softmax``: it
+pins the seven ufunc calls of ``linear._softmax``, so that any rewrite of
+that function keeps their bits.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
 from pedants import linear, vectorizer
 from pedants.errors import SingleClassCorpus
-from pedants.metrics import token_prf
+from pedants.metrics import PrfScores, token_prf
 from pedants.pipeline import Judgment, QuestionType, RuleLabel
 from pedants.textnorm import PEDANTS_POLICY, NormPolicy, lemma as _cached_lemma
 
@@ -42,6 +46,18 @@ def softmax(scores) -> np.ndarray:
     clipped = np.clip(scores, -linear.LOGIT_CLAMP, linear.LOGIT_CLAMP)
     exp = np.exp(clipped - clipped.max())
     return exp / exp.sum()
+
+
+def keepdims_softmax(scores: np.ndarray) -> np.ndarray:
+    """Scores to class probabilities along the last axis, in place, by seven
+    ufunc calls: the clamp, then the max and the sum reduced with
+    ``keepdims`` and broadcast back as they are."""
+    np.maximum(scores, -linear.LOGIT_CLAMP, out=scores)
+    np.minimum(scores, linear.LOGIT_CLAMP, out=scores)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
 
 
 @lru_cache(maxsize=4096)
@@ -281,6 +297,25 @@ def first_max_reference(candidate, references, policy):
     """(index, scores) of the first reference with the highest token F1,
     scoring each (candidate, reference) pair on its own."""
     scored = [token_prf(candidate, ref, policy) for ref in references]
+    best = max(s.f1 for s in scored)
+    idx = next(i for i, s in enumerate(scored) if s.f1 == best)
+    return idx, scored[idx]
+
+
+def counter_best_tokens(candidate, references):
+    """(index, scores) of the first reference token list with the highest F1
+    against the candidate's: the overlap is the size of the two lists'
+    ``Counter`` intersection, and F1 the harmonic mean of precision and
+    recall. Two empty lists score all ones; one empty list scores zero."""
+    scored = []
+    for ref in references:
+        if candidate and ref:
+            overlap = sum((Counter(candidate) & Counter(ref)).values())
+            p, r = overlap / len(candidate), overlap / len(ref)
+            scored.append(PrfScores(p, r, 2 * p * r / (p + r) if p + r else 0.0))
+        else:
+            one = 0.0 if candidate or ref else 1.0
+            scored.append(PrfScores(one, one, one))
     best = max(s.f1 for s in scored)
     idx = next(i for i, s in enumerate(scored) if s.f1 == best)
     return idx, scored[idx]

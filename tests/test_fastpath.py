@@ -176,13 +176,11 @@ def batches(draw):
 BATCH_SETTINGS = settings(SETTINGS, max_examples=25)
 
 
-@pytest.mark.parametrize("bundle", ["seed_model", "sparse_model"])
-@BATCH_SETTINGS
-@given(rows=batches())
-def test_batch_size_never_changes_a_row(bundle, request, rows):
-    model = request.getfixturevalue(bundle)
+def _assert_any_block_size(model, rows, sizes):
+    """Each row's one-row judgment has the bytes judge_batch gives it in
+    blocks of every size, and agrees with the per-call judge."""
     alone = [json.dumps(judge(ex, model).to_dict()) for ex in rows]
-    for size in (1, 7, 256):
+    for size in sizes:
         batched = [
             json.dumps(j.to_dict())
             for start in range(0, len(rows), size)
@@ -191,6 +189,19 @@ def test_batch_size_never_changes_a_row(bundle, request, rows):
         assert batched == alone
     for ex in {id(ex): ex for ex in rows}.values():
         _assert_same(judge(ex, model), per_call_judge(ex, model))
+
+
+@pytest.mark.parametrize("bundle", ["seed_model", "sparse_model"])
+@BATCH_SETTINGS
+@given(rows=batches())
+def test_batch_size_never_changes_a_row(bundle, request, rows):
+    _assert_any_block_size(request.getfixturevalue(bundle), rows, (1, 7, 256))
+
+
+def test_batch_size_never_changes_a_library_row(wide_library):
+    # the traffic of a library that judges one answer at a time, with a
+    # vocabulary that holds most of its words
+    _assert_any_block_size(*wide_library, (1, 7, 240))
 
 
 def test_sparse_model_has_empty_encodings(sparse_model):

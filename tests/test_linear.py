@@ -89,6 +89,49 @@ def test_zero_model_probabilities():
     assert _proba(seven, x) == pytest.approx([1 / 7] * 7, abs=1e-12)
 
 
+def _planted_scores(rng, rows: int, width: int, first: int) -> np.ndarray:
+    """(rows, width) scores, spread so that many lie past the clamp, with
+    the softmax rows cycling from ``first`` through a constant row, a row
+    whose maximum is tied, a row of values at and just past both clamp
+    bounds, a row of huge values and signed zeros, and a random row."""
+    scores = rng.normal(0.0, 2 * LOGIT_CLAMP, size=(rows, width))
+    edges = [-1e3, -LOGIT_CLAMP - 1e-9, -LOGIT_CLAMP, LOGIT_CLAMP, LOGIT_CLAMP + 1e-9, 1e3]
+    for i, row in enumerate(scores):
+        kind = (first + i) % 5
+        if kind == 0:
+            row[:] = row[0]
+        elif kind == 1:
+            row[rng.permutation(width)[:2]] = row.max() + abs(row[0])
+        elif kind == 2:
+            row[:] = rng.choice(edges, size=width)
+        elif kind == 3:
+            row[:] = rng.choice([-1e300, -0.0, 0.0, 1e300], size=width)
+    return scores
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 2000])
+@pytest.mark.parametrize("layout", ["prefix", "judge", "rows"])
+def test_softmax_has_the_keepdims_oracle_bits(n, layout):
+    # the layouts the package hands it: a judged block's (n, 2, 7) type and
+    # rule columns of its (n, 17) prefix, the judge's (n, 2) scores, and an
+    # extractor's (n, 7) scores in predict_proba and the training loss
+    shape, base, view = {
+        "prefix": ((n, 2, 7), (n, 17), lambda a: a[:, :14].reshape(n, 2, 7)),
+        "judge": ((n, 2), (n, 2), lambda a: a),
+        "rows": ((n, 7), (n, 7), lambda a: a),
+    }[layout]
+    rng = np.random.default_rng(n)
+    for first in range(5):  # each kind of row comes first, so n = 1 sees all five
+        got, want = np.full(base, 0.25), np.full(base, 0.25)
+        values = _planted_scores(rng, int(np.prod(shape[:-1])), shape[-1], first)
+        view(got)[...] = view(want)[...] = values.reshape(shape)
+        linear._softmax(view(got))
+        oracles.keepdims_softmax(view(want))
+        # every bit, and the columns beside the view untouched
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
+
+
 def test_softmax_hand_oracle_on_one_hot_input():
     weights = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
     model = LinearModel(weights, np.zeros(3))

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import counter_best_tokens
 from pedants.errors import EmptyReferences
-from pedants.metrics import PrfScores, best_reference, exact_match, token_prf
+from pedants.metrics import PrfScores, _best_tokens, best_reference, exact_match, token_prf
 from pedants.textnorm import EM_POLICY, PEDANTS_POLICY
 
 
@@ -134,3 +137,13 @@ def test_best_reference_rejects_a_bare_string_of_references():
     with pytest.raises(ValueError, match="not one string"):
         best_reference("e", "Joe Biden")
 
+
+
+# token lists over three tokens, so most lists repeat one, and empty lists
+_token_lists = st.lists(st.sampled_from(["a", "b", "c"]), max_size=9)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(candidate=_token_lists, references=st.lists(_token_lists, min_size=1, max_size=5))
+def test_best_tokens_is_the_counter_intersection_oracle(candidate, references):
+    assert _best_tokens(candidate, references) == counter_best_tokens(candidate, references)
